@@ -1,287 +1,191 @@
 #include "core/bridge/models.hpp"
 
+#include <string_view>
+
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace starlink::bridge::models {
 
-// ---------------------------------------------------------------------------
-// MDL documents
-
-std::string slpMdl() {
-    return R"(<Mdl protocol="SLP" kind="binary">
-  <Types>
-    <Version>Integer</Version>
-    <FunctionID>Integer</FunctionID>
-    <MessageLength>Integer[f-msglength()]</MessageLength>
-    <Reserved>Integer</Reserved>
-    <NextExtOffset>Integer</NextExtOffset>
-    <XID>Integer</XID>
-    <LangTagLen>Integer[f-length(LangTag)]</LangTagLen>
-    <LangTag>String</LangTag>
-    <PRLength>Integer[f-length(PRStringTable)]</PRLength>
-    <PRStringTable>String</PRStringTable>
-    <SRVTypeLength>Integer[f-length(SRVType)]</SRVTypeLength>
-    <SRVType>String</SRVType>
-    <PredLength>Integer[f-length(PredString)]</PredLength>
-    <PredString>String</PredString>
-    <SPILength>Integer[f-length(SPIString)]</SPILength>
-    <SPIString>String</SPIString>
-    <ErrorCode>Integer</ErrorCode>
-    <URLEntryCount>Integer</URLEntryCount>
-    <URLReserved>Integer</URLReserved>
-    <Lifetime>Integer</Lifetime>
-    <URLLength>Integer[f-length(URLEntry)]</URLLength>
-    <URLEntry>String</URLEntry>
-  </Types>
-  <Header type="SLP">
-    <Version default="2">8</Version>
-    <FunctionID>8</FunctionID>
-    <MessageLength>24</MessageLength>
-    <Reserved>16</Reserved>
-    <NextExtOffset>24</NextExtOffset>
-    <XID mandatory="true">16</XID>
-    <LangTagLen>16</LangTagLen>
-    <LangTag default="en">LangTagLen</LangTag>
-  </Header>
-  <Message type="SLPSrvRequest">
-    <Rule>FunctionID=1</Rule>
-    <PRLength>16</PRLength>
-    <PRStringTable>PRLength</PRStringTable>
-    <SRVTypeLength>16</SRVTypeLength>
-    <SRVType mandatory="true">SRVTypeLength</SRVType>
-    <PredLength>16</PredLength>
-    <PredString>PredLength</PredString>
-    <SPILength>16</SPILength>
-    <SPIString>SPILength</SPIString>
-  </Message>
-  <Message type="SLPSrvReply">
-    <Rule>FunctionID=2</Rule>
-    <ErrorCode>16</ErrorCode>
-    <URLEntryCount default="1">16</URLEntryCount>
-    <URLReserved>8</URLReserved>
-    <Lifetime default="65535">16</Lifetime>
-    <URLLength>16</URLLength>
-    <URLEntry mandatory="true">URLLength</URLEntry>
-  </Message>
-</Mdl>
-)";
-}
-
-std::string dnsMdl() {
-    return R"(<Mdl protocol="DNS" kind="binary">
-  <Types>
-    <ID>Integer</ID>
-    <Flags>Integer</Flags>
-    <QDCount>Integer</QDCount>
-    <ANCount>Integer</ANCount>
-    <NSCount>Integer</NSCount>
-    <ARCount>Integer</ARCount>
-    <QName>FQDN</QName>
-    <QType>Integer</QType>
-    <QClass>Integer</QClass>
-    <AName>FQDN</AName>
-    <Type>Integer</Type>
-    <Class>Integer</Class>
-    <TTL>Integer</TTL>
-    <RDLength>Integer[f-length(RData)]</RDLength>
-    <RData>String</RData>
-  </Types>
-  <Header type="DNS">
-    <ID mandatory="true">16</ID>
-    <Flags>16</Flags>
-    <QDCount>16</QDCount>
-    <ANCount>16</ANCount>
-    <NSCount>16</NSCount>
-    <ARCount>16</ARCount>
-  </Header>
-  <Message type="DNS_Question">
-    <Rule>QDCount=1</Rule>
-    <QName mandatory="true">auto</QName>
-    <QType default="12">16</QType>
-    <QClass default="1">16</QClass>
-  </Message>
-  <Message type="DNS_Response">
-    <Rule>ANCount=1</Rule>
-    <AName mandatory="true">auto</AName>
-    <Type default="16">16</Type>
-    <Class default="1">16</Class>
-    <TTL default="120">32</TTL>
-    <RDLength>16</RDLength>
-    <RData mandatory="true">RDLength</RData>
-  </Message>
-</Mdl>
-)";
-}
-
-std::string ssdpMdl() {
-    // Fig 11, completed: the request line tokens split at spaces (char 32)
-    // and CRLF (13,10); header lines split at ':' (char 58).
-    return R"(<Mdl protocol="SSDP" kind="text">
-  <Types>
-    <Method>String</Method>
-    <URI>String</URI>
-    <Version>String</Version>
-    <MX>Integer</MX>
-  </Types>
-  <Header type="SSDP">
-    <Method>32</Method>
-    <URI>32</URI>
-    <Version>13,10</Version>
-    <Fields>13,10:58</Fields>
-  </Header>
-  <Message type="SSDP_MSearch">
-    <Rule>Method=M-SEARCH</Rule>
-    <URI default="*"/>
-    <Version default="HTTP/1.1"/>
-    <HOST default="239.255.255.250:1900"/>
-    <MAN default="&quot;ssdp:discover&quot;"/>
-    <MX default="2"/>
-    <ST mandatory="true"/>
-  </Message>
-  <Message type="SSDP_Resp">
-    <Rule>Method=HTTP/1.1</Rule>
-    <URI default="200"/>
-    <Version default="OK"/>
-    <CACHE-CONTROL default="max-age=1800"/>
-    <SERVER default="Starlink-Bridge/1.0 UPnP/1.0"/>
-    <EXT default=""/>
-    <ST mandatory="true"/>
-    <USN/>
-    <LOCATION mandatory="true"/>
-  </Message>
-</Mdl>
-)";
-}
-
-std::string httpMdl() {
-    return R"(<Mdl protocol="HTTP" kind="text">
-  <Types>
-    <Method>String</Method>
-    <URI>String</URI>
-    <Version>String</Version>
-  </Types>
-  <Header type="HTTP">
-    <Method>32</Method>
-    <URI>32</URI>
-    <Version>13,10</Version>
-    <Fields>13,10:58</Fields>
-    <Body/>
-  </Header>
-  <Message type="HTTP_GET">
-    <Rule>Method=GET</Rule>
-    <URI mandatory="true"/>
-    <Version default="HTTP/1.1"/>
-  </Message>
-  <Message type="HTTP_OK">
-    <Rule>Method=HTTP/1.1</Rule>
-    <URI default="200"/>
-    <Version default="OK"/>
-    <Content-Type default="text/xml"/>
-    <Body mandatory="true"/>
-  </Message>
-</Mdl>
-)";
-}
-
-// ---------------------------------------------------------------------------
-// Colored automata
-
 namespace {
 
-/// Builds a three-state request/response automaton. In Server role the
-/// conversation is ?request !response, in Client role !request ?response.
-std::string requestResponseAutomaton(const std::string& name, const std::string& color,
-                                     const std::string& statePrefix,
-                                     const std::string& requestType,
-                                     const std::string& responseType, Role role) {
-    const std::string s0 = statePrefix + "0";
-    const std::string s1 = statePrefix + "1";
-    const std::string s2 = statePrefix + "2";
-    const std::string first = role == Role::Server ? "receive" : "send";
-    const std::string second = role == Role::Server ? "send" : "receive";
-    std::string out = "<Automaton name=\"" + name + "\">\n";
-    out += "  " + color + "\n";
-    out += "  <State id=\"" + s0 + "\" initial=\"true\"/>\n";
-    out += "  <State id=\"" + s1 + "\"/>\n";
-    out += "  <State id=\"" + s2 + "\" accepting=\"true\"/>\n";
-    out += "  <Transition from=\"" + s0 + "\" action=\"" + first + "\" message=\"" +
-           requestType + "\" to=\"" + s1 + "\"/>\n";
-    out += "  <Transition from=\"" + s1 + "\" action=\"" + second + "\" message=\"" +
-           responseType + "\" to=\"" + s2 + "\"/>\n";
-    out += "</Automaton>\n";
-    return out;
+/// Where a deployment puts the values the committed files carry as defaults.
+struct Placement {
+    std::string bridgeHost = "10.0.0.9";
+    int bridgeHttpPort = 8085;
+    std::string directoryHost = "10.0.0.3";  ///< "" drops the LDAP client's host
+};
+
+const std::string& embedded(std::string_view file) {
+    const Documents& documents = embeddedDocuments();
+    const auto it = documents.find(file);
+    if (it == documents.end()) {
+        throw SpecError("no built-in model file '" + std::string(file) + "'");
+    }
+    return it->second;
+}
+
+/// Replaces the default `from`, which the committed `file` must carry.
+void substitute(std::string& bytes, std::string_view from, const std::string& to,
+                std::string_view file) {
+    const std::size_t at = bytes.find(from);
+    if (at == std::string::npos) {
+        throw SpecError("built-in model '" + std::string(file) + "' lacks '" +
+                        std::string(from) + "'");
+    }
+    bytes.replace(at, from.size(), to);
+}
+
+/// `bytes` (the committed `file`) specialised to `at`. These three are the
+/// only substitutions; at the defaults each is a no-op.
+std::string place(std::string_view file, std::string bytes, const Placement& at) {
+    const std::string port = std::to_string(at.bridgeHttpPort);
+    if (file == "UPnP-to-SLP.bridge.xml" || file == "UPnP-to-Bonjour.bridge.xml") {
+        substitute(bytes, "http://10.0.0.9:8085/desc.xml",
+                   "http://" + at.bridgeHost + ":" + port + "/desc.xml", file);
+    } else if (file == "http.server.automaton.xml") {
+        substitute(bytes, "port=\"8085\"", "port=\"" + port + "\"", file);
+    } else if (file == "ldap.client.automaton.xml") {
+        substitute(bytes, " host=\"10.0.0.3\"",
+                   at.directoryHost.empty() ? "" : " host=\"" + at.directoryHost + "\"", file);
+    }
+    return bytes;
+}
+
+std::string builtin(std::string_view file, const Placement& at = {}) {
+    return place(file, embedded(file), at);
+}
+
+std::string automatonFile(const char* protocol, Role role) {
+    return std::string(protocol) + (role == Role::Server ? ".server" : ".client") +
+           ".automaton.xml";
+}
+
+template <class Read>
+DeploymentSpec assembleWith(const Direction& d, const Read& read) {
+    DeploymentSpec spec;
+    for (const auto& [mdl, automaton] : d.protocols) {
+        spec.protocols.push_back({read(mdl), read(automaton)});
+    }
+    spec.bridgeXml = read(d.bridge);
+    return spec;
+}
+
+DeploymentSpec builtinDirection(std::string_view slug, const Placement& at = {}) {
+    for (const Direction& d : directions()) {
+        if (slug == d.slug) {
+            return assembleWith(d, [&at](const char* file) { return builtin(file, at); });
+        }
+    }
+    throw SpecError("no built-in direction '" + std::string(slug) + "'");
 }
 
 }  // namespace
 
-std::string slpAutomaton(Role role) {
-    // Fig 1: udp 427, async, multicast 239.255.255.253.
-    return requestResponseAutomaton(
-        "SLP",
-        R"(<Color transport_protocol="udp" port="427" mode="async" multicast="yes" group="239.255.255.253"/>)",
-        "s1", "SLPSrvRequest", "SLPSrvReply", role);
-}
+// -- per-document accessors ----------------------------------------------------
 
-std::string mdnsAutomaton(Role role) {
-    // Fig 9: udp 5353, async, multicast 224.0.0.251.
-    return requestResponseAutomaton(
-        "mDNS",
-        R"(<Color transport_protocol="udp" port="5353" mode="async" multicast="yes" group="224.0.0.251"/>)",
-        "s4", "DNS_Question", "DNS_Response", role);
-}
+std::string slpMdl() { return embedded("slp.mdl.xml"); }
+std::string dnsMdl() { return embedded("dns.mdl.xml"); }
+std::string ssdpMdl() { return embedded("ssdp.mdl.xml"); }
+std::string httpMdl() { return embedded("http.mdl.xml"); }
+std::string ldapMdl() { return embedded("ldap.mdl.xml"); }
+std::string wsdMdl() { return embedded("wsd.mdl.xml"); }
 
-std::string ssdpAutomaton(Role role) {
-    // Fig 2: udp 1900, async, multicast 239.255.255.250.
-    return requestResponseAutomaton(
-        "SSDP",
-        R"(<Color transport_protocol="udp" port="1900" mode="async" multicast="yes" group="239.255.255.250"/>)",
-        "s2", "SSDP_MSearch", "SSDP_Resp", role);
-}
+std::string slpAutomaton(Role role) { return embedded(automatonFile("slp", role)); }
+std::string mdnsAutomaton(Role role) { return embedded(automatonFile("mdns", role)); }
+std::string ssdpAutomaton(Role role) { return embedded(automatonFile("ssdp", role)); }
+std::string wsdAutomaton(Role role) { return embedded(automatonFile("wsd", role)); }
 
 std::string httpAutomaton(Role role, int serverPort) {
-    // Fig 3: tcp, sync, no multicast. The client side's target host arrives
-    // at runtime through set_host; the server side listens on serverPort.
-    const int port = role == Role::Server ? serverPort : 80;
-    return requestResponseAutomaton(
-        "HTTP",
-        "<Color transport_protocol=\"tcp\" port=\"" + std::to_string(port) +
-            "\" mode=\"sync\" multicast=\"no\"/>",
-        "s3", "HTTP_GET", "HTTP_OK", role);
+    return builtin(automatonFile("http", role), {.bridgeHttpPort = serverPort});
 }
 
-// ---------------------------------------------------------------------------
-// Bridge specifications
-
-const char* caseName(Case c) {
-    switch (c) {
-        case Case::SlpToUpnp: return "SLP to UPnP";
-        case Case::SlpToBonjour: return "SLP to Bonjour";
-        case Case::UpnpToSlp: return "UPnP to SLP";
-        case Case::UpnpToBonjour: return "UPnP to Bonjour";
-        case Case::BonjourToUpnp: return "Bonjour to UPnP";
-        case Case::BonjourToSlp: return "Bonjour to SLP";
-    }
-    return "?";
+std::string ldapAutomaton(Role role, const std::string& directoryHost) {
+    return builtin(automatonFile("ldap", role), {.directoryHost = directoryHost});
 }
 
-const char* caseSlug(Case c) {
-    switch (c) {
-        case Case::SlpToUpnp: return "slp-to-upnp";
-        case Case::SlpToBonjour: return "slp-to-bonjour";
-        case Case::UpnpToSlp: return "upnp-to-slp";
-        case Case::UpnpToBonjour: return "upnp-to-bonjour";
-        case Case::BonjourToUpnp: return "bonjour-to-upnp";
-        case Case::BonjourToSlp: return "bonjour-to-slp";
-    }
-    return "?";
+// -- directions ----------------------------------------------------------------
+
+const std::vector<Direction>& directions() {
+    static const std::vector<Direction> table = {
+        {"slp-to-upnp", "SLP to UPnP",
+         {{"slp.mdl.xml", "slp.server.automaton.xml"},
+          {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
+          {"http.mdl.xml", "http.client.automaton.xml"}},
+         "SLP-to-UPnP.bridge.xml"},
+        {"slp-to-bonjour", "SLP to Bonjour",
+         {{"slp.mdl.xml", "slp.server.automaton.xml"},
+          {"dns.mdl.xml", "mdns.client.automaton.xml"}},
+         "SLP-to-Bonjour.bridge.xml"},
+        {"upnp-to-slp", "UPnP to SLP",
+         {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
+          {"slp.mdl.xml", "slp.client.automaton.xml"},
+          {"http.mdl.xml", "http.server.automaton.xml"}},
+         "UPnP-to-SLP.bridge.xml"},
+        {"upnp-to-bonjour", "UPnP to Bonjour",
+         {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
+          {"dns.mdl.xml", "mdns.client.automaton.xml"},
+          {"http.mdl.xml", "http.server.automaton.xml"}},
+         "UPnP-to-Bonjour.bridge.xml"},
+        {"bonjour-to-upnp", "Bonjour to UPnP",
+         {{"dns.mdl.xml", "mdns.server.automaton.xml"},
+          {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
+          {"http.mdl.xml", "http.client.automaton.xml"}},
+         "Bonjour-to-UPnP.bridge.xml"},
+        {"bonjour-to-slp", "Bonjour to SLP",
+         {{"dns.mdl.xml", "mdns.server.automaton.xml"},
+          {"slp.mdl.xml", "slp.client.automaton.xml"}},
+         "Bonjour-to-SLP.bridge.xml"},
+        {"slp-to-ldap", "SLP to LDAP",
+         {{"slp.mdl.xml", "slp.server.automaton.xml"},
+          {"ldap.mdl.xml", "ldap.client.automaton.xml"}},
+         "SLP-to-LDAP.bridge.xml"},
+        {"ldap-to-slp", "LDAP to SLP",
+         {{"ldap.mdl.xml", "ldap.server.automaton.xml"},
+          {"slp.mdl.xml", "slp.client.automaton.xml"}},
+         "LDAP-to-SLP.bridge.xml"},
+        {"slp-to-wsd", "SLP to WSD",
+         {{"slp.mdl.xml", "slp.server.automaton.xml"},
+          {"wsd.mdl.xml", "wsd.client.automaton.xml"}},
+         "SLP-to-WSD.bridge.xml"},
+        {"wsd-to-slp", "WSD to SLP",
+         {{"wsd.mdl.xml", "wsd.server.automaton.xml"},
+          {"slp.mdl.xml", "slp.client.automaton.xml"}},
+         "WSD-to-SLP.bridge.xml"},
+    };
+    return table;
 }
+
+const Direction& direction(Case c) { return directions().at(static_cast<std::size_t>(c)); }
+
+const char* caseName(Case c) { return direction(c).name; }
+
+const char* caseSlug(Case c) { return direction(c).slug; }
 
 std::optional<Case> caseBySlug(const std::string& slug) {
     for (Case c : kAllCases) {
         if (slug == caseSlug(c)) return c;
     }
     return std::nullopt;
+}
+
+DeploymentSpec assemble(const Direction& d, const Documents& docs) {
+    return assembleWith(d, [&docs, &d](const char* file) -> const std::string& {
+        const auto it = docs.find(std::string_view(file));
+        if (it == docs.end()) {
+            throw SpecError(std::string(d.slug) + ": model file '" + file + "' is missing");
+        }
+        return it->second;
+    });
+}
+
+Documents builtinDocuments(const std::string& bridgeHost, int bridgeHttpPort) {
+    const Placement at{.bridgeHost = bridgeHost, .bridgeHttpPort = bridgeHttpPort};
+    Documents documents;
+    for (const auto& [file, bytes] : embeddedDocuments()) {
+        documents.emplace(file, place(file, bytes, at));
+    }
+    return documents;
 }
 
 std::uint64_t modelSetIdentity(const DeploymentSpec& spec) {
@@ -302,452 +206,47 @@ std::uint64_t modelSetIdentity(const DeploymentSpec& spec) {
     return h;
 }
 
-namespace {
-
-std::string assignment(const std::string& transform, const std::string& targetState,
-                       const std::string& targetMessage, const std::string& targetPath,
-                       const std::string& sourceState, const std::string& sourceMessage,
-                       const std::string& sourcePath) {
-    std::string out = transform.empty() ? "    <Assignment>\n"
-                                        : "    <Assignment transform=\"" + transform + "\">\n";
-    out += "      <Field state=\"" + targetState + "\" message=\"" + targetMessage +
-           "\" path=\"" + targetPath + "\"/>\n";
-    out += "      <Field state=\"" + sourceState + "\" message=\"" + sourceMessage +
-           "\" path=\"" + sourcePath + "\"/>\n";
-    out += "    </Assignment>\n";
-    return out;
-}
-
-std::string constantAssignment(const std::string& targetState, const std::string& targetMessage,
-                               const std::string& targetPath, const std::string& value) {
-    std::string out = "    <Assignment>\n";
-    out += "      <Field state=\"" + targetState + "\" message=\"" + targetMessage +
-           "\" path=\"" + targetPath + "\"/>\n";
-    out += "      <Constant>" + value + "</Constant>\n";
-    out += "    </Assignment>\n";
-    return out;
-}
-
-/// The Fig 8 XPath form, used for a couple of assignments so both
-/// addressing styles stay exercised end to end.
-std::string xpathAssignment(const std::string& transform, const std::string& targetState,
-                            const std::string& targetMessage, const std::string& targetField,
-                            const std::string& sourceState, const std::string& sourceMessage,
-                            const std::string& sourceField) {
-    std::string out = transform.empty() ? "    <Assignment>\n"
-                                        : "    <Assignment transform=\"" + transform + "\">\n";
-    out += "      <Field>\n";
-    out += "        <State>" + targetState + "</State>\n";
-    out += "        <Message>" + targetMessage + "</Message>\n";
-    out += "        <Xpath>/field/primitiveField[label='" + targetField + "']/value</Xpath>\n";
-    out += "      </Field>\n";
-    out += "      <Field>\n";
-    out += "        <State>" + sourceState + "</State>\n";
-    out += "        <Message>" + sourceMessage + "</Message>\n";
-    out += "        <Xpath>/field/primitiveField[label='" + sourceField + "']/value</Xpath>\n";
-    out += "      </Field>\n";
-    out += "    </Assignment>\n";
-    return out;
-}
-
-std::string setHostDelta(const std::string& from, const std::string& to,
-                         const std::string& refState, const std::string& refMessage,
-                         const std::string& refPath) {
-    std::string out = "  <DeltaTransition from=\"" + from + "\" to=\"" + to + "\">\n";
-    out += "    <Action name=\"set_host\">\n";
-    out += "      <Arg state=\"" + refState + "\" message=\"" + refMessage + "\" path=\"" +
-           refPath + "\" transform=\"url_host\"/>\n";
-    out += "      <Arg state=\"" + refState + "\" message=\"" + refMessage + "\" path=\"" +
-           refPath + "\" transform=\"url_port\"/>\n";
-    out += "    </Action>\n";
-    out += "  </DeltaTransition>\n";
-    return out;
-}
-
-std::string bridgeLocation(const std::string& bridgeHost, int bridgeHttpPort) {
-    return "http://" + bridgeHost + ":" + std::to_string(bridgeHttpPort) + "/desc.xml";
-}
-
-}  // namespace
-
 DeploymentSpec forCase(Case c, const std::string& bridgeHost, int bridgeHttpPort) {
-    DeploymentSpec spec;
-    std::string xml;
-    switch (c) {
-        case Case::SlpToUpnp: {
-            // Fig 4 / Fig 5: SLP server <-> SSDP client + HTTP client.
-            spec.protocols = {{slpMdl(), slpAutomaton(Role::Server)},
-                              {ssdpMdl(), ssdpAutomaton(Role::Client)},
-                              {httpMdl(), httpAutomaton(Role::Client)}};
-            xml = "<Bridge name=\"slp-to-upnp\">\n";
-            xml += "  <Start state=\"s10\"/>\n  <Accept state=\"s12\"/>\n";
-            xml += "  <Equivalence message=\"SSDP_MSearch\" of=\"SLPSrvRequest\"/>\n";
-            xml += "  <Equivalence message=\"HTTP_GET\" of=\"SSDP_Resp\"/>\n";
-            xml += "  <Equivalence message=\"SLPSrvReply\" of=\"HTTP_OK,SLPSrvRequest\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            // Fig 5 line 4 -- written in the Fig 8 XPath form.
-            xml += xpathAssignment("slp_to_urn", "s20", "SSDP_MSearch", "ST", "s11",
-                                   "SLPSrvRequest", "SRVType");
-            xml += assignment("url_path", "s30", "HTTP_GET", "URI", "s22", "SSDP_Resp",
-                              "LOCATION");
-            xml += assignment("url_host", "s30", "HTTP_GET", "Host", "s22", "SSDP_Resp",
-                              "LOCATION");
-            xml += assignment("url_base", "s11", "SLPSrvReply", "URLEntry", "s32", "HTTP_OK",
-                              "Body");
-            // Fig 5 line 9: the reply echoes the request's transaction id.
-            xml += assignment("", "s11", "SLPSrvReply", "XID", "s11", "SLPSrvRequest", "XID");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s11\" to=\"s20\"/>\n";
-            // Fig 5 line 11: set_host from the SSDP response's LOCATION.
-            xml += setHostDelta("s22", "s30", "s22", "SSDP_Resp", "LOCATION");
-            xml += "  <DeltaTransition from=\"s32\" to=\"s11\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-        case Case::SlpToBonjour: {
-            // Fig 10: SLP server <-> mDNS client.
-            spec.protocols = {{slpMdl(), slpAutomaton(Role::Server)},
-                              {dnsMdl(), mdnsAutomaton(Role::Client)}};
-            xml = "<Bridge name=\"slp-to-bonjour\">\n";
-            xml += "  <Start state=\"s10\"/>\n  <Accept state=\"s12\"/>\n";
-            xml += "  <Equivalence message=\"DNS_Question\" of=\"SLPSrvRequest\"/>\n";
-            xml += "  <Equivalence message=\"SLPSrvReply\" of=\"DNS_Response,SLPSrvRequest\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            xml += xpathAssignment("slp_to_dnssd", "s40", "DNS_Question", "QName", "s11",
-                                   "SLPSrvRequest", "SRVType");
-            xml += constantAssignment("s40", "DNS_Question", "ID", "4242");
-            xml += assignment("", "s11", "SLPSrvReply", "URLEntry", "s42", "DNS_Response",
-                              "RData");
-            xml += assignment("", "s11", "SLPSrvReply", "XID", "s11", "SLPSrvRequest", "XID");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s11\" to=\"s40\"/>\n";
-            xml += "  <DeltaTransition from=\"s42\" to=\"s11\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-        case Case::UpnpToSlp: {
-            // SSDP server <-> SLP client, then HTTP server for the
-            // control point's description fetch.
-            spec.protocols = {{ssdpMdl(), ssdpAutomaton(Role::Server)},
-                              {slpMdl(), slpAutomaton(Role::Client)},
-                              {httpMdl(), httpAutomaton(Role::Server, bridgeHttpPort)}};
-            xml = "<Bridge name=\"upnp-to-slp\">\n";
-            xml += "  <Start state=\"s20\"/>\n  <Accept state=\"s32\"/>\n";
-            xml += "  <Equivalence message=\"SLPSrvRequest\" of=\"SSDP_MSearch\"/>\n";
-            xml += "  <Equivalence message=\"SSDP_Resp\" of=\"SLPSrvReply,SSDP_MSearch\"/>\n";
-            xml += "  <Equivalence message=\"HTTP_OK\" of=\"SLPSrvReply,HTTP_GET\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            xml += assignment("urn_to_slp", "s10", "SLPSrvRequest", "SRVType", "s21",
-                              "SSDP_MSearch", "ST");
-            xml += constantAssignment("s10", "SLPSrvRequest", "XID", "77");
-            xml += assignment("", "s21", "SSDP_Resp", "ST", "s21", "SSDP_MSearch", "ST");
-            xml += assignment("usn_from_st", "s21", "SSDP_Resp", "USN", "s21", "SSDP_MSearch",
-                              "ST");
-            xml += constantAssignment("s21", "SSDP_Resp", "LOCATION",
-                                      bridgeLocation(bridgeHost, bridgeHttpPort));
-            xml += assignment("device_description", "s31", "HTTP_OK", "Body", "s12",
-                              "SLPSrvReply", "URLEntry");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s21\" to=\"s10\"/>\n";
-            xml += "  <DeltaTransition from=\"s12\" to=\"s21\"/>\n";
-            xml += "  <DeltaTransition from=\"s22\" to=\"s30\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-        case Case::UpnpToBonjour: {
-            spec.protocols = {{ssdpMdl(), ssdpAutomaton(Role::Server)},
-                              {dnsMdl(), mdnsAutomaton(Role::Client)},
-                              {httpMdl(), httpAutomaton(Role::Server, bridgeHttpPort)}};
-            xml = "<Bridge name=\"upnp-to-bonjour\">\n";
-            xml += "  <Start state=\"s20\"/>\n  <Accept state=\"s32\"/>\n";
-            xml += "  <Equivalence message=\"DNS_Question\" of=\"SSDP_MSearch\"/>\n";
-            xml += "  <Equivalence message=\"SSDP_Resp\" of=\"DNS_Response,SSDP_MSearch\"/>\n";
-            xml += "  <Equivalence message=\"HTTP_OK\" of=\"DNS_Response,HTTP_GET\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            xml += assignment("urn_to_dnssd", "s40", "DNS_Question", "QName", "s21",
-                              "SSDP_MSearch", "ST");
-            xml += constantAssignment("s40", "DNS_Question", "ID", "4243");
-            xml += assignment("", "s21", "SSDP_Resp", "ST", "s21", "SSDP_MSearch", "ST");
-            xml += assignment("usn_from_st", "s21", "SSDP_Resp", "USN", "s21", "SSDP_MSearch",
-                              "ST");
-            xml += constantAssignment("s21", "SSDP_Resp", "LOCATION",
-                                      bridgeLocation(bridgeHost, bridgeHttpPort));
-            xml += assignment("device_description", "s31", "HTTP_OK", "Body", "s42",
-                              "DNS_Response", "RData");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s21\" to=\"s40\"/>\n";
-            xml += "  <DeltaTransition from=\"s42\" to=\"s21\"/>\n";
-            xml += "  <DeltaTransition from=\"s22\" to=\"s30\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-        case Case::BonjourToUpnp: {
-            spec.protocols = {{dnsMdl(), mdnsAutomaton(Role::Server)},
-                              {ssdpMdl(), ssdpAutomaton(Role::Client)},
-                              {httpMdl(), httpAutomaton(Role::Client)}};
-            xml = "<Bridge name=\"bonjour-to-upnp\">\n";
-            xml += "  <Start state=\"s40\"/>\n  <Accept state=\"s42\"/>\n";
-            xml += "  <Equivalence message=\"SSDP_MSearch\" of=\"DNS_Question\"/>\n";
-            xml += "  <Equivalence message=\"HTTP_GET\" of=\"SSDP_Resp\"/>\n";
-            xml += "  <Equivalence message=\"DNS_Response\" of=\"HTTP_OK,DNS_Question\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            xml += assignment("dnssd_to_urn", "s20", "SSDP_MSearch", "ST", "s41",
-                              "DNS_Question", "QName");
-            xml += assignment("url_path", "s30", "HTTP_GET", "URI", "s22", "SSDP_Resp",
-                              "LOCATION");
-            xml += assignment("url_host", "s30", "HTTP_GET", "Host", "s22", "SSDP_Resp",
-                              "LOCATION");
-            xml += assignment("", "s41", "DNS_Response", "ID", "s41", "DNS_Question", "ID");
-            xml += constantAssignment("s41", "DNS_Response", "Flags", "33792");
-            xml += assignment("", "s41", "DNS_Response", "AName", "s41", "DNS_Question",
-                              "QName");
-            xml += assignment("url_base", "s41", "DNS_Response", "RData", "s32", "HTTP_OK",
-                              "Body");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s41\" to=\"s20\"/>\n";
-            xml += setHostDelta("s22", "s30", "s22", "SSDP_Resp", "LOCATION");
-            xml += "  <DeltaTransition from=\"s32\" to=\"s41\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-        case Case::BonjourToSlp: {
-            spec.protocols = {{dnsMdl(), mdnsAutomaton(Role::Server)},
-                              {slpMdl(), slpAutomaton(Role::Client)}};
-            xml = "<Bridge name=\"bonjour-to-slp\">\n";
-            xml += "  <Start state=\"s40\"/>\n  <Accept state=\"s42\"/>\n";
-            xml += "  <Equivalence message=\"SLPSrvRequest\" of=\"DNS_Question\"/>\n";
-            xml += "  <Equivalence message=\"DNS_Response\" of=\"SLPSrvReply,DNS_Question\"/>\n";
-            xml += "  <TranslationLogic>\n";
-            xml += assignment("dnssd_to_slp", "s10", "SLPSrvRequest", "SRVType", "s41",
-                              "DNS_Question", "QName");
-            xml += constantAssignment("s10", "SLPSrvRequest", "XID", "78");
-            xml += assignment("", "s41", "DNS_Response", "ID", "s41", "DNS_Question", "ID");
-            xml += constantAssignment("s41", "DNS_Response", "Flags", "33792");
-            xml += assignment("", "s41", "DNS_Response", "AName", "s41", "DNS_Question",
-                              "QName");
-            xml += assignment("", "s41", "DNS_Response", "RData", "s12", "SLPSrvReply",
-                              "URLEntry");
-            xml += "  </TranslationLogic>\n";
-            xml += "  <DeltaTransition from=\"s41\" to=\"s10\"/>\n";
-            xml += "  <DeltaTransition from=\"s12\" to=\"s41\"/>\n";
-            xml += "</Bridge>\n";
-            break;
-        }
-    }
-    spec.bridgeXml = std::move(xml);
-    return spec;
+    return builtinDirection(caseSlug(c),
+                            {.bridgeHost = bridgeHost, .bridgeHttpPort = bridgeHttpPort});
 }
-
-// ---------------------------------------------------------------------------
-// SLP <-> LDAP extension
-
-std::string ldapMdl() {
-    return R"(<Mdl protocol="LDAP" kind="binary">
-  <Types>
-    <Version>Integer</Version>
-    <MsgType>Integer</MsgType>
-    <MessageID>Integer</MessageID>
-    <BaseDNLen>Integer[f-length(BaseDN)]</BaseDNLen>
-    <BaseDN>String</BaseDN>
-    <ClassLen>Integer[f-length(ServiceClass)]</ClassLen>
-    <ServiceClass>String</ServiceClass>
-    <FilterLen>Integer[f-length(Filter)]</FilterLen>
-    <Filter>String</Filter>
-    <ResultCode>Integer</ResultCode>
-    <DNLen>Integer[f-length(DN)]</DNLen>
-    <DN>String</DN>
-    <URLLen>Integer[f-length(URL)]</URLLen>
-    <URL>String</URL>
-  </Types>
-  <Header type="LDAP">
-    <Version default="3">8</Version>
-    <MsgType>8</MsgType>
-    <MessageID mandatory="true">16</MessageID>
-  </Header>
-  <Message type="LDAP_SearchRequest">
-    <Rule>MsgType=1</Rule>
-    <BaseDNLen>16</BaseDNLen>
-    <BaseDN default="dc=services,dc=local">BaseDNLen</BaseDN>
-    <ClassLen>16</ClassLen>
-    <ServiceClass mandatory="true">ClassLen</ServiceClass>
-    <FilterLen>16</FilterLen>
-    <Filter>FilterLen</Filter>
-  </Message>
-  <Message type="LDAP_SearchResult">
-    <Rule>MsgType=2</Rule>
-    <ResultCode>8</ResultCode>
-    <DNLen>16</DNLen>
-    <DN>DNLen</DN>
-    <URLLen>16</URLLen>
-    <URL mandatory="true">URLLen</URL>
-  </Message>
-</Mdl>
-)";
-}
-
-std::string ldapAutomaton(Role role, const std::string& directoryHost) {
-    std::string color = "<Color transport_protocol=\"tcp\" port=\"389\" mode=\"sync\" "
-                        "multicast=\"no\"";
-    if (role == Role::Client && !directoryHost.empty()) {
-        color += " host=\"" + directoryHost + "\"";
-    }
-    color += "/>";
-    return requestResponseAutomaton("LDAP", color, "l", "LDAP_SearchRequest",
-                                    "LDAP_SearchResult", role);
-}
-
-namespace {
-
-DeploymentSpec slpToLdapSpec(const std::string& directoryHost, bool carryPredicate) {
-    DeploymentSpec spec;
-    spec.protocols = {{slpMdl(), slpAutomaton(Role::Server)},
-                      {ldapMdl(), ldapAutomaton(Role::Client, directoryHost)}};
-    std::string xml = "<Bridge name=\"slp-to-ldap\">\n";
-    xml += "  <Start state=\"s10\"/>\n  <Accept state=\"s12\"/>\n";
-    xml += "  <Equivalence message=\"LDAP_SearchRequest\" of=\"SLPSrvRequest\"/>\n";
-    xml += "  <Equivalence message=\"SLPSrvReply\" of=\"LDAP_SearchResult,SLPSrvRequest\"/>\n";
-    xml += "  <TranslationLogic>\n";
-    xml += assignment("", "l0", "LDAP_SearchRequest", "ServiceClass", "s11", "SLPSrvRequest",
-                      "SRVType");
-    if (carryPredicate) {
-        // The rich translation: the SLP predicate becomes the LDAP filter.
-        xml += assignment("", "l0", "LDAP_SearchRequest", "Filter", "s11", "SLPSrvRequest",
-                          "PredString");
-    }
-    xml += assignment("", "l0", "LDAP_SearchRequest", "MessageID", "s11", "SLPSrvRequest",
-                      "XID");
-    xml += assignment("", "s11", "SLPSrvReply", "URLEntry", "l2", "LDAP_SearchResult", "URL");
-    xml += assignment("", "s11", "SLPSrvReply", "XID", "s11", "SLPSrvRequest", "XID");
-    xml += "  </TranslationLogic>\n";
-    xml += "  <DeltaTransition from=\"s11\" to=\"l0\"/>\n";
-    xml += "  <DeltaTransition from=\"l2\" to=\"s11\"/>\n";
-    xml += "</Bridge>\n";
-    spec.bridgeXml = std::move(xml);
-    return spec;
-}
-
-}  // namespace
 
 DeploymentSpec slpToLdap(const std::string& directoryHost) {
-    return slpToLdapSpec(directoryHost, /*carryPredicate=*/true);
+    return builtinDirection("slp-to-ldap", {.directoryHost = directoryHost});
 }
 
 DeploymentSpec slpToLdapWithoutPredicate(const std::string& directoryHost) {
-    return slpToLdapSpec(directoryHost, /*carryPredicate=*/false);
-}
-
-DeploymentSpec ldapToSlp() {
-    DeploymentSpec spec;
-    spec.protocols = {{ldapMdl(), ldapAutomaton(Role::Server)},
-                      {slpMdl(), slpAutomaton(Role::Client)}};
-    std::string xml = "<Bridge name=\"ldap-to-slp\">\n";
-    xml += "  <Start state=\"l0\"/>\n  <Accept state=\"l2\"/>\n";
-    xml += "  <Equivalence message=\"SLPSrvRequest\" of=\"LDAP_SearchRequest\"/>\n";
-    xml += "  <Equivalence message=\"LDAP_SearchResult\" of=\"SLPSrvReply,LDAP_SearchRequest\"/>\n";
-    xml += "  <TranslationLogic>\n";
-    xml += assignment("", "s10", "SLPSrvRequest", "SRVType", "l1", "LDAP_SearchRequest",
-                      "ServiceClass");
-    // The rich translation, in the other direction: LDAP filter -> SLP
-    // predicate.
-    xml += assignment("", "s10", "SLPSrvRequest", "PredString", "l1", "LDAP_SearchRequest",
-                      "Filter");
-    xml += assignment("", "s10", "SLPSrvRequest", "XID", "l1", "LDAP_SearchRequest",
-                      "MessageID");
-    xml += assignment("", "l1", "LDAP_SearchResult", "MessageID", "l1", "LDAP_SearchRequest",
-                      "MessageID");
-    xml += constantAssignment("l1", "LDAP_SearchResult", "DN",
-                              "cn=bridged,dc=services,dc=local");
-    xml += assignment("", "l1", "LDAP_SearchResult", "URL", "s12", "SLPSrvReply", "URLEntry");
-    xml += "  </TranslationLogic>\n";
-    xml += "  <DeltaTransition from=\"l1\" to=\"s10\"/>\n";
-    xml += "  <DeltaTransition from=\"s12\" to=\"l1\"/>\n";
-    xml += "</Bridge>\n";
-    spec.bridgeXml = std::move(xml);
+    // The ablation baseline: the same bridge minus the one assignment that
+    // carries the SLP predicate into the LDAP filter.
+    DeploymentSpec spec = slpToLdap(directoryHost);
+    std::string& xml = spec.bridgeXml;
+    const std::string_view open = "    <Assignment";
+    const std::string_view close = "</Assignment>\n";
+    std::size_t removed = 0;
+    for (std::size_t at = xml.find(open); at != std::string::npos; at = xml.find(open, at)) {
+        const std::size_t end = xml.find(close, at);
+        if (end == std::string::npos) break;
+        const std::size_t length = end + close.size() - at;
+        if (std::string_view(xml).substr(at, length).find("path=\"Filter\"") !=
+            std::string_view::npos) {
+            xml.erase(at, length);
+            ++removed;
+        } else {
+            at += length;
+        }
+    }
+    if (removed != 1) {
+        throw SpecError("slp-to-ldap: expected one Filter assignment to remove, found " +
+                        std::to_string(removed));
+    }
     return spec;
 }
 
-// ---------------------------------------------------------------------------
-// WS-Discovery extension (xml MDL dialect)
+DeploymentSpec ldapToSlp() { return builtinDirection("ldap-to-slp"); }
 
-std::string wsdMdl() {
-    return R"(<Mdl protocol="WSD" kind="xml">
-  <Types>
-    <Action>String</Action>
-    <MessageID>String</MessageID>
-    <RelatesTo>String</RelatesTo>
-  </Types>
-  <Header type="WSD" root="Envelope">
-    <Action>Header/Action</Action>
-    <MessageID mandatory="true">Header/MessageID</MessageID>
-  </Header>
-  <Message type="WSD_Probe">
-    <Rule>Action=http://schemas.xmlsoap.org/ws/2005/04/discovery/Probe</Rule>
-    <Types mandatory="true">Body/Probe/Types</Types>
-  </Message>
-  <Message type="WSD_ProbeMatch">
-    <Rule>Action=http://schemas.xmlsoap.org/ws/2005/04/discovery/ProbeMatches</Rule>
-    <RelatesTo mandatory="true">Header/RelatesTo</RelatesTo>
-    <MatchTypes>Body/ProbeMatches/ProbeMatch/Types</MatchTypes>
-    <XAddrs mandatory="true">Body/ProbeMatches/ProbeMatch/XAddrs</XAddrs>
-  </Message>
-</Mdl>
-)";
-}
+DeploymentSpec slpToWsd() { return builtinDirection("slp-to-wsd"); }
 
-std::string wsdAutomaton(Role role) {
-    // WS-Discovery: SOAP-over-UDP on 239.255.255.250:3702.
-    return requestResponseAutomaton(
-        "WSD",
-        R"(<Color transport_protocol="udp" port="3702" mode="async" multicast="yes" group="239.255.255.250"/>)",
-        "w", "WSD_Probe", "WSD_ProbeMatch", role);
-}
-
-DeploymentSpec slpToWsd() {
-    DeploymentSpec spec;
-    spec.protocols = {{slpMdl(), slpAutomaton(Role::Server)},
-                      {wsdMdl(), wsdAutomaton(Role::Client)}};
-    std::string xml = "<Bridge name=\"slp-to-wsd\">\n";
-    xml += "  <Start state=\"s10\"/>\n  <Accept state=\"s12\"/>\n";
-    xml += "  <Equivalence message=\"WSD_Probe\" of=\"SLPSrvRequest\"/>\n";
-    xml += "  <Equivalence message=\"SLPSrvReply\" of=\"WSD_ProbeMatch,SLPSrvRequest\"/>\n";
-    xml += "  <TranslationLogic>\n";
-    xml += assignment("slp_to_word", "w0", "WSD_Probe", "Types", "s11", "SLPSrvRequest",
-                      "SRVType");
-    xml += assignment("to_string", "w0", "WSD_Probe", "MessageID", "s11", "SLPSrvRequest",
-                      "XID");
-    xml += assignment("", "s11", "SLPSrvReply", "URLEntry", "w2", "WSD_ProbeMatch", "XAddrs");
-    xml += assignment("", "s11", "SLPSrvReply", "XID", "s11", "SLPSrvRequest", "XID");
-    xml += "  </TranslationLogic>\n";
-    xml += "  <DeltaTransition from=\"s11\" to=\"w0\"/>\n";
-    xml += "  <DeltaTransition from=\"w2\" to=\"s11\"/>\n";
-    xml += "</Bridge>\n";
-    spec.bridgeXml = std::move(xml);
-    return spec;
-}
-
-DeploymentSpec wsdToSlp() {
-    DeploymentSpec spec;
-    spec.protocols = {{wsdMdl(), wsdAutomaton(Role::Server)},
-                      {slpMdl(), slpAutomaton(Role::Client)}};
-    std::string xml = "<Bridge name=\"wsd-to-slp\">\n";
-    xml += "  <Start state=\"w0\"/>\n  <Accept state=\"w2\"/>\n";
-    xml += "  <Equivalence message=\"SLPSrvRequest\" of=\"WSD_Probe\"/>\n";
-    xml += "  <Equivalence message=\"WSD_ProbeMatch\" of=\"SLPSrvReply,WSD_Probe\"/>\n";
-    xml += "  <TranslationLogic>\n";
-    xml += assignment("word_to_slp", "s10", "SLPSrvRequest", "SRVType", "w1", "WSD_Probe",
-                      "Types");
-    xml += constantAssignment("s10", "SLPSrvRequest", "XID", "81");
-    xml += constantAssignment("w1", "WSD_ProbeMatch", "MessageID", "uuid:starlink-bridge-2");
-    xml += assignment("", "w1", "WSD_ProbeMatch", "RelatesTo", "w1", "WSD_Probe", "MessageID");
-    xml += assignment("", "w1", "WSD_ProbeMatch", "MatchTypes", "w1", "WSD_Probe", "Types");
-    xml += assignment("", "w1", "WSD_ProbeMatch", "XAddrs", "s12", "SLPSrvReply", "URLEntry");
-    xml += "  </TranslationLogic>\n";
-    xml += "  <DeltaTransition from=\"w1\" to=\"s10\"/>\n";
-    xml += "  <DeltaTransition from=\"s12\" to=\"w1\"/>\n";
-    xml += "</Bridge>\n";
-    spec.bridgeXml = std::move(xml);
-    return spec;
-}
+DeploymentSpec wsdToSlp() { return builtinDirection("wsd-to-slp"); }
 
 std::size_t bridgeSpecLines(const DeploymentSpec& spec) {
     std::size_t lines = 0;

@@ -1,11 +1,14 @@
 // The built-in model library: MDL documents, colored automata and bridge
 // specifications for the paper's case study (section V).
 //
-// Everything here is DATA -- XML strings interpreted at runtime by the
-// generic framework. No protocol-specific code exists outside these models,
-// which is the paper's headline claim: "there is no implementation or
-// deployment of legacy code that is specific to the behaviour of an
-// individual protocol".
+// Everything here is DATA: the files under models/, compiled in byte for byte
+// at build time (embed_models.cmake) and interpreted at runtime by the generic
+// framework. No protocol-specific code exists outside these models, which is
+// the paper's headline claim: "there is no implementation or deployment of
+// legacy code that is specific to the behaviour of an individual protocol".
+// The committed files are written for the default deployment (bridge at
+// 10.0.0.9, HTTP on 8085, LDAP directory at 10.0.0.3); forCase, slpToLdap,
+// httpAutomaton and ldapAutomaton substitute other values for those.
 //
 // Automata come in two roles. The same protocol is modelled from the side
 // the bridge impersonates: Server (the bridge answers that protocol's
@@ -15,11 +18,21 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace starlink::bridge::models {
+
+/// Model files by name ("slp.mdl.xml" -> bytes), laid out like models/.
+using Documents = std::map<std::string, std::string, std::less<>>;
+
+/// Every models/*.xml file, exactly as committed. Defined in the translation
+/// unit the build generates from models/.
+const Documents& embeddedDocuments();
 
 enum class Role { Client, Server };
 
@@ -77,6 +90,29 @@ struct DeploymentSpec {
 /// (each protocol's MDL + automaton, then the bridge XML). Postmortem bundles
 /// carry it so replay can refuse to re-inject a capture into different models.
 std::uint64_t modelSetIdentity(const DeploymentSpec& spec);
+
+/// One bridged direction in the models/ file layout.
+struct Direction {
+    const char* slug;  ///< caseSlug(): "slp-to-upnp"
+    const char* name;  ///< caseName(): "SLP to UPnP"
+    /// (MDL file, automaton file) per protocol, in the order the spec lists
+    /// them (modelSetIdentity is order-sensitive).
+    std::vector<std::pair<const char*, const char*>> protocols;
+    const char* bridge;  ///< the bridge specification file
+};
+
+/// The ten built-in directions: the six Cases in enum order, then
+/// slp-to-ldap, ldap-to-slp, slp-to-wsd and wsd-to-slp.
+const std::vector<Direction>& directions();
+const Direction& direction(Case c);
+
+/// Assembles `d`'s spec from `docs`; throws SpecError if a file is missing.
+DeploymentSpec assemble(const Direction& d, const Documents& docs);
+
+/// embeddedDocuments() with the bridge's LOCATION and HTTP listen port
+/// substituted, i.e. the documents forCase(c, bridgeHost, bridgeHttpPort)
+/// assembles from.
+Documents builtinDocuments(const std::string& bridgeHost, int bridgeHttpPort);
 
 /// Models for a case. `bridgeHost` parameterises the LOCATION the bridge
 /// advertises when it impersonates a UPnP device (cases 3 and 4);

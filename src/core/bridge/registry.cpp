@@ -30,49 +30,6 @@ std::uint64_t fnv1a(const std::string& key) {
     return h;
 }
 
-/// The starlinkd-export file layout, per case, in models::forCase protocol
-/// order (identity is order-sensitive, so a directory holding byte-identical
-/// exports fingerprints identically to the builtins).
-struct CaseFiles {
-    Case caseId;
-    std::vector<std::pair<const char*, const char*>> protocols;  // (mdl, automaton)
-    const char* bridge;
-};
-
-const std::vector<CaseFiles>& caseFileTable() {
-    static const std::vector<CaseFiles> table = {
-        {Case::SlpToUpnp,
-         {{"slp.mdl.xml", "slp.server.automaton.xml"},
-          {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
-          {"http.mdl.xml", "http.client.automaton.xml"}},
-         "SLP-to-UPnP.bridge.xml"},
-        {Case::SlpToBonjour,
-         {{"slp.mdl.xml", "slp.server.automaton.xml"},
-          {"dns.mdl.xml", "mdns.client.automaton.xml"}},
-         "SLP-to-Bonjour.bridge.xml"},
-        {Case::UpnpToSlp,
-         {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
-          {"slp.mdl.xml", "slp.client.automaton.xml"},
-          {"http.mdl.xml", "http.server.automaton.xml"}},
-         "UPnP-to-SLP.bridge.xml"},
-        {Case::UpnpToBonjour,
-         {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
-          {"dns.mdl.xml", "mdns.client.automaton.xml"},
-          {"http.mdl.xml", "http.server.automaton.xml"}},
-         "UPnP-to-Bonjour.bridge.xml"},
-        {Case::BonjourToUpnp,
-         {{"dns.mdl.xml", "mdns.server.automaton.xml"},
-          {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
-          {"http.mdl.xml", "http.client.automaton.xml"}},
-         "Bonjour-to-UPnP.bridge.xml"},
-        {Case::BonjourToSlp,
-         {{"dns.mdl.xml", "mdns.server.automaton.xml"},
-          {"slp.mdl.xml", "slp.client.automaton.xml"}},
-         "Bonjour-to-SLP.bridge.xml"},
-    };
-    return table;
-}
-
 /// Reads a file fully into memory in one shot. The reload path must never
 /// hand a partially read document to any parser: the whole string exists
 /// before anything looks at byte one, so a writer racing us produces either
@@ -172,12 +129,8 @@ ModelRegistry::ModelRegistry(ModelRegistryOptions options) : options_(std::move(
 ModelRegistry::~ModelRegistry() = default;
 
 std::shared_ptr<const ModelSet> ModelRegistry::loadBuiltins() {
-    std::array<models::DeploymentSpec, 6> specs;
-    for (const Case c : models::kAllCases) {
-        specs[static_cast<std::size_t>(c)] =
-            models::forCase(c, options_.bridgeHost, options_.bridgeHttpPort);
-    }
-    return loadSpecs(std::move(specs), "builtin");
+    return loadDocuments(models::builtinDocuments(options_.bridgeHost, options_.bridgeHttpPort),
+                         "builtin");
 }
 
 std::shared_ptr<const ModelSet> ModelRegistry::loadDirectory(const std::string& dir) {
@@ -187,35 +140,32 @@ std::shared_ptr<const ModelSet> ModelRegistry::loadDirectory(const std::string& 
         throw SpecError(errc::ErrorCode::BridgeDeployRejected,
                         "model registry: '" + dir + "' is not a readable directory");
     }
-
-    // Phase 1: slurp every referenced file fully into memory. Nothing is
+    // Slurp every file the six cases name fully into memory: nothing is
     // parsed until every byte of every document is resident.
-    std::map<std::string, std::string> documents;
-    for (const CaseFiles& files : caseFileTable()) {
-        for (const auto& [mdlFile, automatonFile] : files.protocols) {
-            if (!documents.contains(mdlFile)) documents[mdlFile] = slurpWhole(root / mdlFile);
-            if (!documents.contains(automatonFile)) {
-                documents[automatonFile] = slurpWhole(root / automatonFile);
-            }
+    models::Documents documents;
+    const auto slurpOnce = [&](const char* file) {
+        if (!documents.contains(file)) documents.emplace(file, slurpWhole(root / file));
+    };
+    for (const Case c : models::kAllCases) {
+        const models::Direction& direction = models::direction(c);
+        for (const auto& [mdlFile, automatonFile] : direction.protocols) {
+            slurpOnce(mdlFile);
+            slurpOnce(automatonFile);
         }
-        if (!documents.contains(files.bridge)) {
-            documents[files.bridge] = slurpWhole(root / files.bridge);
-        }
+        slurpOnce(direction.bridge);
     }
+    return loadDocuments(documents, dir);
+}
 
-    // Phase 2: assemble per-case specs in forCase protocol order so the
-    // identity fingerprint of an unmodified export equals the builtin's.
+std::shared_ptr<const ModelSet> ModelRegistry::loadDocuments(const models::Documents& documents,
+                                                             std::string source) {
+    // Assembled in the built-in protocol order, so an unmodified export
+    // fingerprints identically to the builtins.
     std::array<models::DeploymentSpec, 6> specs;
-    for (const CaseFiles& files : caseFileTable()) {
-        models::DeploymentSpec& spec = specs[static_cast<std::size_t>(files.caseId)];
-        for (const auto& [mdlFile, automatonFile] : files.protocols) {
-            spec.protocols.push_back({documents[mdlFile], documents[automatonFile]});
-        }
-        spec.bridgeXml = documents[files.bridge];
+    for (const Case c : models::kAllCases) {
+        specs[static_cast<std::size_t>(c)] = models::assemble(models::direction(c), documents);
     }
-
-    // Phase 3: the lint gate + publication (loadSpecs rejects on findings).
-    return loadSpecs(std::move(specs), dir);
+    return loadSpecs(std::move(specs), std::move(source));
 }
 
 std::shared_ptr<const ModelSet> ModelRegistry::loadSpecs(

@@ -137,9 +137,11 @@ public:
     const ModelRegistryOptions& options() const { return options_; }
 
     /// Publishes the built-in models::forCase fleet (at options' host/port).
+    /// Shares loadDirectory's assemble + lint + publish path; only the
+    /// documents differ (the embedded models/ files).
     std::shared_ptr<const ModelSet> loadBuiltins();
 
-    /// Loads the starlinkd-export file layout from `dir` (slp.mdl.xml,
+    /// Loads the models/ file layout from `dir` (slp.mdl.xml,
     /// slp.server.automaton.xml, ..., SLP-to-UPnP.bridge.xml): every file is
     /// read fully into memory first, the whole closure is linted, and only a
     /// clean candidate is published. Throws SpecError:
@@ -206,6 +208,11 @@ public:
 
 private:
     struct CohortWindow;
+
+    /// Assembles the six cases from `documents` (models/ file names), then
+    /// lints and publishes them through loadSpecs.
+    std::shared_ptr<const ModelSet> loadDocuments(const models::Documents& documents,
+                                                  std::string source);
 
     std::shared_ptr<const ModelSet> publishLocked(std::shared_ptr<ModelSet> set);
     void emitLocked(RegistryEvent event);

@@ -2,7 +2,9 @@
 // deployment validation, runtime extensibility, model sanity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/bridge/models.hpp"
@@ -99,6 +101,43 @@ TEST(Models, HttpServerAutomatonUsesRequestedPort) {
 TEST(Models, BridgeHostParameterisesLocation) {
     const auto spec = models::forCase(Case::UpnpToSlp, "192.168.1.50", 8444);
     EXPECT_NE(spec.bridgeXml.find("http://192.168.1.50:8444/desc.xml"), std::string::npos);
+}
+
+// Identities of the built-in deployments, recorded while the models were still
+// generated by C++ string code. Each pins every document of its spec byte for
+// byte (modelSetIdentity is an FNV-1a over all of them), so a change to an
+// embedded model file, or to the host/port substitutions, moves a value here.
+TEST(Models, BuiltinIdentitiesMatchRecordedValues) {
+    struct Pin {
+        std::string what;
+        models::DeploymentSpec spec;
+        std::uint64_t identity;
+    };
+    // In Case order; only the two UPnP-side cases vary with host and port.
+    const std::uint64_t atDefault[] = {0xccd717387e8df557ull, 0x17bcd3311d3189faull,
+                                       0xacb049b39c5a588bull, 0x468ee92a324cf3d4ull,
+                                       0x4fc2e50c57abe788ull, 0x1bd76f4637072631ull};
+    const std::uint64_t atOther[] = {0xccd717387e8df557ull, 0x17bcd3311d3189faull,
+                                     0x70be13a026af8c16ull, 0x6fc0b938f466248dull,
+                                     0x4fc2e50c57abe788ull, 0x1bd76f4637072631ull};
+    std::vector<Pin> pins;
+    for (const Case c : models::kAllCases) {
+        const auto i = static_cast<std::size_t>(c);
+        pins.push_back({std::string(models::caseSlug(c)) + "@10.0.0.9:8085",
+                        models::forCase(c, "10.0.0.9", 8085), atDefault[i]});
+        pins.push_back({std::string(models::caseSlug(c)) + "@192.168.1.50:8444",
+                        models::forCase(c, "192.168.1.50", 8444), atOther[i]});
+    }
+    pins.push_back({"slp-to-ldap", models::slpToLdap("10.0.0.3"), 0xb6ac54344b417a11ull});
+    pins.push_back({"slp-to-ldap-without-predicate",
+                    models::slpToLdapWithoutPredicate("10.0.0.3"), 0x2c4312d7be251f83ull});
+    pins.push_back({"ldap-to-slp", models::ldapToSlp(), 0xdf287cdcfe88c148ull});
+    pins.push_back({"slp-to-wsd", models::slpToWsd(), 0xc50c41d1031662b1ull});
+    pins.push_back({"wsd-to-slp", models::wsdToSlp(), 0xa7568c5bab8ac0d4ull});
+    for (const Pin& pin : pins) {
+        EXPECT_EQ(models::modelSetIdentity(pin.spec), pin.identity)
+            << pin.what << " = 0x" << std::hex << models::modelSetIdentity(pin.spec) << "ull";
+    }
 }
 
 }  // namespace

@@ -128,7 +128,6 @@ namespace {
 
 using namespace starlink;
 using bridge::models::Case;
-using bridge::models::Role;
 
 int usage() {
     std::cerr << "usage: starlinkd errors\n"
@@ -237,35 +236,7 @@ int cmdList() {
 int cmdExport(const std::string& directory) {
     const std::filesystem::path dir(directory);
     std::filesystem::create_directories(dir);
-    spit(dir / "slp.mdl.xml", bridge::models::slpMdl());
-    spit(dir / "dns.mdl.xml", bridge::models::dnsMdl());
-    spit(dir / "ssdp.mdl.xml", bridge::models::ssdpMdl());
-    spit(dir / "http.mdl.xml", bridge::models::httpMdl());
-    spit(dir / "ldap.mdl.xml", bridge::models::ldapMdl());
-    spit(dir / "wsd.mdl.xml", bridge::models::wsdMdl());
-    for (const Role role : {Role::Server, Role::Client}) {
-        const std::string suffix = role == Role::Server ? "server" : "client";
-        spit(dir / ("slp." + suffix + ".automaton.xml"), bridge::models::slpAutomaton(role));
-        spit(dir / ("mdns." + suffix + ".automaton.xml"), bridge::models::mdnsAutomaton(role));
-        spit(dir / ("ssdp." + suffix + ".automaton.xml"), bridge::models::ssdpAutomaton(role));
-        spit(dir / ("http." + suffix + ".automaton.xml"), bridge::models::httpAutomaton(role));
-        spit(dir / ("wsd." + suffix + ".automaton.xml"), bridge::models::wsdAutomaton(role));
-        // The LDAP client color carries the directory host the demos use.
-        spit(dir / ("ldap." + suffix + ".automaton.xml"),
-             bridge::models::ldapAutomaton(role, role == Role::Client ? "10.0.0.3" : ""));
-    }
-    spit(dir / "SLP-to-WSD.bridge.xml", bridge::models::slpToWsd().bridgeXml);
-    spit(dir / "WSD-to-SLP.bridge.xml", bridge::models::wsdToSlp().bridgeXml);
-    spit(dir / "SLP-to-LDAP.bridge.xml", bridge::models::slpToLdap("10.0.0.3").bridgeXml);
-    spit(dir / "LDAP-to-SLP.bridge.xml", bridge::models::ldapToSlp().bridgeXml);
-    for (const Case c : bridge::models::kAllCases) {
-        const auto spec = bridge::models::forCase(c, "10.0.0.9");
-        std::string name = bridge::models::caseName(c);
-        for (char& ch : name) {
-            if (ch == ' ') ch = '-';
-        }
-        spit(dir / (name + ".bridge.xml"), spec.bridgeXml);
-    }
+    for (const auto& [file, bytes] : bridge::models::embeddedDocuments()) spit(dir / file, bytes);
     return 0;
 }
 
