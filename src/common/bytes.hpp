@@ -13,6 +13,11 @@ namespace starlink {
 /// generic MDL parsers consume.
 using Bytes = std::vector<std::uint8_t>;
 
+/// The largest message accepted from the wire: the binary MDL codec rejects
+/// longer input and the OS transport closes a TCP connection announcing a
+/// longer frame (net.frame-oversize).
+inline constexpr std::size_t kMaxWireMessageBytes = 1 << 20;  // 1 MiB
+
 /// Builds a byte buffer from a string (no terminator).
 Bytes toBytes(std::string_view s);
 

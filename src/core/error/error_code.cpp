@@ -16,9 +16,11 @@ struct Entry {
 // One row per code. Order is ascending numeric (most negative first) except Ok,
 // which allCodes() moves to the front. to_string/remediation/fromInt/fromName
 // all read this single table so the taxonomy cannot drift apart.
-constexpr std::array<Entry, 71> kEntries{{
+constexpr std::array<Entry, 72> kEntries{{
     {ErrorCode::LintUnknownKind, "lint.unknown-kind",
      "rename the root element to a known model kind (MDL, Automaton, Bridge)"},
+    {ErrorCode::NetFrameOversize, "net.frame-oversize",
+     "a peer announced a tcp frame over the 1 MiB message cap; the connection was closed"},
     {ErrorCode::NetIo, "net.io",
      "an OS socket call failed unexpectedly; check the errno detail in the message"},
     {ErrorCode::NetFdExhausted, "net.fd-exhausted",

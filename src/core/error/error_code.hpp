@@ -120,6 +120,7 @@ enum class ErrorCode : int {
     NetBindFailed = -707,     ///< OS socket bind/listen failed (not an address conflict)
     NetFdExhausted = -708,    ///< file-descriptor budget exhausted (EMFILE/ENFILE or soft cap)
     NetIo = -709,             ///< unexpected OS socket I/O failure
+    NetFrameOversize = -710,  ///< tcp frame length beyond the 1 MiB message cap
 
     // -- lint: -800 .. -899 --------------------------------------------------
     LintUnknownKind = -800,   ///< model file is no recognised model kind

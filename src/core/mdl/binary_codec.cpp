@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "core/mdl/rx_arena.hpp"
 
@@ -16,7 +17,7 @@ namespace {
 // before the `* 8` below can overflow int64 (undefined behaviour). The caps
 // are identical in the plan and interpreter paths so the differential fuzzer
 // sees byte-identical accept/reject decisions.
-constexpr std::size_t kMaxMessageBytes = 1 << 20;   // 1 MiB of wire input
+constexpr std::size_t kMaxMessageBytes = kMaxWireMessageBytes;  // 1 MiB
 constexpr std::int64_t kMaxFieldBytes = 1 << 20;    // per length-field value
 constexpr std::size_t kMaxParsedFields = 4096;
 

@@ -361,7 +361,7 @@ std::unique_ptr<UdpSocket> OsNetwork::openUdp(const std::string& host, std::uint
 }
 
 void OsNetwork::onUdpReadable(OsUdpSocket* socket) {
-    std::vector<std::uint8_t> buffer(65536);
+    std::vector<std::uint8_t>& buffer = rxScratch_;
     while (udpSockets_.contains(socket)) {
         sockaddr_in src{};
         socklen_t len = sizeof src;
@@ -528,7 +528,7 @@ void OsNetwork::dropMember(OsUdpSocket* socket, const Address& group) {
 }
 
 void OsNetwork::onMembershipReadable(const Address& group) {
-    std::vector<std::uint8_t> buffer(65536);
+    std::vector<std::uint8_t>& buffer = rxScratch_;
     for (;;) {
         const auto it = memberships_.find(group);
         if (it == memberships_.end()) return;
@@ -819,11 +819,17 @@ void OsNetwork::onTcpEvents(OsTcpConnection* conn, std::uint32_t events) {
     guard = *it;
 
     if (events & EPOLLIN) {
-        std::vector<std::uint8_t> buffer(65536);
         for (;;) {
-            const ssize_t n = ::recv(conn->fd_, buffer.data(), buffer.size(), 0);
+            const ssize_t n = ::recv(conn->fd_, rxScratch_.data(), rxScratch_.size(), 0);
             if (n > 0) {
-                conn->rxBuffer_.insert(conn->rxBuffer_.end(), buffer.data(), buffer.data() + n);
+                conn->rxBuffer_.insert(conn->rxBuffer_.end(), rxScratch_.data(),
+                                       rxScratch_.data() + n);
+                // Framed: hand out whole frames after every read, so the
+                // buffer never holds more than one (capped) partial frame.
+                if (conn->framed_) {
+                    tcpDeliver(*conn);
+                    if (!conn->open_) return;
+                }
                 continue;
             }
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -842,19 +848,31 @@ void OsNetwork::onTcpEvents(OsTcpConnection* conn, std::uint32_t events) {
 
 void OsNetwork::tcpDeliver(OsTcpConnection& conn) {
     if (conn.framed_) {
-        while (conn.open_) {
-            Bytes& rx = conn.rxBuffer_;
-            if (rx.size() < 4) return;
-            const std::size_t length = (static_cast<std::size_t>(rx[0]) << 24) |
-                                       (static_cast<std::size_t>(rx[1]) << 16) |
-                                       (static_cast<std::size_t>(rx[2]) << 8) |
-                                       static_cast<std::size_t>(rx[3]);
-            if (rx.size() < 4 + length) return;
-            const Bytes frame(rx.begin() + 4, rx.begin() + 4 + static_cast<long>(length));
-            rx.erase(rx.begin(), rx.begin() + 4 + static_cast<long>(length));
+        Bytes& rx = conn.rxBuffer_;
+        std::size_t offset = 0;
+        while (conn.open_ && rx.size() - offset >= 4) {
+            const std::size_t length = (static_cast<std::size_t>(rx[offset]) << 24) |
+                                       (static_cast<std::size_t>(rx[offset + 1]) << 16) |
+                                       (static_cast<std::size_t>(rx[offset + 2]) << 8) |
+                                       static_cast<std::size_t>(rx[offset + 3]);
+            if (length > kMaxWireMessageBytes) {
+                ++framesOversize_;
+                STARLINK_LOG(Warn, "os-net")
+                    << errc::to_string(errc::ErrorCode::NetFrameOversize) << ": "
+                    << conn.remote_.toString() << " announced a " << length
+                    << "-byte frame (cap " << kMaxWireMessageBytes << "); closing";
+                rx.clear();
+                tcpPeerClosed(conn);
+                return;
+            }
+            if (rx.size() - offset < 4 + length) break;
+            const auto begin = rx.begin() + static_cast<long>(offset) + 4;
+            const Bytes frame(begin, begin + static_cast<long>(length));
+            offset += 4 + length;
             const auto handler = conn.dataHandler_;  // copy: handler may close()
             if (handler) handler(frame);
         }
+        rx.erase(rx.begin(), rx.begin() + static_cast<long>(offset));  // compact once per read
     } else if (conn.open_ && !conn.rxBuffer_.empty()) {
         Bytes chunk;
         chunk.swap(conn.rxBuffer_);

@@ -22,7 +22,10 @@
 //    IP_MULTICAST_IF=loopback + IP_MULTICAST_LOOP so *other processes*
 //    receive it too -- real cross-process interop.
 //  - TCP preserves the message-boundary contract the engines rely on by
-//    length-prefix framing each send() (4-byte big-endian). Raw byte-stream
+//    length-prefix framing each send() (4-byte big-endian). A peer announcing
+//    a frame over the 1 MiB wire cap (kMaxWireMessageBytes) -- e.g. plain
+//    HTTP, whose "GET " reads as a 1.1 GB length -- is closed with
+//    net.frame-oversize instead of being buffered. Raw byte-stream
 //    listeners (listenTcpRaw) exist for plain-text endpoints such as the
 //    daemon's /metrics HTTP port.
 //
@@ -196,6 +199,8 @@ public:
     /// Datagrams dropped because their logical destination had no binding
     /// (the sim silently drops these too) or the kernel rejected the send.
     std::size_t datagramsUnrouted() const { return unrouted_; }
+    /// Framed TCP connections closed with net.frame-oversize.
+    std::size_t framesOversize() const { return framesOversize_; }
 
 private:
     friend class OsUdpSocket;
@@ -286,6 +291,10 @@ private:
     std::map<int, FdEntry> fds_;
     std::size_t openFds_ = 0;
     std::size_t unrouted_ = 0;
+    std::size_t framesOversize_ = 0;
+    /// One receive buffer for every socket: each read copies out what it got
+    /// before any handler runs, so nothing outlives the next read.
+    std::vector<std::uint8_t> rxScratch_ = std::vector<std::uint8_t>(65536);
     volatile bool stopRequested_ = false;
 
     std::map<Address, OsUdpSocket*> udpBindings_;     // logical addr -> socket

@@ -2,11 +2,11 @@
 // interpreters, and adversarial wire input against every decoder.
 //
 // Two halves:
-//  - differential: every MDL under models/ (the exported files on disk, via
-//    STARLINK_MODELS_DIR -- not the embedded strings, so drift between the
-//    two would surface here) must parse and compose BYTE-IDENTICALLY through
-//    the plan and the interpreter, on clean samples, truncations, and seeded
-//    single-byte corruptions;
+//  - differential: every MDL under models/ (read from disk via
+//    STARLINK_MODELS_DIR; the built-ins are the same files embedded at build
+//    time, so there is no second copy to drift) must parse and compose
+//    BYTE-IDENTICALLY through the plan and the interpreter, on clean
+//    samples, truncations, and seeded single-byte corruptions;
 //  - malformed corpus: DNS compression-pointer abuse, oversized XML numeric
 //    entities, and delimiter-free text must come back as a clean nullopt or
 //    SpecError -- never a crash -- which the CI sanitizer job checks under

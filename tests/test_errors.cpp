@@ -127,6 +127,7 @@ TEST(ErrorCatalogue, OsBackendNetCodesRoundTrip) {
         {ErrorCode::NetBindFailed, "net.bind-failed"},
         {ErrorCode::NetFdExhausted, "net.fd-exhausted"},
         {ErrorCode::NetIo, "net.io"},
+        {ErrorCode::NetFrameOversize, "net.frame-oversize"},
     };
     for (const auto& [code, name] : codes) {
         EXPECT_EQ(to_string(code), name);

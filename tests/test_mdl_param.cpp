@@ -93,6 +93,12 @@ struct CoercionCase {
     const char* expectedText;  // toText of the coerced value when successful
 };
 
+// Stable, readable test names: "Int(42) to String" instead of the object bytes.
+void PrintTo(const CoercionCase& c, std::ostream* os) {
+    *os << valueTypeName(c.input.type()) << "(" << c.input.toText() << ") to "
+        << valueTypeName(c.target);
+}
+
 class CoercionMatrix : public ::testing::TestWithParam<CoercionCase> {};
 
 TEST_P(CoercionMatrix, BehavesAsSpecified) {
@@ -129,6 +135,8 @@ struct BadSpec {
     const char* description;
     const char* xml;
 };
+
+void PrintTo(const BadSpec& spec, std::ostream* os) { *os << spec.description; }
 
 class BadSpecCorpus : public ::testing::TestWithParam<BadSpec> {};
 

@@ -1,6 +1,13 @@
 // Unit tests for the simulated network substrate: scheduler, UDP (unicast +
 // multicast), TCP, latency, partitions, loss.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include "common/error.hpp"
 #include "core/net/os_network.hpp"
@@ -493,6 +500,81 @@ TEST_F(OsNetTest, TcpFramingPreservesMessageBoundaries) {
     clientSide->send(toBytes("beta"));
     network.runUntil([&serverChunks] { return serverChunks.size() >= 2; }, net::ms(2000));
     EXPECT_EQ(serverChunks, (std::vector<std::string>{"alpha", "beta"}));
+}
+
+/// A plain blocking TCP client (no frame layer) connected to a framed
+/// listener's real endpoint; -1 on failure. Reads time out after 2 s.
+int connectRaw(const net::OsNetwork& network, const std::string& host, std::uint16_t port) {
+    const auto endpoint = network.realEndpoint(host, port);
+    if (!endpoint) return -1;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) return -1;
+    const timeval timeout{2, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(endpoint->port);
+    ::inet_pton(AF_INET, network.options().bindAddress.c_str(), &addr.sin_addr);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+bool sendRaw(int fd, const Bytes& bytes) {
+    return ::send(fd, bytes.data(), bytes.size(), 0) == static_cast<ssize_t>(bytes.size());
+}
+
+TEST_F(OsNetTest, TcpFramesSplitAndCoalescedAcrossReads) {
+    net::OsNetwork network;
+    auto listener = network.listenTcp("10.0.0.2", 80);
+    std::vector<std::string> chunks;
+    listener->onAccept([&chunks](std::shared_ptr<net::TcpConnection> conn) {
+        conn->onData([&chunks](const Bytes& chunk) { chunks.push_back(toString(chunk)); });
+    });
+    const int fd = connectRaw(network, "10.0.0.2", 80);
+    ASSERT_GE(fd, 0);
+    // Frame "alpha" split mid-payload, its tail coalesced with frame "beta".
+    ASSERT_TRUE(sendRaw(fd, Bytes{0, 0, 0, 5, 'a', 'l'}));
+    network.runUntil([] { return false; }, net::ms(50));
+    EXPECT_TRUE(chunks.empty());
+    ASSERT_TRUE(sendRaw(fd, Bytes{'p', 'h', 'a', 0, 0, 0, 4, 'b', 'e', 't', 'a'}));
+    network.runUntil([&chunks] { return chunks.size() >= 2; }, net::ms(2000));
+    EXPECT_EQ(chunks, (std::vector<std::string>{"alpha", "beta"}));
+    EXPECT_EQ(network.framesOversize(), 0u);
+    ::close(fd);
+}
+
+TEST_F(OsNetTest, OversizeFrameClosesConnectionCoded) {
+    // Plain HTTP on a framed port: "GET " reads as a frame length of
+    // 1,195,725,856 bytes. The backend closes the connection with
+    // net.frame-oversize instead of waiting to buffer a gigabyte.
+    net::OsNetwork network;
+    auto listener = network.listenTcp("10.0.0.2", 80);
+    std::shared_ptr<net::TcpConnection> serverSide;
+    bool serverSawClose = false;
+    bool serverGotData = false;
+    listener->onAccept([&](std::shared_ptr<net::TcpConnection> conn) {
+        serverSide = conn;
+        conn->onData([&serverGotData](const Bytes&) { serverGotData = true; });
+        conn->onClose([&serverSawClose] { serverSawClose = true; });
+    });
+    const int fd = connectRaw(network, "10.0.0.2", 80);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendRaw(fd, toBytes("GET /desc.xml HTTP/1.1\r\nHost: 10.0.0.2\r\n\r\n")));
+    network.runUntil([&serverSawClose] { return serverSawClose; }, net::ms(2000));
+    EXPECT_TRUE(serverSawClose);
+    EXPECT_FALSE(serverGotData);
+    ASSERT_NE(serverSide, nullptr);
+    EXPECT_FALSE(serverSide->isOpen());
+    EXPECT_EQ(network.framesOversize(), 1u);
+    EXPECT_EQ(errc::to_string(errc::ErrorCode::NetFrameOversize), std::string("net.frame-oversize"));
+    // The client sees the close, not a stalled connection.
+    char byte = 0;
+    const ssize_t got = ::recv(fd, &byte, 1, 0);
+    EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET)) << "recv returned " << got;
+    ::close(fd);
 }
 
 TEST_F(OsNetTest, TcpCloseNotifiesPeerAndSendThrowsCoded) {

@@ -33,6 +33,13 @@
 #include "xml/parser.hpp"
 #include "xml/writer.hpp"
 
+namespace starlink::bridge::models {
+
+// Stable, readable test names: a Case parameter prints as its slug.
+void PrintTo(Case c, std::ostream* os) { *os << caseSlug(c); }
+
+}  // namespace starlink::bridge::models
+
 namespace starlink {
 namespace {
 
