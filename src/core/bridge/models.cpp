@@ -71,41 +71,8 @@ DeploymentSpec assembleWith(const Direction& d, const Read& read) {
     return spec;
 }
 
-DeploymentSpec builtinDirection(std::string_view slug, const Placement& at = {}) {
-    for (const Direction& d : directions()) {
-        if (slug == d.slug) {
-            return assembleWith(d, [&at](const char* file) { return builtin(file, at); });
-        }
-    }
-    throw SpecError("no built-in direction '" + std::string(slug) + "'");
-}
-
-}  // namespace
-
-// -- per-document accessors ----------------------------------------------------
-
-std::string slpMdl() { return embedded("slp.mdl.xml"); }
-std::string dnsMdl() { return embedded("dns.mdl.xml"); }
-std::string ssdpMdl() { return embedded("ssdp.mdl.xml"); }
-std::string httpMdl() { return embedded("http.mdl.xml"); }
-std::string ldapMdl() { return embedded("ldap.mdl.xml"); }
-std::string wsdMdl() { return embedded("wsd.mdl.xml"); }
-
-std::string slpAutomaton(Role role) { return embedded(automatonFile("slp", role)); }
-std::string mdnsAutomaton(Role role) { return embedded(automatonFile("mdns", role)); }
-std::string ssdpAutomaton(Role role) { return embedded(automatonFile("ssdp", role)); }
-std::string wsdAutomaton(Role role) { return embedded(automatonFile("wsd", role)); }
-
-std::string httpAutomaton(Role role, int serverPort) {
-    return builtin(automatonFile("http", role), {.bridgeHttpPort = serverPort});
-}
-
-std::string ldapAutomaton(Role role, const std::string& directoryHost) {
-    return builtin(automatonFile("ldap", role), {.directoryHost = directoryHost});
-}
-
-// -- directions ----------------------------------------------------------------
-
+/// The ten built-in directions: the six Cases in enum order, then the four
+/// extensions.
 const std::vector<Direction>& directions() {
     static const std::vector<Direction> table = {
         {"slp-to-upnp", "SLP to UPnP",
@@ -154,6 +121,39 @@ const std::vector<Direction>& directions() {
          "WSD-to-SLP.bridge.xml"},
     };
     return table;
+}
+
+DeploymentSpec builtinDirection(std::string_view slug, const Placement& at = {}) {
+    for (const Direction& d : directions()) {
+        if (slug == d.slug) {
+            return assembleWith(d, [&at](const char* file) { return builtin(file, at); });
+        }
+    }
+    throw SpecError("no built-in direction '" + std::string(slug) + "'");
+}
+
+}  // namespace
+
+// -- per-document accessors ----------------------------------------------------
+
+std::string slpMdl() { return embedded("slp.mdl.xml"); }
+std::string dnsMdl() { return embedded("dns.mdl.xml"); }
+std::string ssdpMdl() { return embedded("ssdp.mdl.xml"); }
+std::string httpMdl() { return embedded("http.mdl.xml"); }
+std::string ldapMdl() { return embedded("ldap.mdl.xml"); }
+std::string wsdMdl() { return embedded("wsd.mdl.xml"); }
+
+std::string slpAutomaton(Role role) { return embedded(automatonFile("slp", role)); }
+std::string mdnsAutomaton(Role role) { return embedded(automatonFile("mdns", role)); }
+std::string ssdpAutomaton(Role role) { return embedded(automatonFile("ssdp", role)); }
+std::string wsdAutomaton(Role role) { return embedded(automatonFile("wsd", role)); }
+
+std::string httpAutomaton(Role role, int serverPort) {
+    return builtin(automatonFile("http", role), {.bridgeHttpPort = serverPort});
+}
+
+std::string ldapAutomaton(Role role, const std::string& directoryHost) {
+    return builtin(automatonFile("ldap", role), {.directoryHost = directoryHost});
 }
 
 const Direction& direction(Case c) { return directions().at(static_cast<std::size_t>(c)); }

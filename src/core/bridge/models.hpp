@@ -101,9 +101,8 @@ struct Direction {
     const char* bridge;  ///< the bridge specification file
 };
 
-/// The ten built-in directions: the six Cases in enum order, then
-/// slp-to-ldap, ldap-to-slp, slp-to-wsd and wsd-to-slp.
-const std::vector<Direction>& directions();
+/// A case's direction. The built-in table also holds slp-to-ldap,
+/// ldap-to-slp, slp-to-wsd and wsd-to-slp, reached through their functions.
 const Direction& direction(Case c);
 
 /// Assembles `d`'s spec from `docs`; throws SpecError if a file is missing.

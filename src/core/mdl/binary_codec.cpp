@@ -17,7 +17,6 @@ namespace {
 // before the `* 8` below can overflow int64 (undefined behaviour). The caps
 // are identical in the plan and interpreter paths so the differential fuzzer
 // sees byte-identical accept/reject decisions.
-constexpr std::size_t kMaxMessageBytes = kMaxWireMessageBytes;  // 1 MiB
 constexpr std::int64_t kMaxFieldBytes = 1 << 20;    // per length-field value
 constexpr std::size_t kMaxParsedFields = 4096;
 
@@ -58,9 +57,9 @@ std::optional<AbstractMessage> BinaryCodec::parse(const Bytes& data, RxArena* ar
         return std::nullopt;
     };
 
-    if (data.size() > kMaxMessageBytes) {
+    if (data.size() > kMaxWireMessageBytes) {
         return fail("[codec.message-too-large] " + std::to_string(data.size()) +
-                    " bytes exceed the " + std::to_string(kMaxMessageBytes) +
+                    " bytes exceed the " + std::to_string(kMaxWireMessageBytes) +
                     "-byte message cap");
     }
 
@@ -325,9 +324,9 @@ std::optional<AbstractMessage> BinaryCodec::parseInterpreted(const Bytes& data,
         return std::nullopt;
     };
 
-    if (data.size() > kMaxMessageBytes) {
+    if (data.size() > kMaxWireMessageBytes) {
         return fail("[codec.message-too-large] " + std::to_string(data.size()) +
-                    " bytes exceed the " + std::to_string(kMaxMessageBytes) +
+                    " bytes exceed the " + std::to_string(kMaxWireMessageBytes) +
                     "-byte message cap");
     }
 
