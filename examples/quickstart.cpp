@@ -11,6 +11,7 @@
 #include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
+#include "core/telemetry/recorder.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
 #include "protocols/slp/slp_agents.hpp"
 
@@ -37,7 +38,10 @@ int main() {
     std::cout << "Deploying bridge from " << models.protocols.size()
               << " protocol model pairs + 1 bridge spec ("
               << bridge::models::bridgeSpecLines(models) << " lines of XML)\n";
-    auto& deployed = starlink.deploy(models, "10.0.0.9");
+    // The flight recorder keeps the session's automaton walk for step 5.
+    engine::EngineOptions options;
+    options.recorderSessionBytes = 64 * 1024;
+    auto& deployed = starlink.deploy(models, "10.0.0.9", options);
 
     // 4. The SLP client looks up a printer; the Bonjour responder answers.
     bool found = false;
@@ -64,14 +68,19 @@ int main() {
                   << " ms\n";
     }
     std::cout << "\nTrace through the merged automaton:\n";
-    for (const auto& event : deployed.engine().trace().events()) {
-        std::cout << "  " << event.automaton << ": " << event.from;
-        if (event.action) {
-            std::cout << " " << automata::actionSymbol(*event.action) << event.message.type();
-        } else {
+    using telemetry::WireEvent;
+    const auto* log = deployed.engine().recorder().last();
+    for (const WireEvent& event : log ? telemetry::decodeEvents(log->events)
+                                      : std::vector<WireEvent>{}) {
+        if (event.kind != WireEvent::Kind::Transition) continue;
+        std::cout << "  " << event.component << ": " << event.state;
+        if (event.action == WireEvent::kActionDelta) {
             std::cout << " --delta--";
+        } else {
+            std::cout << (event.action == WireEvent::kActionSend ? " !" : " ?")
+                      << event.messageType;
         }
-        std::cout << " -> " << event.to << "\n";
+        std::cout << " -> " << event.stateTo << "\n";
     }
     return found ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
 #include "core/merge/merged_automaton.hpp"
+#include "core/telemetry/recorder.hpp"
 #include "protocols/slp/slp_agents.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
 
@@ -29,7 +30,11 @@ int main() {
     // Deploy the three-protocol bridge.
     bridge::Starlink starlink(network);
     const auto models = bridge::models::forCase(bridge::models::Case::SlpToUpnp, "10.0.0.9");
-    auto& deployed = starlink.deploy(models, "10.0.0.9");
+    // The flight recorder keeps the session's automaton walk for the
+    // walkthrough printed at the end.
+    engine::EngineOptions options;
+    options.recorderSessionBytes = 64 * 1024;
+    auto& deployed = starlink.deploy(models, "10.0.0.9", options);
 
     const auto& merged = deployed.engine().merged();
     std::cout << "Merged automaton '" << merged.name() << "' combines";
@@ -54,14 +59,18 @@ int main() {
     scheduler.runUntilIdle();
 
     std::cout << "\nWalkthrough (each delta-transition is a bridge state of Fig 4):\n";
-    for (const auto& event : deployed.engine().trace().events()) {
-        if (event.action) {
-            std::cout << "  [" << event.automaton << "] " << event.from << " "
-                      << automata::actionSymbol(*event.action) << event.message.type() << " -> "
-                      << event.to << "\n";
-        } else {
-            std::cout << "  [bridge] delta " << event.from << " -> " << event.to
+    using telemetry::WireEvent;
+    const auto* log = deployed.engine().recorder().last();
+    for (const WireEvent& event : log ? telemetry::decodeEvents(log->events)
+                                      : std::vector<WireEvent>{}) {
+        if (event.kind != WireEvent::Kind::Transition) continue;
+        if (event.action == WireEvent::kActionDelta) {
+            std::cout << "  [bridge] delta " << event.state << " -> " << event.stateTo
                       << "  (cross-protocol hand-over)\n";
+        } else {
+            std::cout << "  [" << event.component << "] " << event.state << " "
+                      << (event.action == WireEvent::kActionSend ? "!" : "?")
+                      << event.messageType << " -> " << event.stateTo << "\n";
         }
     }
     return found ? 0 : 1;

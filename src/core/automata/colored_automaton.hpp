@@ -3,12 +3,14 @@
 //   Ak = (Q, M, q0, F, Act, ->, =>)
 //
 // Q are states, M abstract message types, Act = {?, !} with ? receive and
-// ! send, -> the transition relation, and => the history operator over the
-// per-state message queues. Each state carries the color k of the network
-// semantics in force while the automaton sits in it; the k-colored invariant
-// (all states of a component share one color, and transitions never cross
-// colors -- only delta-transitions of a merged automaton may) is enforced by
-// validate().
+// ! send, -> the transition relation, and => the history operator. The
+// history operator is not kept as a runtime structure: the per-state message
+// queues hold the instances translation logic reads, and the flight
+// recorder's Transition events hold the path when recording is on. Each
+// state carries the color k of the network semantics in force while the
+// automaton sits in it; the k-colored invariant (all states of a component
+// share one color, and transitions never cross colors -- only
+// delta-transitions of a merged automaton may) is enforced by validate().
 #pragma once
 
 #include <deque>

@@ -8,7 +8,6 @@ namespace starlink::engine {
 using automata::Action;
 using automata::ColoredAutomaton;
 using automata::State;
-using automata::TraceEvent;
 using automata::Transition;
 
 AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
@@ -24,7 +23,6 @@ AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
       options_(options),
       retryRng_(options.retrySeed),
       sessions_(options.sessionHistoryCapacity),
-      trace_(options.traceCapacity),
       spans_(options.spanCapacity),
       tracer_(spans_),
       recorder_(options.recorderSessionBytes) {
@@ -192,9 +190,9 @@ void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload
     std::string parseError;
     const std::uint64_t parseWall0 = tracer_.enabled() ? telemetry::wallNowNs() : 0;
     // Zero-copy path: field values borrow from the arena's datagram copy.
-    // Everything parsed here either dies before the session boundary (stored
-    // automaton instances, this frame) or is materialized (trace ring).
-    const auto message = codecFor(*component)->parse(payload, &rxArena_, &parseError);
+    // Everything parsed here dies before the session boundary (stored
+    // automaton instances, this frame).
+    auto message = codecFor(*component)->parse(payload, &rxArena_, &parseError);
     const std::uint64_t parseWallNs =
         parseWall0 != 0 ? telemetry::wallSinceNs(parseWall0) : 0;
     if (!message) {
@@ -273,16 +271,10 @@ void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload
     }
 
     // Store the instance at the entered state (see header note) and advance.
-    // The stored copy may hold arena views -- legal, it dies at the session
-    // boundary before the arena resets. The trace ring outlives sessions, so
-    // its copy is deep-owned first.
-    merged_->automatonOf(transition->to)->state(transition->to)->pushMessage(*message);
-    if (trace_.capacity() > 0) {
-        TraceEvent event{component->name(), transition->from, transition->to, Action::Receive,
-                         *message};
-        event.message.materializeValues();
-        trace_.record(std::move(event));
-    }
+    // The stored message may hold arena views -- legal, it dies at the
+    // session boundary before the arena resets.
+    merged_->automatonOf(transition->to)->state(transition->to)->pushMessage(
+        std::move(*message));
     enterState(transition->to);
     lastWasDelta_ = false;
     safeProceed();
@@ -410,8 +402,6 @@ void AutomataEngine::takeDelta(const merge::DeltaTransition& delta) {
                             "automata engine: unknown lambda action '" + action.name + "'");
         }
     }
-    trace_.record(TraceEvent{merged_->automatonOf(delta.from)->name(), delta.from, delta.to,
-                             std::nullopt, AbstractMessage()});
     if (recorder_.inSession()) {
         recorder_.recordTransition(network_.network().now().time_since_epoch().count(),
                                    merged_->automatonOf(delta.from)->name(), delta.from,
@@ -499,14 +489,7 @@ void AutomataEngine::performSend(const Transition& transition,
     lastSentPayload_ = composeScratch_;
     retransmitsUsed_ = 0;
 
-    component->state(transition.from)->pushMessage(outgoing);
-    if (trace_.capacity() > 0) {
-        // Translated values may still borrow from the rx arena (assignments
-        // copy views verbatim); the ring outlives the session, so deep-own.
-        outgoing.materializeValues();
-        trace_.record(TraceEvent{component->name(), transition.from, transition.to,
-                                 Action::Send, std::move(outgoing)});
-    }
+    component->state(transition.from)->pushMessage(std::move(outgoing));
     liveSession_.lastSend = now;
     if (!liveSession_.clientReply &&
         component == merged_->automatonOf(merged_->initialState())) {
@@ -596,11 +579,6 @@ Value AutomataEngine::resolveRef(const merge::FieldRef& ref, const std::string& 
     return *transformed;
 }
 
-net::Duration AutomataEngine::receiveDeadlineFor(const std::string& state) const {
-    const auto it = options_.stateReceiveTimeouts.find(state);
-    return it != options_.stateReceiveTimeouts.end() ? it->second : options_.receiveTimeout;
-}
-
 void AutomataEngine::cancelRetransmit() {
     if (retransmitEvent_) {
         network_.network().scheduler().cancel(*retransmitEvent_);
@@ -615,7 +593,7 @@ void AutomataEngine::armRetransmit() {
     // Only datagram requests are worth re-sending: tcp delivers reliably, and
     // its genuine failures arrive as connect-refused/peer-closed faults.
     if (color == nullptr || color->transport() != "udp") return;
-    const net::Duration deadline = receiveDeadlineFor(current_);
+    const net::Duration deadline = options_.receiveTimeout;
     if (deadline.count() <= 0) return;
     double scale = 1.0;
     for (int attempt = 0; attempt < retransmitsUsed_; ++attempt) {
@@ -796,8 +774,8 @@ void AutomataEngine::completeSession(bool completed, FailureCause cause, errc::E
     network_.resetSession();
     current_ = merged_->initialState();
     // Every holder of arena-backed views is gone (stored instances reset
-    // above, trace copies materialized): rewind the arena, keeping its
-    // chunks, so the next session parses into warm memory.
+    // above): rewind the arena, keeping its chunks, so the next session
+    // parses into warm memory.
     rxArena_.reset();
 }
 

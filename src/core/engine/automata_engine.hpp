@@ -39,7 +39,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/automata/trace.hpp"
 #include "core/engine/network_engine.hpp"
 #include "core/engine/session_history.hpp"
 #include "core/mdl/codec.hpp"
@@ -66,9 +65,6 @@ struct EngineOptions {
     /// (the SLP service agent's ~6.1 s) so retransmission never fires on a
     /// loss-free network.
     net::Duration receiveTimeout = net::ms(8000);
-    /// Per-state overrides of receiveTimeout, keyed by merged-automaton state
-    /// id -- tighten the deadline at states whose peer answers fast.
-    std::map<std::string, net::Duration> stateReceiveTimeouts;
     /// How often the last sent request may be re-sent before the wait is
     /// declared dead (FailureCause::Timeout). Applies per wait state; only
     /// datagram (udp) requests are ever re-sent -- tcp is reliable and its
@@ -99,9 +95,6 @@ struct EngineOptions {
     /// pre-capacity-fix behaviour). Aggregates -- including the taxonomy-
     /// coded abort histogram -- survive eviction; see session_history.hpp.
     std::size_t sessionHistoryCapacity = SessionHistory::kDefaultCapacity;
-    /// Cap on the transition trace ring queried by the history operator.
-    /// 0 disables transition recording entirely.
-    std::size_t traceCapacity = automata::Trace::kDefaultCapacity;
     /// Capacity of the per-engine span buffer. 0 (the default) disables span
     /// collection, so a bridge that nobody is tracing records nothing.
     std::size_t spanCapacity = 0;
@@ -158,7 +151,6 @@ public:
     /// Recent session records (bounded ring) plus eviction-proof lifetime
     /// aggregates; see EngineOptions::sessionHistoryCapacity.
     const SessionHistory& sessions() const { return sessions_; }
-    const automata::Trace& trace() const { return trace_; }
     const merge::MergedAutomaton& merged() const { return *merged_; }
 
     /// Completed spans of recent sessions (empty unless
@@ -216,7 +208,6 @@ private:
     Value resolveRef(const merge::FieldRef& ref, const std::string& transform) const;
     void completeSession(bool completed, FailureCause cause = FailureCause::None,
                          errc::ErrorCode code = errc::ErrorCode::Ok);
-    net::Duration receiveDeadlineFor(const std::string& state) const;
     void armRetransmit();
     void onReceiveDeadline();
     void cancelRetransmit();
@@ -273,12 +264,11 @@ private:
     /// Receive arena: parsed String/Bytes field values borrow from the single
     /// datagram copy stored here instead of owning fresh heap strings. Reset
     /// (chunks retained) at every session boundary, so steady-state sessions
-    /// parse with zero per-message heap allocation. Anything that outlives
-    /// the session (the trace ring) is materialized first.
+    /// parse with zero per-message heap allocation. No parsed message
+    /// outlives the session: the state queues that hold them reset first.
     mdl::RxArena rxArena_;
 
     SessionHistory sessions_;
-    automata::Trace trace_;
 
     // --- telemetry -------------------------------------------------------
     // Spans: one tracer per engine, shared with the network engine for the

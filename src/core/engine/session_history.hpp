@@ -2,7 +2,7 @@
 //
 // A long-running bridge serves conversations indefinitely; keeping every
 // SessionRecord forever is the unbounded-residency bug this subsystem fixes.
-// SessionHistory is a capped ring (deque, like automata::Trace) with
+// SessionHistory is a capped ring (a deque of plain records) with
 // AGGREGATE counters that survive eviction: total ended/completed/aborted,
 // message and retransmit totals, and the per-taxonomy-code abort histogram.
 // Evicting a record therefore loses only its per-session detail, never the

@@ -10,10 +10,9 @@
 // allocations per session.
 //
 // Lifetime contract: views handed out by store()/intern() stay valid until
-// reset(). The engine resets only at session boundaries (after the merged
-// automaton dropped its stored messages), and anything that outlives a
-// session -- trace rings, session histories -- materializes its values
-// first (Value::materialize()).
+// reset(). The engine resets only at session boundaries, after the merged
+// automaton dropped its stored messages, and nothing keeps an arena-backed
+// message past that boundary.
 #pragma once
 
 #include <cstddef>

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/automata/colored_automaton.hpp"
-#include "core/automata/trace.hpp"
 #include "core/merge/translation.hpp"
 
 namespace starlink::merge {

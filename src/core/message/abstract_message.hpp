@@ -56,12 +56,6 @@ public:
     /// Removes a top-level field by label; returns false when absent.
     bool removeField(std::string_view label);
 
-    /// Deep-owns any arena-backed view values so the message can outlive the
-    /// rx arena it was parsed against (trace rings, session histories).
-    void materializeValues() {
-        for (Field& f : fields_) f.materializeValues();
-    }
-
     // -- XML projection ---------------------------------------------------------
     /// Projects into the fixed abstract-message XML schema. Root element is
     /// <field message="TYPE">; XPath expressions in bridge specs evaluate

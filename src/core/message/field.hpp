@@ -51,13 +51,6 @@ public:
     const Field* child(std::string_view label) const;
     Field* child(std::string_view label);
 
-    /// Deep-owns any arena-backed view values (recursively); required before
-    /// the field outlives the rx arena its values borrow from.
-    void materializeValues() {
-        value_.materialize();
-        for (Field& c : children_) c.materializeValues();
-    }
-
     bool operator==(const Field& other) const;
 
 private:

@@ -43,14 +43,6 @@ ValueType Value::type() const {
     return ValueType::Empty;
 }
 
-void Value::materialize() {
-    if (const auto* v = std::get_if<std::string_view>(&data_)) {
-        data_ = std::string(*v);
-    } else if (const auto* b = std::get_if<ByteView>(&data_)) {
-        data_ = Bytes(b->data, b->data + b->size);
-    }
-}
-
 std::optional<std::int64_t> Value::asInt() const {
     if (const auto* v = std::get_if<std::int64_t>(&data_)) return *v;
     return std::nullopt;

@@ -11,9 +11,11 @@
 // over a session-scoped RxArena. type() and the accessors erase the
 // difference -- a view-backed Value behaves exactly like an owning one --
 // so the zero-copy parse path and the copying interpreter oracles produce
-// values that compare equal. Views are only valid while their arena is;
-// anything that outlives the session (trace rings, stored histories) must
-// call materialize() first.
+// values that compare equal. Views are only valid while their arena is,
+// which is why nothing keeps an arena-backed message past the session
+// boundary: the engine's per-state instance stores are cleared before the
+// arena resets, and the evidence stores (session history, spans, flight
+// recorder) keep counters, text and wire bytes, never Values.
 #pragma once
 
 #include <cstdint>
@@ -67,13 +69,6 @@ public:
 
     ValueType type() const;
     bool isEmpty() const { return type() == ValueType::Empty; }
-
-    /// True when the content is borrowed from an arena rather than owned.
-    bool isView() const { return data_.index() == 6 || data_.index() == 7; }
-
-    /// Converts borrowed content into owned content in place; owning values
-    /// are untouched. Required before the Value outlives its arena.
-    void materialize();
 
     // Exact accessors: nullopt when the stored type differs. View-backed
     // values answer through their logical type (String/Bytes), copying.

@@ -1,12 +1,10 @@
 // Unit tests for k-colored automata: colors and the perfect hash f, state
-// queues, transitions, validation, the history operator (paper section III-B,
-// experiment E4).
+// queues, transitions and validation (paper section III-B, experiment E4).
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/automata/colored_automaton.hpp"
-#include "core/automata/trace.hpp"
 
 namespace starlink::automata {
 namespace {
@@ -209,46 +207,6 @@ TEST_F(AutomatonTest, QueueStoresAndFindsLatestInstance) {
     EXPECT_EQ(s11->messages().size(), 2u);
     automaton.reset();
     EXPECT_TRUE(s11->messages().empty());
-}
-
-// --- history operator ------------------------------------------------------------
-
-TEST(TraceHistory, CollectsActionFilteredSegment) {
-    Trace trace;
-    AbstractMessage rq("Rq");
-    AbstractMessage rs("Rs");
-    trace.record({"A", "s0", "s1", Action::Receive, rq});
-    trace.record({"A", "s1", "s2", std::nullopt, AbstractMessage()});  // delta
-    trace.record({"B", "s2", "s3", Action::Send, rs});
-    trace.record({"B", "s3", "s4", Action::Receive, rq});
-
-    const auto received = trace.history("s0", "s4", Action::Receive);
-    ASSERT_EQ(received.size(), 2u);
-    EXPECT_EQ(received[0].type(), "Rq");
-
-    const auto sent = trace.history("s0", "s4", Action::Send);
-    ASSERT_EQ(sent.size(), 1u);
-    EXPECT_EQ(sent[0].type(), "Rs");
-
-    EXPECT_EQ(trace.historyAll("s0", "s4").size(), 3u);  // deltas excluded
-}
-
-TEST(TraceHistory, MissingSegmentIsEmpty) {
-    Trace trace;
-    trace.record({"A", "s0", "s1", Action::Receive, AbstractMessage("M")});
-    EXPECT_TRUE(trace.history("s5", "s1", Action::Receive).empty());
-    EXPECT_TRUE(trace.history("s0", "s9", Action::Receive).empty());
-    EXPECT_TRUE(Trace().history("a", "b", Action::Send).empty());
-}
-
-TEST(TraceHistory, UsesLastDeparture) {
-    Trace trace;
-    trace.record({"A", "s0", "s1", Action::Receive, AbstractMessage("First")});
-    trace.record({"A", "s1", "s0", Action::Send, AbstractMessage("Back")});
-    trace.record({"A", "s0", "s1", Action::Receive, AbstractMessage("Second")});
-    const auto received = trace.history("s0", "s1", Action::Receive);
-    ASSERT_EQ(received.size(), 1u);
-    EXPECT_EQ(received[0].type(), "Second");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 //   - SessionHistory is a capped ring whose aggregates (including the
 //     taxonomy-coded abort histogram) stay exact across eviction;
-//   - a >=100k-session soak proves the history/trace/span rings hold at
+//   - a >=100k-session soak proves the history/span/recorder rings hold at
 //     capacity while lifetime totals account for every session;
 //   - admission control sheds with engine.overload instead of queuing
 //     without bound, and the idle watchdog evicts silent sessions with
@@ -189,9 +189,10 @@ TEST_F(CapacityTest, HundredThousandSessionSoakKeepsResidencyBounded) {
     options.receiveTimeout = net::ms(100);
     options.maxRetransmits = 1;  // an unanswered EchoReq aborts at ~+312 ms
     options.sessionHistoryCapacity = 512;
-    options.traceCapacity = 128;
     options.spanCapacity = 64;
+    options.recorderSessionBytes = 4096;
     auto& deployed = starlink.deploy(toySpec(), "10.0.0.9", options);
+    const telemetry::FlightRecorder& recorder = deployed.engine().recorder();
 
     // Phase 1 (first kCompleted pings): the echo service answers, every
     // session completes. Phase 2: the service is torn down mid-run, every
@@ -210,6 +211,14 @@ TEST_F(CapacityTest, HundredThousandSessionSoakKeepsResidencyBounded) {
                                               toyMessage(1, static_cast<std::uint16_t>(i)));
                            });
     }
+    // The recorder's chunk memory after warm-up (the whole completed phase
+    // and the first 100 aborting sessions); it must not grow over the rest
+    // of the soak.
+    std::size_t recorderWarmBytes = 0;
+    scheduler.schedule(net::ms(kSpacingMs * static_cast<std::int64_t>(kCompleted + 100)),
+                       [&recorder, &recorderWarmBytes] {
+                           recorderWarmBytes = recorder.bytesReserved();
+                       });
     run(5'000'000);
     ASSERT_EQ(scheduler.pendingEvents(), 0u);
 
@@ -217,8 +226,10 @@ TEST_F(CapacityTest, HundredThousandSessionSoakKeepsResidencyBounded) {
     // Residency is bounded: the windows sit exactly at their caps...
     EXPECT_EQ(history.size(), 512u);
     EXPECT_EQ(history.evicted(), kTotal - 512);
-    EXPECT_EQ(deployed.engine().trace().size(), 128u);
     EXPECT_EQ(deployed.engine().spans().size(), 64u);
+    EXPECT_EQ(recorder.recent().size(), telemetry::FlightRecorder::kDefaultRingSessions);
+    EXPECT_GT(recorderWarmBytes, 0u);
+    EXPECT_EQ(recorder.bytesReserved(), recorderWarmBytes);
     // ...while the lifetime aggregates account for every one of the 100k
     // sessions, exactly.
     EXPECT_EQ(history.totalEnded(), kTotal);

@@ -145,7 +145,9 @@ TEST(PlanDifferential, TruncationsAgree) {
                 const auto viaInterp = codec->parseInterpreted(truncated);
                 ASSERT_EQ(viaPlan.has_value(), viaInterp.has_value())
                     << path << ": paths disagree at truncation " << cut;
-                if (viaPlan) EXPECT_EQ(*viaPlan, *viaInterp) << path << " cut " << cut;
+                if (viaPlan) {
+                    EXPECT_EQ(*viaPlan, *viaInterp) << path << " cut " << cut;
+                }
             }
         }
     }
@@ -165,7 +167,9 @@ TEST(PlanDifferential, SeededCorruptionsAgree) {
                 const auto viaInterp = codec->parseInterpreted(mutated);
                 ASSERT_EQ(viaPlan.has_value(), viaInterp.has_value())
                     << path << ": paths disagree on corruption round " << round;
-                if (viaPlan) EXPECT_EQ(*viaPlan, *viaInterp) << path << " round " << round;
+                if (viaPlan) {
+                    EXPECT_EQ(*viaPlan, *viaInterp) << path << " round " << round;
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 // Unit tests for the Automata Engine and Network Engine over a minimal toy
 // protocol pair, exercising engine semantics in isolation from the discovery
-// models: state stepping, queue placement, translation application, trace
-// recording, robustness to garbage and misdelivered traffic, session stats.
+// models: state stepping, queue placement, translation application, the
+// recorded automaton path, robustness to garbage and misdelivered traffic,
+// session stats.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -132,30 +133,52 @@ TEST_F(EngineTest, EndToEndToyTranslation) {
 }
 
 TEST_F(EngineTest, TraceRecordsQueuePlacementAndDeltas) {
-    auto& deployed = starlink.deploy(toySpec(), "10.0.0.9");
+    EngineOptions options;
+    options.recorderSessionBytes = 64 * 1024;
+    auto& deployed = starlink.deploy(toySpec(), "10.0.0.9", options);
     auto echoService = makeEchoService();
     auto client = network.openUdp("10.0.0.1", 901);
     client->joinGroup(net::Address{"239.9.9.9", 901});
     client->sendTo(net::Address{"239.9.9.9", 901}, toyMessage(1, 7));
     run();
 
-    const auto& events = deployed.engine().trace().events();
-    ASSERT_EQ(events.size(), 6u);
-    EXPECT_EQ(events[0].to, "p1");  // receive stored at entered state
-    EXPECT_FALSE(events[1].action.has_value());  // delta p1 -> e0
-    EXPECT_EQ(events[1].to, "e0");
-    EXPECT_EQ(events[2].message.type(), "EchoReq");
-    EXPECT_EQ(events[2].message.value("Num")->asInt(), 7);
-    EXPECT_EQ(events[3].message.type(), "EchoRep");
-    EXPECT_FALSE(events[4].action.has_value());  // delta e2 -> p1
-    EXPECT_EQ(events[5].message.type(), "Pong");
-    EXPECT_EQ(events[5].message.value("Val")->asInt(), 8);
+    const AutomataEngine& engine = deployed.engine();
+    ASSERT_NE(engine.recorder().last(), nullptr);
+    std::vector<telemetry::WireEvent> steps;
+    std::vector<AbstractMessage> sent;
+    for (const telemetry::WireEvent& event :
+         telemetry::decodeEvents(engine.recorder().last()->events)) {
+        if (event.kind == telemetry::WireEvent::Kind::Transition) steps.push_back(event);
+        if (event.kind == telemetry::WireEvent::Kind::Tx) {
+            const auto message = engine.codecForColor(event.color)->parse(event.payload);
+            ASSERT_TRUE(message);
+            sent.push_back(*message);
+        }
+    }
+    ASSERT_EQ(steps.size(), 6u);
+    EXPECT_EQ(steps[0].stateTo, "p1");  // receive stored at entered state
+    EXPECT_EQ(steps[1].action, telemetry::WireEvent::kActionDelta);
+    EXPECT_EQ(steps[1].stateTo, "e0");
+    EXPECT_EQ(steps[2].messageType, "EchoReq");
+    EXPECT_EQ(steps[3].messageType, "EchoRep");
+    EXPECT_EQ(steps[4].action, telemetry::WireEvent::kActionDelta);  // e2 -> p1
+    EXPECT_EQ(steps[5].messageType, "Pong");
 
-    // The history operator over live trace data (paper's => operator).
-    const auto received = deployed.engine().trace().history("p0", "p2", automata::Action::Receive);
-    ASSERT_EQ(received.size(), 2u);
-    EXPECT_EQ(received[0].type(), "Ping");
-    EXPECT_EQ(received[1].type(), "EchoRep");
+    // The wire payloads carry the translated values.
+    ASSERT_EQ(sent.size(), 2u);
+    EXPECT_EQ(sent[0].type(), "EchoReq");
+    EXPECT_EQ(sent[0].value("Num")->asInt(), 7);
+    EXPECT_EQ(sent[1].type(), "Pong");
+    EXPECT_EQ(sent[1].value("Val")->asInt(), 8);
+
+    // The received sequence on the p0 -> p2 path (the paper's => operator).
+    std::vector<std::string> received;
+    for (const telemetry::WireEvent& step : steps) {
+        if (step.action == telemetry::WireEvent::kActionReceive) {
+            received.push_back(step.messageType);
+        }
+    }
+    EXPECT_EQ(received, (std::vector<std::string>{"Ping", "EchoRep"}));
 }
 
 TEST_F(EngineTest, GarbageBytesAreIgnored) {

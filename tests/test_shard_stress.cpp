@@ -121,12 +121,12 @@ TEST(ShardStress, EightShardChaosRunBitIdenticalToOneShard) {
 }
 
 TEST(ShardStress, DispatchIsStableByKeyNotBySubmissionOrder) {
-    ShardEngine engine(ShardEngineOptions{.shards = 8});
+    ShardEngine engine(ShardEngineOptions{.shards = 8, .engine = {}});
     const auto jobs = mixedWorkload(64);
     std::map<std::string, int> expected;
     for (const auto& job : jobs) expected[job.key] = engine.shardFor(job.key);
     // Same keys, any order, any engine instance: same shard.
-    ShardEngine other(ShardEngineOptions{.shards = 8});
+    ShardEngine other(ShardEngineOptions{.shards = 8, .engine = {}});
     for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
         EXPECT_EQ(other.shardFor(it->key), expected[it->key]);
     }

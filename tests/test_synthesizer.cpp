@@ -9,6 +9,7 @@
 #include "core/merge/synthesizer.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
 #include "protocols/slp/slp_agents.hpp"
+#include "protocols/slp/slp_codec.hpp"
 #include "sim_fixture.hpp"
 
 namespace starlink::merge {
@@ -210,10 +211,12 @@ TEST_F(SynthesizedBridgeTest, SynthesizedBonjourToSlpWorksEndToEnd) {
 TEST_F(SynthesizedBridgeTest, SynthesizedBridgeMatchesHandWrittenBehaviour) {
     // The synthesized SLP->Bonjour bridge and the hand-written Fig 10 bridge
     // must translate identically (same reply URL, same XID echo).
+    engine::EngineOptions options;
+    options.recorderSessionBytes = 64 * 1024;
     auto& synthesized = starlink.deploySynthesized(
         ProtocolModel{bridge::models::slpMdl(), bridge::models::slpAutomaton(Role::Server)},
         ProtocolModel{bridge::models::dnsMdl(), bridge::models::mdnsAutomaton(Role::Client)},
-        merge::Ontology::discovery(), "10.0.0.9");
+        merge::Ontology::discovery(), "10.0.0.9", options);
 
     mdns::Responder::Config responderConfig;
     responderConfig.responseDelayBase = net::ms(5);
@@ -226,17 +229,27 @@ TEST_F(SynthesizedBridgeTest, SynthesizedBridgeMatchesHandWrittenBehaviour) {
     ASSERT_EQ(urls.size(), 1u);  // XID echoed correctly, else the UA drops it
 
     // The reply's XID was taken from the DNS ID, which was taken from the
-    // request XID -- check the trace agrees.
-    const auto& trace = synthesized.engine().trace();
-    std::optional<std::int64_t> requestXid;
-    std::optional<std::int64_t> replyXid;
-    for (const auto& event : trace.events()) {
-        if (event.message.type() == "SLPSrvRequest") requestXid = event.message.value("XID")->asInt();
-        if (event.message.type() == "SLPSrvReply") replyXid = event.message.value("XID")->asInt();
+    // request XID -- check the recorded SLP datagrams agree, decoded by the
+    // legacy SLP codec rather than the bridge's own.
+    const engine::AutomataEngine& engine = synthesized.engine();
+    std::uint64_t slpColor = 0;
+    for (const auto& component : engine.merged().components()) {
+        if (component->name() == "SLP") slpColor = component->color();
     }
-    ASSERT_TRUE(requestXid);
-    ASSERT_TRUE(replyXid);
-    EXPECT_EQ(*requestXid, *replyXid);
+    ASSERT_NE(engine.recorder().last(), nullptr);
+    std::optional<slp::SrvRequest> request;
+    std::optional<slp::SrvReply> reply;
+    for (const telemetry::WireEvent& event :
+         telemetry::decodeEvents(engine.recorder().last()->events)) {
+        if (event.color != slpColor) continue;
+        if (event.kind == telemetry::WireEvent::Kind::Rx) {
+            request = slp::decodeRequest(event.payload);
+        }
+        if (event.kind == telemetry::WireEvent::Kind::Tx) reply = slp::decodeReply(event.payload);
+    }
+    ASSERT_TRUE(request);
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(request->xid, reply->xid);
 }
 
 }  // namespace

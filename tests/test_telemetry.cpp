@@ -1,14 +1,13 @@
-// Telemetry layer tests: metrics primitives, the span buffer/tracer, the
-// capped automata trace, and an end-to-end check that a bridged SLP -> UPnP
-// conversation produces a coherent span tree whose legs tile the paper's
-// translation-time window (Fig 12(b)) and agree with the engine's counters.
+// Telemetry layer tests: metrics primitives, the span buffer/tracer, and an
+// end-to-end check that a bridged SLP -> UPnP conversation produces a
+// coherent span tree whose legs tile the paper's translation-time window
+// (Fig 12(b)) and agree with the engine's counters.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "core/automata/trace.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
 #include "core/telemetry/metrics.hpp"
@@ -150,25 +149,6 @@ TEST(SessionTracer, BuildsNestedTreeAndForceClosesStragglers) {
     EXPECT_EQ(byName["straggler"].end, t0 + net::ms(10));
     EXPECT_EQ(byName["session"].session, 1u);
     for (const auto& [name, span] : byName) EXPECT_EQ(span.session, 1u) << name;
-}
-
-// -- capped automata trace --------------------------------------------------
-
-TEST(AutomataTrace, RingEvictsOldestAtCapacity) {
-    automata::Trace trace(3);
-    for (int i = 0; i < 5; ++i) {
-        automata::TraceEvent event;
-        event.from = "s" + std::to_string(i);
-        trace.record(std::move(event));
-    }
-    EXPECT_EQ(trace.size(), 3u);
-    EXPECT_EQ(trace.dropped(), 2u);
-    EXPECT_EQ(trace.events().front().from, "s2");
-
-    trace.setCapacity(1);
-    EXPECT_EQ(trace.size(), 1u);
-    EXPECT_EQ(trace.events().front().from, "s4");
-    EXPECT_EQ(trace.dropped(), 4u);
 }
 
 // -- minimal JSON reader for the Chrome trace round-trip --------------------
