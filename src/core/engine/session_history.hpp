@@ -21,8 +21,10 @@
 
 namespace starlink::engine {
 
-/// Why a session ended without completing.
-enum class FailureCause {
+/// Why a session ended without completing. One byte wide, so it packs next
+/// to SessionRecord::completed (every serialised form already stores it as
+/// a u8 ordinal).
+enum class FailureCause : std::uint8_t {
     None,            ///< the session completed (or was aborted pre-classification)
     Timeout,         ///< watchdog fired, or the retransmission budget ran dry
     ConnectRefused,  ///< a tcp connect stayed refused after bounded retries
@@ -97,6 +99,10 @@ struct SessionRecord {
         return std::chrono::duration_cast<net::Duration>(lastSend - firstReceive);
     }
 };
+// The capacity gate's projected_sessions_per_gib row (bench/capacity_sweep.cpp
+// against bench/baselines/capacity.json) is 1 GiB / sizeof(SessionRecord),
+// baselined at 72 bytes; a new field that grows the record trips it.
+static_assert(sizeof(SessionRecord) <= 72, "SessionRecord outgrew the capacity baseline");
 
 /// Capped ring of SessionRecords with eviction-proof aggregates. The read
 /// side is vector-shaped (size/operator[]/front/back/begin/end) so existing

@@ -42,7 +42,7 @@ void putU64(Bytes& out, std::uint64_t v) {
 void putI32(Bytes& out, std::int32_t v) { putU32(out, static_cast<std::uint32_t>(v)); }
 void putI64(Bytes& out, std::int64_t v) { putU64(out, static_cast<std::uint64_t>(v)); }
 
-void putStr(Bytes& out, const std::string& s) {
+void putStr(Bytes& out, std::string_view s) {
     const std::size_t n = std::min<std::size_t>(s.size(), 0xffff);
     putU16(out, static_cast<std::uint16_t>(n));
     out.insert(out.end(), s.begin(), s.begin() + static_cast<std::ptrdiff_t>(n));
@@ -121,51 +121,19 @@ private:
     std::size_t pos_ = 0;
 };
 
-void encodeEventBody(Bytes& out, const WireEvent& event) {
-    putU8(out, static_cast<std::uint8_t>(event.kind));
-    putI64(out, event.tsUs);
-    switch (event.kind) {
-        case WireEvent::Kind::Rx:
-            putU64(out, event.color);
-            putStr(out, event.from);
-            putStr(out, event.to);
-            putBlob(out, event.payload);
-            break;
-        case WireEvent::Kind::Tx:
-            putU64(out, event.color);
-            putBlob(out, event.payload);
-            break;
-        case WireEvent::Kind::TcpConnect:
-            putU64(out, event.color);
-            putStr(out, event.from);  // target address
-            putU8(out, event.action);
-            putI32(out, event.attempts);
-            break;
-        case WireEvent::Kind::Transition:
-            putStr(out, event.component);
-            putStr(out, event.state);
-            putStr(out, event.stateTo);
-            putU8(out, event.action);
-            putStr(out, event.messageType);
-            break;
-        case WireEvent::Kind::Translate:
-            putStr(out, event.state);
-            putStr(out, event.messageType);
-            break;
-        case WireEvent::Kind::Fault:
-            putU64(out, event.color);
-            putU8(out, event.action);
-            putStr(out, event.from);  // detail text
-            break;
-        case WireEvent::Kind::SessionEnd:
-            putI32(out, event.code);
-            putU8(out, event.cause);
-            putU8(out, event.completed ? 1 : 0);
-            putU32(out, event.messagesIn);
-            putU32(out, event.messagesOut);
-            putU32(out, event.retransmits);
-            break;
-    }
+/// Frames one event into `out`, cleared first: a u32 length placeholder, the
+/// kind byte and tsUs, then whatever `body` appends straight from the
+/// record* arguments; the length is patched last. `out` keeps its capacity,
+/// so once warm this allocates nothing.
+template <typename Body>
+void frameEvent(Bytes& out, WireEvent::Kind kind, std::int64_t tsUs, Body&& body) {
+    out.clear();
+    putU32(out, 0);
+    putU8(out, static_cast<std::uint8_t>(kind));
+    putI64(out, tsUs);
+    body(out);
+    const std::uint32_t length = static_cast<std::uint32_t>(out.size() - 4);
+    for (std::size_t i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(length >> (8 * i));
 }
 
 WireEvent decodeEventBody(Reader& in, std::size_t bodyEnd) {
@@ -281,152 +249,109 @@ void FlightRecorder::appendUnconditional() {
     }
 }
 
-Bytes FlightRecorder::copyLog() const {
-    Bytes out;
-    out.reserve(used_);
-    std::size_t left = used_;
-    for (const auto& chunk : chunks_) {
-        if (left == 0) break;
-        const std::size_t n = std::min(left, kChunkBytes);
-        out.insert(out.end(), chunk.get(), chunk.get() + n);
-        left -= n;
-    }
-    return out;
-}
-
-#define STARLINK_RECORD_PROLOGUE()        \
-    if (!enabled() || !sessionOpen_) return; \
-    scratch_.clear()
-
-void FlightRecorder::recordRx(std::int64_t tsUs, std::uint64_t color, const std::string& from,
-                              const std::string& to, const Bytes& payload) {
-    STARLINK_RECORD_PROLOGUE();
-    WireEvent event;
-    event.kind = WireEvent::Kind::Rx;
-    event.tsUs = tsUs;
-    event.color = color;
-    event.from = from;
-    event.to = to;
-    event.payload = payload;
-    // Encoded as length + body so future kinds stay skippable.
-    Bytes body;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+void FlightRecorder::recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
+                              std::string_view to, const Bytes& payload) {
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::Rx, tsUs, [&](Bytes& out) {
+        putU64(out, color);
+        putStr(out, from);
+        putStr(out, to);
+        putBlob(out, payload);
+    });
     appendScratch();
 }
 
 void FlightRecorder::recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload) {
-    STARLINK_RECORD_PROLOGUE();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::Tx;
-    event.tsUs = tsUs;
-    event.color = color;
-    event.payload = payload;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::Tx, tsUs, [&](Bytes& out) {
+        putU64(out, color);
+        putBlob(out, payload);
+    });
     appendScratch();
 }
 
 void FlightRecorder::recordConnect(std::int64_t tsUs, std::uint64_t color,
-                                   const std::string& target, std::uint8_t outcome,
+                                   std::string_view target, std::uint8_t outcome,
                                    std::int32_t attempts) {
-    STARLINK_RECORD_PROLOGUE();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::TcpConnect;
-    event.tsUs = tsUs;
-    event.color = color;
-    event.from = target;
-    event.action = outcome;
-    event.attempts = attempts;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::TcpConnect, tsUs, [&](Bytes& out) {
+        putU64(out, color);
+        putStr(out, target);
+        putU8(out, outcome);
+        putI32(out, attempts);
+    });
     appendScratch();
 }
 
-void FlightRecorder::recordTransition(std::int64_t tsUs, const std::string& component,
-                                      const std::string& from, const std::string& to,
-                                      std::uint8_t action, const std::string& messageType) {
-    STARLINK_RECORD_PROLOGUE();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::Transition;
-    event.tsUs = tsUs;
-    event.component = component;
-    event.state = from;
-    event.stateTo = to;
-    event.action = action;
-    event.messageType = messageType;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+void FlightRecorder::recordTransition(std::int64_t tsUs, std::string_view component,
+                                      std::string_view from, std::string_view to,
+                                      std::uint8_t action, std::string_view messageType) {
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::Transition, tsUs, [&](Bytes& out) {
+        putStr(out, component);
+        putStr(out, from);
+        putStr(out, to);
+        putU8(out, action);
+        putStr(out, messageType);
+    });
     appendScratch();
 }
 
-void FlightRecorder::recordTranslate(std::int64_t tsUs, const std::string& state,
-                                     const std::string& messageType) {
-    STARLINK_RECORD_PROLOGUE();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::Translate;
-    event.tsUs = tsUs;
-    event.state = state;
-    event.messageType = messageType;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+void FlightRecorder::recordTranslate(std::int64_t tsUs, std::string_view state,
+                                     std::string_view messageType) {
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::Translate, tsUs, [&](Bytes& out) {
+        putStr(out, state);
+        putStr(out, messageType);
+    });
     appendScratch();
 }
 
 void FlightRecorder::recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
-                                 const std::string& detail) {
-    STARLINK_RECORD_PROLOGUE();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::Fault;
-    event.tsUs = tsUs;
-    event.color = color;
-    event.action = fault;
-    event.from = detail;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+                                 std::string_view detail) {
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::Fault, tsUs, [&](Bytes& out) {
+        putU64(out, color);
+        putU8(out, fault);
+        putStr(out, detail);
+    });
     appendScratch();
 }
-
-#undef STARLINK_RECORD_PROLOGUE
 
 void FlightRecorder::endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause,
                                 bool completed, std::uint32_t messagesIn,
                                 std::uint32_t messagesOut, std::uint32_t retransmits) {
-    if (!enabled() || !sessionOpen_) return;
-    scratch_.clear();
-    Bytes body;
-    WireEvent event;
-    event.kind = WireEvent::Kind::SessionEnd;
-    event.tsUs = tsUs;
-    event.code = code;
-    event.cause = cause;
-    event.completed = completed;
-    event.messagesIn = messagesIn;
-    event.messagesOut = messagesOut;
-    event.retransmits = retransmits;
-    encodeEventBody(body, event);
-    putU32(scratch_, static_cast<std::uint32_t>(body.size()));
-    scratch_.insert(scratch_.end(), body.begin(), body.end());
+    if (!sessionOpen_) return;
+    frameEvent(scratch_, WireEvent::Kind::SessionEnd, tsUs, [&](Bytes& out) {
+        putI32(out, code);
+        putU8(out, cause);
+        putU8(out, completed ? 1 : 0);
+        putU32(out, messagesIn);
+        putU32(out, messagesOut);
+        putU32(out, retransmits);
+    });
     // The terminal record always lands, cap or not: a log without its end
     // event would be ambiguous about how the session died.
     appendUnconditional();
 
+    // A full ring hands its oldest log over for reuse: its events buffer
+    // keeps its capacity, so a warm ring copies the session without growing.
     SessionLog log;
+    if (!recent_.empty() && recent_.size() >= ringCapacity_) {
+        log = std::move(recent_.front());
+        recent_.pop_front();
+    }
     log.ordinal = ordinal_;
     log.truncated = truncated_;
     log.droppedEvents = droppedEvents_;
-    log.events = copyLog();
+    log.events.clear();
+    std::size_t left = used_;
+    for (const auto& chunk : chunks_) {
+        if (left == 0) break;
+        const std::size_t n = std::min(left, kChunkBytes);
+        log.events.insert(log.events.end(), chunk.get(), chunk.get() + n);
+        left -= n;
+    }
     recent_.push_back(std::move(log));
     while (recent_.size() > ringCapacity_) recent_.pop_front();
     sessionOpen_ = false;

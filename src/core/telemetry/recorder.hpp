@@ -9,12 +9,20 @@
 // compact length-prefixed binary log.
 //
 // Cost model mirrors the span layer: default-off (EngineOptions::
-// recorderSessionBytes == 0 records nothing), and when on, each event is one
-// bounded encode into a reused scratch buffer plus an append into chunked
-// storage whose chunks are retained across sessions (the RxArena idiom), so
-// steady-state recording allocates nothing. A per-session byte cap bounds
-// pathological sessions: past it, payload events are dropped and counted,
-// and the log is marked truncated (a truncated bundle refuses replay).
+// recorderSessionBytes == 0 records nothing: every record* call is then one
+// branch). When on, each record* call frames its event straight from its
+// arguments (strings are borrowed as string_view) into a reused scratch
+// buffer, then copies it into chunked storage whose chunks are retained
+// across sessions (the RxArena idiom). endSession flattens the chunks into
+// the log evicted from the full ring, reusing its buffer. Once the scratch
+// buffer, the chunks and the ring's buffers have grown to the largest
+// session seen, record* and endSession allocate nothing; the one remaining
+// allocation is the ring deque's node turnover (libstdc++ packs ten 48-byte
+// SessionLogs into a 512-byte node, so one node per ten sessions).
+// FlightRecorder.SteadyStateRecordingDoesNotAllocate pins this. A
+// per-session byte cap bounds pathological sessions: past it, payload
+// events are dropped and counted, and the log is marked truncated (a
+// truncated bundle refuses replay).
 //
 // On session abort the engine wraps the log into a PostmortemBundle --
 // events + span tree + seeds + model-set identity + shard id -- and hands it
@@ -28,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -88,8 +97,7 @@ public:
         Bytes events;
     };
 
-    /// sessionCapBytes == 0 disables the recorder entirely; every record*
-    /// call is then a single branch.
+    /// sessionCapBytes == 0 disables the recorder entirely.
     explicit FlightRecorder(std::size_t sessionCapBytes = 0,
                             std::size_t ringSessions = kDefaultRingSessions)
         : cap_(sessionCapBytes), ringCapacity_(ringSessions) {}
@@ -99,20 +107,21 @@ public:
     std::size_t sessionCapBytes() const { return cap_; }
 
     void beginSession(std::uint64_t ordinal, std::int64_t tsUs);
-    void recordRx(std::int64_t tsUs, std::uint64_t color, const std::string& from,
-                  const std::string& to, const Bytes& payload);
+    void recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
+                  std::string_view to, const Bytes& payload);
     void recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload);
-    void recordConnect(std::int64_t tsUs, std::uint64_t color, const std::string& target,
+    void recordConnect(std::int64_t tsUs, std::uint64_t color, std::string_view target,
                        std::uint8_t outcome, std::int32_t attempts);
-    void recordTransition(std::int64_t tsUs, const std::string& component,
-                          const std::string& from, const std::string& to, std::uint8_t action,
-                          const std::string& messageType);
-    void recordTranslate(std::int64_t tsUs, const std::string& state,
-                         const std::string& messageType);
+    void recordTransition(std::int64_t tsUs, std::string_view component, std::string_view from,
+                          std::string_view to, std::uint8_t action,
+                          std::string_view messageType);
+    void recordTranslate(std::int64_t tsUs, std::string_view state,
+                         std::string_view messageType);
     void recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
-                     const std::string& detail);
+                     std::string_view detail);
     /// Closes the session log (the SessionEnd event bypasses the byte cap so
-    /// every log carries its terminal record) and rotates it into the ring.
+    /// every log carries its terminal record) and rotates it into the ring,
+    /// reusing the evicted log's buffer once the ring is full.
     void endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause, bool completed,
                     std::uint32_t messagesIn, std::uint32_t messagesOut,
                     std::uint32_t retransmits);
@@ -133,7 +142,6 @@ private:
 
     void appendScratch();      // scratch_ -> chunked log, cap-checked
     void appendUnconditional();  // scratch_ -> chunked log, no cap (SessionEnd)
-    Bytes copyLog() const;
 
     std::size_t cap_;
     std::size_t ringCapacity_;

@@ -7,8 +7,11 @@
 // directions, as promised in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -17,6 +20,47 @@
 #include "core/engine/shard_engine.hpp"
 #include "core/telemetry/recorder.hpp"
 #include "core/telemetry/span.hpp"
+
+// Counting allocator for FlightRecorder.SteadyStateRecordingDoesNotAllocate:
+// every operator new in this binary goes through here (the idiom of
+// bench/capacity_sweep.cpp). Relaxed atomics because the chaos tests run
+// shard workers on their own threads.
+namespace {
+std::atomic<std::uint64_t> g_allocCalls{0};
+
+// noinline keeps GCC from pairing the malloc/free behind the replacement
+// operators at inlined call sites (-Wmismatched-new-delete false positive).
+[[gnu::noinline]] void* countedAlloc(std::size_t size) noexcept {
+    void* p = std::malloc(size == 0 ? 1 : size);
+    if (p != nullptr) g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+    return p;
+}
+
+[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
+
+std::uint64_t allocCalls() { return g_allocCalls.load(std::memory_order_relaxed); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+    void* p = countedAlloc(size);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+void* operator new[](std::size_t size) {
+    void* p = countedAlloc(size);
+    if (p == nullptr) throw std::bad_alloc();
+    return p;
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return countedAlloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+    return countedAlloc(size);
+}
+void operator delete(void* p) noexcept { countedFree(p); }
+void operator delete[](void* p) noexcept { countedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { countedFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { countedFree(p); }
 
 namespace starlink {
 namespace {
@@ -103,6 +147,76 @@ TEST(FlightRecorder, EventCodecRoundTripsEveryKind) {
     EXPECT_EQ(events[6].retransmits, 1u);
 }
 
+Bytes fromHex(const char* hex) {
+    Bytes out;
+    for (const char* p = hex; p[0] != '\0' && p[1] != '\0'; p += 2) {
+        out.push_back(static_cast<std::uint8_t>(std::stoi(std::string(p, 2), nullptr, 16)));
+    }
+    return out;
+}
+
+// Pins the on-disk event format: a bundle's `events` blob is this log
+// verbatim, and no bundle file is committed, so these bytes are the only
+// guard against an encoder change that decodeEvents would still accept.
+TEST(FlightRecorder, EncodingMatchesGoldenBytes) {
+    constexpr std::size_t kLongString = 70000;  // past the u16 string length
+    constexpr std::size_t kPayload = 20000;     // straddles a 16 KiB chunk
+    FlightRecorder recorder(1024 * 1024);
+    recorder.beginSession(9, 100);
+    recorder.recordRx(100, 0x0102030405060708ULL, "10.0.0.1:427", "10.0.0.9:427",
+                      payloadOf("hello"));
+    recorder.recordTransition(100, "SLP", std::string(kLongString, 'x'), "s11",
+                              WireEvent::kActionReceive, "SLPSrvRequest");
+    recorder.recordTranslate(112, "s11", "SSDP_MSearch");
+    recorder.recordTx(112, 0xccdd, Bytes(kPayload, 0x5a));
+    recorder.recordConnect(150, 0xeeff, "10.0.0.1:49152", WireEvent::kConnectConnected, 2);
+    recorder.recordFault(160, 0xeeff, WireEvent::kFaultPeerClosed, "mid-session close");
+    recorder.endSession(200, -605, 3, false, 4, 5, 1);
+
+    // Frames: u32 body length, then u8 kind, i64 tsUs and the kind's fields,
+    // little-endian; strings are u16-length-prefixed, blobs u32.
+    Bytes expected = fromHex(
+        "3600000001640000000000000008070605040302010c0031302e302e302e313a"
+        "3432370c0031302e302e302e393a3432370500000068656c6c6f240001000464"
+        "000000000000000300534c50ffff");
+    expected.insert(expected.end(), 0xffff, 'x');  // the string, truncated
+    const Bytes middle = fromHex(
+        "0300733131000d00534c50537276526571756573741c00000005700000000000"
+        "000003007331310c00535344505f4d536561726368354e000002700000000000"
+        "0000ddcc000000000000204e0000");
+    expected.insert(expected.end(), middle.begin(), middle.end());
+    expected.insert(expected.end(), kPayload, 0x5a);
+    const Bytes tail = fromHex(
+        "26000000039600000000000000ffee0000000000000e0031302e302e302e313a"
+        "343931353201020000002500000006a000000000000000ffee00000000000001"
+        "11006d69642d73657373696f6e20636c6f73651b00000007c800000000000000"
+        "a3fdffff0300040000000500000001000000");
+    expected.insert(expected.end(), tail.begin(), tail.end());
+
+    const FlightRecorder::SessionLog* log = recorder.last();
+    ASSERT_NE(log, nullptr);
+    EXPECT_FALSE(log->truncated);
+    ASSERT_EQ(log->events.size(), expected.size());
+    EXPECT_TRUE(log->events == expected) << "event log bytes differ from the golden encoding";
+
+    const std::vector<WireEvent> events = telemetry::decodeEvents(log->events);
+    ASSERT_EQ(events.size(), 7u);
+    EXPECT_EQ(events[0].color, 0x0102030405060708ULL);
+    EXPECT_EQ(events[0].payload, payloadOf("hello"));
+    EXPECT_EQ(events[1].component, "SLP");
+    EXPECT_EQ(events[1].state, std::string(0xffff, 'x'));
+    EXPECT_EQ(events[1].stateTo, "s11");
+    EXPECT_EQ(events[1].messageType, "SLPSrvRequest");
+    EXPECT_EQ(events[2].messageType, "SSDP_MSearch");
+    EXPECT_EQ(events[3].payload, Bytes(kPayload, 0x5a));
+    EXPECT_EQ(events[4].from, "10.0.0.1:49152");
+    EXPECT_EQ(events[4].attempts, 2);
+    EXPECT_EQ(events[5].from, "mid-session close");
+    EXPECT_EQ(events[6].tsUs, 200);
+    EXPECT_EQ(events[6].code, -605);
+    EXPECT_EQ(events[6].retransmits, 1u);
+}
+
 TEST(FlightRecorder, ByteCapTruncatesButKeepsTerminalRecord) {
     FlightRecorder recorder(256);  // tiny: a few events fit, most don't
     recorder.beginSession(1, 0);
@@ -146,6 +260,53 @@ TEST(FlightRecorder, ChunkMemoryIsRetainedAcrossSessions) {
     recorder.recordTx(201, 1, payloadOf("small"));
     recorder.endSession(210, 0, 0, true, 0, 1, 0);
     EXPECT_EQ(recorder.bytesReserved(), reserved);
+}
+
+// The header's cost claim: once the ring is full and every buffer has held a
+// session of this size, record* allocates nothing and endSession allocates
+// only the ring deque's node turnover.
+TEST(FlightRecorder, SteadyStateRecordingDoesNotAllocate) {
+    FlightRecorder recorder(1024 * 1024);
+    const Bytes request(300, 0x51);
+    const Bytes reply(20000, 0x52);  // the log straddles a chunk boundary
+    auto recordSession = [&](std::uint64_t ordinal) {
+        const std::int64_t t = static_cast<std::int64_t>(ordinal) * 1000;
+        recorder.beginSession(ordinal, t);
+        recorder.recordRx(t, 1, "10.0.0.1:427", "10.0.0.9:427", request);
+        recorder.recordTransition(t, "SLP", "s10", "s11", WireEvent::kActionReceive,
+                                  "SLPSrvRequest");
+        recorder.recordTranslate(t + 1, "s11", "SSDP_MSearch");
+        recorder.recordTx(t + 1, 2, request);
+        recorder.recordConnect(t + 2, 3, "10.0.0.1:49152", WireEvent::kConnectConnected, 1);
+        recorder.recordRx(t + 3, 3, "10.0.0.1:49152", "", reply);
+        recorder.recordFault(t + 4, 3, WireEvent::kFaultPeerClosed, "mid-session close");
+    };
+    const std::size_t warmup = 2 * FlightRecorder::kDefaultRingSessions;
+    for (std::uint64_t s = 1; s <= warmup; ++s) {
+        recordSession(s);
+        recorder.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
+    }
+
+    constexpr std::uint64_t kSessions = 64;
+    // libstdc++ fits ten 48-byte SessionLogs in a 512-byte deque node, so
+    // pushing at the back and popping at the front allocates one node per
+    // ten sessions; the bound leaves room for one per eight.
+    constexpr std::uint64_t kMaxEndSessionAllocs = kSessions / 8;
+    std::uint64_t recordAllocs = 0;
+    std::uint64_t endAllocs = 0;
+    for (std::uint64_t s = warmup + 1; s <= warmup + kSessions; ++s) {
+        const std::uint64_t before = allocCalls();
+        recordSession(s);
+        const std::uint64_t between = allocCalls();
+        recorder.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
+        recordAllocs += between - before;
+        endAllocs += allocCalls() - between;
+    }
+    EXPECT_EQ(recordAllocs, 0u);
+    EXPECT_LE(endAllocs, kMaxEndSessionAllocs);
+    ASSERT_NE(recorder.last(), nullptr);
+    EXPECT_EQ(recorder.last()->ordinal, warmup + kSessions);
+    EXPECT_EQ(telemetry::decodeEvents(recorder.last()->events).size(), 8u);
 }
 
 PostmortemBundle sampleBundle() {
@@ -317,29 +478,49 @@ engine::ShardEngineOptions chaosOptions(std::uint64_t seed) {
     return options;
 }
 
+/// Runs `jobs` chaos sessions round-robin over the six paper directions on
+/// one shard and returns their outcomes in submission order.
+std::vector<engine::SessionOutcome> chaosOutcomes(std::uint64_t seed, int jobs,
+                                                  const std::string& keyPrefix,
+                                                  std::size_t recorderBytes) {
+    engine::ShardEngineOptions options = chaosOptions(seed);
+    options.engine.recorderSessionBytes = recorderBytes;
+    engine::ShardEngine shardEngine(options);
+    for (int i = 0; i < jobs; ++i) {
+        engine::SessionJob job;
+        job.caseId = bridge::models::kAllCases[static_cast<std::size_t>(i) % 6];
+        job.key = keyPrefix + std::to_string(i);
+        shardEngine.submit(job);
+    }
+    std::vector<engine::SessionOutcome> outcomes;
+    for (const auto& result : shardEngine.run()) {
+        outcomes.insert(outcomes.end(), result.outcomes.begin(), result.outcomes.end());
+    }
+    return outcomes;
+}
+
+// Two bases: a small batch, and a 120-session one whose ring recycles its
+// log buffers many times over. A second recorder-off pass pins each batch
+// as deterministic, so a recorder-on difference can only come from
+// recording.
 TEST(RecorderInvariance, RecordingDoesNotChangeSessionOutcomes) {
-    auto runWorkload = [](std::size_t recorderBytes) {
-        engine::ShardEngineOptions options = chaosOptions(11);
-        options.engine.recorderSessionBytes = recorderBytes;
-        engine::ShardEngine shardEngine(options);
-        for (int i = 0; i < 18; ++i) {
-            engine::SessionJob job;
-            job.caseId = bridge::models::kAllCases[static_cast<std::size_t>(i) % 6];
-            job.key = "inv-" + std::to_string(i);
-            shardEngine.submit(job);
-        }
-        std::vector<engine::SessionOutcome> outcomes;
-        for (const auto& result : shardEngine.run()) {
-            outcomes.insert(outcomes.end(), result.outcomes.begin(), result.outcomes.end());
-        }
-        return outcomes;
+    struct Basis {
+        std::uint64_t seed;
+        int jobs;
+        const char* keyPrefix;
     };
-    const auto off = runWorkload(0);
-    const auto on = runWorkload(1024 * 1024);
-    ASSERT_FALSE(off.empty());
-    ASSERT_EQ(off.size(), on.size());
-    for (std::size_t i = 0; i < off.size(); ++i) {
-        EXPECT_EQ(off[i], on[i]) << "outcome " << i << " changed when the recorder was enabled";
+    for (const Basis& basis : {Basis{11, 18, "inv-"}, Basis{1234, 120, "rec-"}}) {
+        SCOPED_TRACE("seed " + std::to_string(basis.seed));
+        const auto off = chaosOutcomes(basis.seed, basis.jobs, basis.keyPrefix, 0);
+        const auto on = chaosOutcomes(basis.seed, basis.jobs, basis.keyPrefix, 1024 * 1024);
+        const auto offAgain = chaosOutcomes(basis.seed, basis.jobs, basis.keyPrefix, 0);
+        ASSERT_FALSE(off.empty());
+        EXPECT_EQ(off, offAgain) << "the recorder-off batch is not deterministic";
+        ASSERT_EQ(off.size(), on.size());
+        for (std::size_t i = 0; i < off.size(); ++i) {
+            EXPECT_EQ(off[i], on[i]) << "outcome " << i
+                                     << " changed when the recorder was enabled";
+        }
     }
 }
 
