@@ -6,7 +6,7 @@
 
 namespace starlink::automata {
 
-const AbstractMessage* State::message(const std::string& type) const {
+const AbstractMessage* InstanceQueue::latest(const std::string& type) const {
     for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
         if (it->type() == type) return &*it;
     }
@@ -149,10 +149,6 @@ void ColoredAutomaton::validate() const {
                             "' is unreachable from the initial state");
         }
     }
-}
-
-void ColoredAutomaton::reset() {
-    for (auto& [id, state] : states_) state.clearQueue();
 }
 
 }  // namespace starlink::automata

@@ -4,16 +4,16 @@
 //
 // Q are states, M abstract message types, Act = {?, !} with ? receive and
 // ! send, -> the transition relation, and => the history operator. The
-// history operator is not kept as a runtime structure: the per-state message
-// queues hold the instances translation logic reads, and the flight
-// recorder's Transition events hold the path when recording is on. Each
-// state carries the color k of the network semantics in force while the
-// automaton sits in it; the k-colored invariant (all states of a component
-// share one color, and transitions never cross colors -- only
-// delta-transitions of a merged automaton may) is enforced by validate().
+// history operator is not kept as a runtime structure: the per-state
+// instance queues of each engine session hold the instances translation
+// logic reads, and the flight recorder's Transition events hold the path
+// when recording is on. Each state carries the color k of the network
+// semantics in force while the automaton sits in it; the k-colored invariant
+// (all states of a component share one color, and transitions never cross
+// colors -- only delta-transitions of a merged automaton may) is enforced by
+// validate().
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,10 +36,7 @@ struct Transition {
     std::string messageType;
 };
 
-/// One automaton state. The queue stores message INSTANCES seen while
-/// passing through the state ("each state maintains a queue to store both
-/// incoming and outgoing message instances"), which is what translation
-/// logic addresses with s.m.field.
+/// One automaton state.
 class State {
 public:
     State(std::string id, std::uint64_t color, bool accepting)
@@ -50,23 +47,33 @@ public:
     bool accepting() const { return accepting_; }
     void setAccepting(bool accepting) { accepting_ = accepting; }
 
-    // -- message queue -------------------------------------------------------
-    void pushMessage(AbstractMessage message) { queue_.push_back(std::move(message)); }
-
-    /// Latest stored instance of the given type (s.m in the paper), nullptr
-    /// when none.
-    const AbstractMessage* message(const std::string& type) const;
-
-    /// All stored instances in arrival order (s.m-vector).
-    const std::deque<AbstractMessage>& messages() const { return queue_; }
-
-    void clearQueue() { queue_.clear(); }
-
 private:
     std::string id_;
     std::uint64_t color_;
     bool accepting_;
-    std::deque<AbstractMessage> queue_;
+};
+
+/// The message INSTANCES one state has seen during one conversation ("each
+/// state maintains a queue to store both incoming and outgoing message
+/// instances"), which is what translation logic addresses with s.m.field.
+/// Runtime data: the automata engine keeps one queue per state per live
+/// session, so automata stay read-only while bridges run.
+class InstanceQueue {
+public:
+    void push(AbstractMessage message) { queue_.push_back(std::move(message)); }
+
+    /// Latest stored instance of the given type (s.m in the paper), nullptr
+    /// when none.
+    const AbstractMessage* latest(const std::string& type) const;
+
+    /// All stored instances in arrival order (s.m-vector).
+    const std::vector<AbstractMessage>& all() const { return queue_; }
+
+    /// Empties the queue, keeping its capacity for the next conversation.
+    void clear() { queue_.clear(); }
+
+private:
+    std::vector<AbstractMessage> queue_;
 };
 
 class ColoredAutomaton {
@@ -116,9 +123,6 @@ public:
     ///  - every state is reachable from q0,
     ///  - no state has two outgoing transitions on the same (action, type).
     void validate() const;
-
-    /// Empties every state queue (between bridge sessions).
-    void reset();
 
 private:
     /// (Re)builds the per-state dispatch index when dirty. Engines query the

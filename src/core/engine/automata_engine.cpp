@@ -24,7 +24,6 @@ AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
       retryRng_(options.retrySeed),
       sessions_(options.sessionHistoryCapacity),
       spans_(options.spanCapacity),
-      tracer_(spans_),
       recorder_(options.recorderSessionBytes) {
     retrySeedInEffect_ = options_.retrySeed;
     for (const auto& component : merged_->components()) {
@@ -33,7 +32,11 @@ AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
                             "automata engine: no codec supplied for component '" +
                                 component->name() + "'");
         }
+        for (const State* state : component->states()) {
+            stateIndex_.emplace(state->id(), stateIndex_.size());
+        }
     }
+    traffic_.resize(merged_->components().size());
 
     // Resolve every engine metric once; hot-path sites record through these
     // pointers behind the telemetry::enabled() flag.
@@ -55,6 +58,18 @@ AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
     metrics_.messagesIn = &registry.counter(named("starlink_engine_messages_in_total"));
     metrics_.messagesOut = &registry.counter(named("starlink_engine_messages_out_total"));
     metrics_.retransmits = &registry.counter(named("starlink_engine_retransmits_total"));
+    for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+        const char* reason = dropReasonName(static_cast<DropReason>(r));
+        metrics_.dropped[r] = &registry.counter(
+            options_.modelVersion != 0
+                ? telemetry::labeled(
+                      "starlink_engine_datagrams_dropped_total",
+                      {{"bridge", merged_->name()},
+                       {"reason", reason},
+                       {"model_version", std::to_string(options_.modelVersion)}})
+                : telemetry::labeled("starlink_engine_datagrams_dropped_total",
+                                     {{"bridge", merged_->name()}, {"reason", reason}}));
+    }
     metrics_.translationMs = &registry.histogram(
         named("starlink_engine_translation_ms"),
         {50, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600});
@@ -67,16 +82,34 @@ AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
     metrics_.arenaChunks = &registry.gauge(named("starlink_mdl_rx_arena_chunks"));
     metrics_.recorderBytes =
         &registry.gauge(named("starlink_telemetry_recorder_reserved_bytes"));
-
-    // Let the network engine hang its tcp-connect legs onto this engine's
-    // session tree, and mirror its wire traffic into the flight recorder.
-    network_.setTracer(&tracer_);
-    network_.setRecorder(&recorder_);
 }
 
 AutomataEngine::~AutomataEngine() {
-    network_.setTracer(nullptr);
-    network_.setRecorder(nullptr);
+    for (const auto& session : pool_) network_.bindSession(session->slot, nullptr, nullptr);
+}
+
+const char* dropReasonName(DropReason reason) {
+    switch (reason) {
+        case DropReason::InactiveAutomaton: return "inactive-automaton";
+        case DropReason::SendPending: return "send-pending";
+        case DropReason::Unparseable: return "unparseable";
+        case DropReason::NoTransition: return "no-transition";
+        case DropReason::NoSession: return "no-session";
+        case DropReason::SessionCap: return "session-cap";
+    }
+    return "unknown";
+}
+
+errc::ErrorCode dropReasonCode(DropReason reason) {
+    switch (reason) {
+        case DropReason::InactiveAutomaton: return errc::ErrorCode::EngineInactiveAutomaton;
+        case DropReason::SendPending: return errc::ErrorCode::EngineSendPending;
+        case DropReason::Unparseable: return errc::ErrorCode::CodecParse;
+        case DropReason::NoTransition: return errc::ErrorCode::EngineNoTransition;
+        case DropReason::NoSession: return errc::ErrorCode::EngineNoSession;
+        case DropReason::SessionCap: return errc::ErrorCode::EngineOverload;
+    }
+    return errc::ErrorCode::Unclassified;
 }
 
 telemetry::Counter* AutomataEngine::abortedCounter(errc::ErrorCode code) {
@@ -114,23 +147,42 @@ telemetry::Histogram* AutomataEngine::dwellHistogram(const std::string& state) {
     return h;
 }
 
-void AutomataEngine::enterState(const std::string& next) {
-    if (telemetry::enabled() && sessionActive_) {
+void AutomataEngine::enterState(Session& session, const std::string& next) {
+    if (telemetry::enabled() && session.live) {
         const net::TimePoint now = network_.network().now();
         const auto dwell =
             std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-                now - stateEnteredAt_);
-        dwellHistogram(current_)->observe(dwell.count());
-        stateEnteredAt_ = now;
+                now - session.stateEnteredAt);
+        dwellHistogram(session.current)->observe(dwell.count());
+        session.stateEnteredAt = now;
     }
-    current_ = next;
+    session.current = next;
+}
+
+const std::string& AutomataEngine::currentState() const {
+    return live_.empty() ? merged_->initialState() : live_.front()->current;
+}
+
+const ColorTraffic* AutomataEngine::traffic(std::uint64_t k) const {
+    const std::size_t index = componentIndex(k);
+    return index == kNoComponent ? nullptr : &traffic_[index];
+}
+
+std::size_t AutomataEngine::componentIndex(std::uint64_t k) const {
+    const auto& components = merged_->components();
+    for (std::size_t i = 0; i < components.size(); ++i) {
+        if (components[i]->color() == k) return i;
+    }
+    return kNoComponent;
 }
 
 const ColoredAutomaton* AutomataEngine::componentByColor(std::uint64_t k) const {
-    for (const auto& component : merged_->components()) {
-        if (component->color() == k) return component.get();
-    }
-    return nullptr;
+    const std::size_t index = componentIndex(k);
+    return index == kNoComponent ? nullptr : merged_->components()[index].get();
+}
+
+automata::InstanceQueue& AutomataEngine::queueAt(Session& session, const std::string& stateId) {
+    return session.queues[stateIndex_.at(stateId)];
 }
 
 std::shared_ptr<mdl::MessageCodec> AutomataEngine::codecFor(const ColoredAutomaton& a) const {
@@ -157,127 +209,218 @@ void AutomataEngine::start() {
         }
         network_.attach(k, *color, serverRole);
     }
-    network_.setHandler([this](std::uint64_t k, const Bytes& payload, const net::Address& from) {
-        onNetworkMessage(k, payload, from);
-    });
-    network_.setFaultHandler([this](std::uint64_t k, NetworkFault fault,
-                                    const std::string& detail) {
-        onNetworkFault(k, fault, detail);
-    });
-    current_ = merged_->initialState();
+    network_.setHandler([this](std::uint64_t k, const Bytes& payload, const net::Address& from,
+                               std::size_t slot) { onNetworkMessage(k, payload, from, slot); });
+    network_.setFaultHandler(
+        [this](const NetworkEngine::Fault& fault) { onNetworkFault(fault); });
+    openingColor_ = merged_->automatonOf(merged_->initialState())->color();
     running_ = true;
     STARLINK_LOG(Info, "engine") << "bridge '" << merged_->name() << "' listening at "
-                                 << current_;
+                                 << merged_->initialState();
 }
 
 void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload,
-                                      const net::Address& from) {
+                                      const net::Address& from, std::size_t slot) {
     if (!running_) return;
-    const ColoredAutomaton* component = componentByColor(colorK);
-    if (component == nullptr) return;
-    if (component->state(current_) == nullptr) {
+    const std::size_t component = componentIndex(colorK);
+    if (component == kNoComponent) return;
+    Session* session = nullptr;
+    if (slot != NetworkEngine::kUnowned) {
+        // A reply on a session's own socket or connection.
+        if (slot >= pool_.size() || !pool_[slot]->live) {
+            STARLINK_LOG(Debug, "engine") << "ignoring " << payload.size()
+                                          << "-byte message from " << from.toString()
+                                          << ": no live session in slot " << slot;
+            drop(component, DropReason::InactiveAutomaton);
+            return;
+        }
+        session = pool_[slot].get();
+    } else {
+        session = sessionFor(colorK, from);
+        if (session == nullptr) {
+            if (colorK != openingColor_) {
+                STARLINK_LOG(Debug, "engine") << "no single live session for " << payload.size()
+                                              << "-byte message from " << from.toString();
+                drop(component, DropReason::NoSession);
+                return;
+            }
+            session = acquireSession();
+            if (session == nullptr) {
+                STARLINK_LOG(Warn, "engine")
+                    << errc::to_string(errc::ErrorCode::EngineOverload) << ": "
+                    << kMaxLiveSessions << " sessions live; shedding request from "
+                    << from.toString();
+                drop(component, DropReason::SessionCap);
+                return;
+            }
+        }
+    }
+    deliver(*session, component, colorK, payload, from);
+}
+
+AutomataEngine::Session* AutomataEngine::sessionFor(std::uint64_t colorK,
+                                                    const net::Address& from) {
+    for (Session* session : live_) {
+        if (session->keyColor == colorK && session->keyPeer == from) return session;
+    }
+    if (colorK == openingColor_) return nullptr;
+    // Another server-role color: the one session from that host on it.
+    Session* match = nullptr;
+    for (Session* session : live_) {
+        if (session->keyPeer.host != from.host) continue;
+        if (merged_->automatonOf(session->current)->color() != colorK) continue;
+        if (match != nullptr) return nullptr;  // ambiguous
+        match = session;
+    }
+    return match;
+}
+
+AutomataEngine::Session* AutomataEngine::acquireSession() {
+    if (!idle_.empty()) {
+        Session* session = idle_.back();
+        idle_.pop_back();
+        return session;
+    }
+    if (pool_.size() >= kMaxLiveSessions) return nullptr;
+    pool_.push_back(
+        std::make_unique<Session>(pool_.size(), stateIndex_.size(), spans_, recorder_));
+    Session& session = *pool_.back();
+    session.current = merged_->initialState();
+    network_.bindSession(session.slot, &session.tracer, &session.log);
+    return &session;
+}
+
+void AutomataEngine::releaseUnopened(Session& session) {
+    // No live session, no surviving views: drop the junk datagram's arena
+    // bytes so a pre-session flood cannot grow the arena without bound.
+    session.rxArena.reset();
+    idle_.push_back(&session);
+}
+
+void AutomataEngine::drop(std::size_t componentIdx, DropReason reason) {
+    const auto r = static_cast<std::size_t>(reason);
+    ++traffic_[componentIdx].dropped[r];
+    if (telemetry::enabled()) metrics_.dropped[r]->add();
+}
+
+void AutomataEngine::openSession(Session& session, std::uint64_t colorK,
+                                 const net::Address& from) {
+    session.live = true;
+    session.keyColor = colorK;
+    session.keyPeer = from;
+    session.record = SessionRecord{};
+    session.record.firstReceive = network_.network().now();
+    session.stateEnteredAt = session.record.firstReceive;
+    session.ordinal = ++sessionOrdinal_;
+    session.seed = sessionSeed_;
+    // The jitter generator's position at session start: a postmortem
+    // bundle re-derives it as (seed, draws burned).
+    session.retrySeed = retrySeedInEffect_;
+    session.startRetryDraws = retryDrawsSinceSeed_;
+    live_.push_back(&session);
+    session.log.beginSession(session.ordinal,
+                             session.record.firstReceive.time_since_epoch().count());
+    if (session.tracer.enabled()) {
+        const telemetry::SpanId root = session.tracer.beginSession(session.record.firstReceive);
+        session.tracer.attr(root, "bridge", merged_->name());
+    }
+    if (options_.sessionTimeout.count() > 0) {
+        session.timeoutEvent = network_.network().scheduler().schedule(
+            options_.sessionTimeout, [this, s = &session] {
+                s->timeoutEvent.reset();
+                if (s->live) {
+                    STARLINK_LOG(Warn, "engine") << "session timed out in state " << s->current;
+                    completeSession(*s, false, FailureCause::Timeout,
+                                    errc::ErrorCode::EngineSessionTimeout);
+                }
+            });
+    }
+}
+
+void AutomataEngine::deliver(Session& session, std::size_t componentIdx, std::uint64_t colorK,
+                             const Bytes& payload, const net::Address& from) {
+    const ColoredAutomaton& component = *merged_->components()[componentIdx];
+    if (component.state(session.current) == nullptr) {
         STARLINK_LOG(Debug, "engine") << "ignoring " << payload.size()
                                       << "-byte message from " << from.toString()
-                                      << ": automaton '" << component->name()
+                                      << ": automaton '" << component.name()
                                       << "' is not active";
+        drop(componentIdx, DropReason::InactiveAutomaton);
+        if (!session.live) releaseUnopened(session);
         return;
     }
-    if (sendPending_) {
+    if (session.sendPending) {
         STARLINK_LOG(Debug, "engine") << "ignoring message while a send is in progress";
+        drop(componentIdx, DropReason::SendPending);
         return;
     }
 
     std::string parseError;
-    const std::uint64_t parseWall0 = tracer_.enabled() ? telemetry::wallNowNs() : 0;
+    const std::uint64_t parseWall0 = session.tracer.enabled() ? telemetry::wallNowNs() : 0;
     // Zero-copy path: field values borrow from the arena's datagram copy.
     // Everything parsed here dies before the session boundary (stored
-    // automaton instances, this frame).
-    auto message = codecFor(*component)->parse(payload, &rxArena_, &parseError);
+    // instances, this frame).
+    auto message = codecFor(component)->parse(payload, &session.rxArena, &parseError);
     const std::uint64_t parseWallNs =
         parseWall0 != 0 ? telemetry::wallSinceNs(parseWall0) : 0;
     if (!message) {
-        STARLINK_LOG(Warn, "engine") << "unparseable " << component->name()
+        STARLINK_LOG(Warn, "engine") << "unparseable " << component.name()
                                      << " message from " << from.toString() << ": "
                                      << parseError;
-        // No live session, no surviving views: drop the junk datagram's arena
-        // bytes so a pre-session flood cannot grow the arena without bound.
-        if (!sessionActive_) rxArena_.reset();
+        drop(componentIdx, DropReason::Unparseable);
+        if (!session.live) releaseUnopened(session);
         return;
     }
 
     const Transition* transition =
-        component->transitionFor(current_, Action::Receive, message->type());
+        component.transitionFor(session.current, Action::Receive, message->type());
     if (transition == nullptr) {
-        STARLINK_LOG(Debug, "engine") << "no receive-transition from " << current_ << " on ?"
-                                      << message->type() << "; dropping";
-        if (!sessionActive_) rxArena_.reset();
+        STARLINK_LOG(Debug, "engine") << "no receive-transition from " << session.current
+                                      << " on ?" << message->type() << "; dropping";
+        drop(componentIdx, DropReason::NoTransition);
+        if (!session.live) releaseUnopened(session);
         return;
     }
 
-    if (!sessionActive_) {
-        sessionActive_ = true;
-        liveSession_ = SessionRecord{};
-        liveSession_.firstReceive = network_.network().now();
-        stateEnteredAt_ = liveSession_.firstReceive;
-        ++sessionOrdinal_;
-        // The jitter generator's position at session start: a postmortem
-        // bundle re-derives it as (seed, draws burned).
-        sessionStartRetryDraws_ = retryDrawsSinceSeed_;
-        recorder_.beginSession(sessionOrdinal_,
-                               liveSession_.firstReceive.time_since_epoch().count());
-        if (tracer_.enabled()) {
-            const telemetry::SpanId root = tracer_.beginSession(liveSession_.firstReceive);
-            tracer_.attr(root, "bridge", merged_->name());
-        }
-        if (options_.sessionTimeout.count() > 0) {
-            timeoutEvent_ = network_.network().scheduler().schedule(
-                options_.sessionTimeout, [this] {
-                    timeoutEvent_.reset();
-                    if (sessionActive_) {
-                        STARLINK_LOG(Warn, "engine") << "session timed out in state " << current_;
-                        completeSession(false, FailureCause::Timeout,
-                                        errc::ErrorCode::EngineSessionTimeout);
-                    }
-                });
-        }
-    }
-    ++liveSession_.messagesIn;
+    if (!session.live) openSession(session, colorK, from);
+    ++session.record.messagesIn;
+    ++traffic_[componentIdx].accepted;
     if (telemetry::enabled()) metrics_.messagesIn->add();
     // The wait is over: an accepted message stands down the pending
     // retransmission deadline, and the idle deadline re-arms from now.
-    cancelRetransmit();
-    armIdleTimeout();
-    if (tracer_.inSession()) {
+    cancelRetransmit(session);
+    armIdleTimeout(session);
+    telemetry::SessionTracer& tracer = session.tracer;
+    if (tracer.inSession()) {
         const net::TimePoint now = network_.network().now();
-        if (waitSpan_ != 0) {
-            tracer_.attr(waitSpan_, "message_type", message->type());
-            tracer_.end(waitSpan_, now);
-            waitSpan_ = 0;
+        if (session.waitSpan != 0) {
+            tracer.attr(session.waitSpan, "message_type", message->type());
+            tracer.end(session.waitSpan, now);
+            session.waitSpan = 0;
         }
-        const telemetry::SpanId parseSpan = tracer_.instant("parse", now, parseWallNs);
-        tracer_.attr(parseSpan, "protocol", component->name());
-        tracer_.attr(parseSpan, "message_type", message->type());
-        tracer_.attr(parseSpan, "state", current_);
-        tracer_.attr(parseSpan, "bytes", std::to_string(payload.size()));
+        const telemetry::SpanId parseSpan = tracer.instant("parse", now, parseWallNs);
+        tracer.attr(parseSpan, "protocol", component.name());
+        tracer.attr(parseSpan, "message_type", message->type());
+        tracer.attr(parseSpan, "state", session.current);
+        tracer.attr(parseSpan, "bytes", std::to_string(payload.size()));
     }
     // Only an accepted message establishes the reply route for its color.
-    network_.notePeer(colorK, from);
-    if (recorder_.inSession()) {
+    network_.notePeer(colorK, from, session.slot);
+    if (session.log.inSession()) {
         const std::int64_t ts = network_.network().now().time_since_epoch().count();
-        recorder_.recordRx(ts, colorK, from.toString(), network_.endpointAddress(colorK),
-                           payload);
-        recorder_.recordTransition(ts, component->name(), transition->from, transition->to,
-                                   telemetry::WireEvent::kActionReceive, message->type());
+        session.log.recordRx(ts, colorK, from.toString(), network_.endpointAddress(colorK),
+                             payload);
+        session.log.recordTransition(ts, component.name(), transition->from, transition->to,
+                                     telemetry::WireEvent::kActionReceive, message->type());
     }
 
     // Store the instance at the entered state (see header note) and advance.
     // The stored message may hold arena views -- legal, it dies at the
     // session boundary before the arena resets.
-    merged_->automatonOf(transition->to)->state(transition->to)->pushMessage(
-        std::move(*message));
-    enterState(transition->to);
-    lastWasDelta_ = false;
-    safeProceed();
+    queueAt(session, transition->to).push(std::move(*message));
+    enterState(session, transition->to);
+    session.lastWasDelta = false;
+    safeProceed(session);
 }
 
 FailureCause AutomataEngine::classify(const std::exception& error) {
@@ -290,48 +433,62 @@ FailureCause AutomataEngine::classify(const std::exception& error) {
     return FailureCause::DecodeError;
 }
 
-void AutomataEngine::safeProceed() {
+void AutomataEngine::safeProceed(Session& session) {
     // Translation failures at runtime (a peer's message lacking a field an
     // assignment needs, a value a T function rejects, an unencodable
     // compose) abort the CONVERSATION, never the connector: the bridge logs,
     // resets, and keeps serving.
     try {
-        proceed();
+        proceed(session);
     } catch (const std::exception& error) {
-        STARLINK_LOG(Error, "engine") << "session aborted in state " << current_ << ": "
+        STARLINK_LOG(Error, "engine") << "session aborted in state " << session.current << ": "
                                       << error.what();
         // Record the throwing layer's exact code (merge.translation-rejected,
         // codec.compose, ...); an uncoded exception records Unclassified,
         // which the fuzz harness counts as a taxonomy escape.
-        if (sessionActive_) completeSession(false, classify(error), starlink::to_error_code(error));
+        if (session.live) {
+            completeSession(session, false, classify(error), starlink::to_error_code(error));
+        }
     }
 }
 
-void AutomataEngine::onNetworkFault(std::uint64_t colorK, NetworkFault fault,
-                                    const std::string& detail) {
-    if (!running_ || !sessionActive_) return;
+void AutomataEngine::onNetworkFault(const NetworkEngine::Fault& fault) {
+    if (!running_) return;
+    Session* session = nullptr;
+    if (fault.slot == NetworkEngine::kUnowned) {
+        session = sessionFor(fault.color, fault.peer);
+    } else if (fault.slot < pool_.size()) {
+        session = pool_[fault.slot].get();
+    }
+    if (session == nullptr || !session->live) return;
     // Only fatal when the session is currently engaged with the faulting
     // color: a peer closing a connection the conversation has moved past
     // (e.g. an HTTP client hanging up after its fetch) is routine.
-    const ColoredAutomaton* component = componentByColor(colorK);
-    if (component == nullptr || component->state(current_) == nullptr) {
-        STARLINK_LOG(Debug, "engine") << "ignoring off-session network fault: " << detail;
+    const ColoredAutomaton* component = componentByColor(fault.color);
+    if (component == nullptr || component->state(session->current) == nullptr) {
+        STARLINK_LOG(Debug, "engine") << "ignoring off-session network fault: " << fault.detail;
         return;
     }
-    STARLINK_LOG(Warn, "engine") << "session aborted by network fault in state " << current_
-                                 << ": " << detail;
-    completeSession(false, fault == NetworkFault::ConnectRefused ? FailureCause::ConnectRefused
-                                                                 : FailureCause::PeerClosed);
+    STARLINK_LOG(Warn, "engine") << "session aborted by network fault in state "
+                                 << session->current << ": " << fault.detail;
+    // An ordinary close keeps the coarse cause's code; a coded close (the OS
+    // backend refusing an oversize frame) is recorded as it came.
+    const bool refused = fault.fault == NetworkFault::ConnectRefused;
+    const errc::ErrorCode code = !refused && fault.cause != errc::ErrorCode::NetPeerClosed
+                                     ? fault.cause
+                                     : errc::ErrorCode::Ok;
+    completeSession(*session, false,
+                    refused ? FailureCause::ConnectRefused : FailureCause::PeerClosed, code);
 }
 
-void AutomataEngine::proceed() {
-    while (running_ && sessionActive_) {
-        const ColoredAutomaton* component = merged_->automatonOf(current_);
+void AutomataEngine::proceed(Session& session) {
+    while (running_ && session.live) {
+        const ColoredAutomaton* component = merged_->automatonOf(session.current);
 
         // 1. Delta-transition, unless we just arrived through one.
-        if (!lastWasDelta_) {
-            if (const merge::DeltaTransition* delta = merged_->deltaFrom(current_)) {
-                takeDelta(*delta);
+        if (!session.lastWasDelta) {
+            if (const merge::DeltaTransition* delta = merged_->deltaFrom(session.current)) {
+                takeDelta(session, *delta);
                 continue;
             }
         }
@@ -339,11 +496,11 @@ void AutomataEngine::proceed() {
         // 2. Unique send-transition.
         const Transition* send = nullptr;
         bool hasReceive = false;
-        for (const Transition* t : component->transitionsFrom(current_)) {
+        for (const Transition* t : component->transitionsFrom(session.current)) {
             if (t->action == Action::Send) {
                 if (send != nullptr) {
                     throw SpecError(errc::ErrorCode::EngineAmbiguousSend,
-                                    "automata engine: state '" + current_ +
+                                    "automata engine: state '" + session.current +
                                         "' has several outgoing send-transitions; the merged "
                                         "automaton is ambiguous");
                 }
@@ -353,40 +510,43 @@ void AutomataEngine::proceed() {
             }
         }
         if (send != nullptr) {
-            scheduleSend(*send);
+            scheduleSend(session, *send);
             return;
         }
 
         // 3. Wait or finish.
-        lastWasDelta_ = false;
-        const bool canMoveOn = hasReceive || merged_->deltaFrom(current_) != nullptr;
-        if (!canMoveOn && merged_->acceptingStates().contains(current_)) {
-            completeSession(true);
+        session.lastWasDelta = false;
+        const bool canMoveOn = hasReceive || merged_->deltaFrom(session.current) != nullptr;
+        if (!canMoveOn && merged_->acceptingStates().contains(session.current)) {
+            completeSession(session, true);
             return;
         }
         // Settling into a wait: give the silence a deadline so a lost
         // datagram (ours or the peer's reply) is re-solicited instead of
         // wedging the conversation.
-        if (hasReceive && sessionActive_) {
-            if (tracer_.inSession() && waitSpan_ == 0) {
-                waitSpan_ = tracer_.begin("receive-wait", network_.network().now());
-                tracer_.attr(waitSpan_, "state", current_);
+        if (hasReceive && session.live) {
+            if (session.tracer.inSession() && session.waitSpan == 0) {
+                session.waitSpan =
+                    session.tracer.begin("receive-wait", network_.network().now());
+                session.tracer.attr(session.waitSpan, "state", session.current);
             }
-            armRetransmit();
+            armRetransmit(session);
         }
         return;
     }
 }
 
-void AutomataEngine::takeDelta(const merge::DeltaTransition& delta) {
+void AutomataEngine::takeDelta(Session& session, const merge::DeltaTransition& delta) {
     for (const merge::NetworkAction& action : delta.actions) {
         if (action.name == "set_host") {
             if (action.args.size() != 2) {
                 throw SpecError(errc::ErrorCode::BridgeInvalid,
                                 "automata engine: set_host expects (host, port) arguments");
             }
-            const Value host = resolveRef(action.args[0].ref, action.args[0].transform);
-            const Value port = resolveRef(action.args[1].ref, action.args[1].transform);
+            const Value host =
+                resolveRef(session, action.args[0].ref, action.args[0].transform);
+            const Value port =
+                resolveRef(session, action.args[1].ref, action.args[1].transform);
             const auto hostText = host.coerceTo(ValueType::String);
             const auto portInt = port.coerceTo(ValueType::Int);
             if (!hostText || !portInt) {
@@ -396,65 +556,66 @@ void AutomataEngine::takeDelta(const merge::DeltaTransition& delta) {
             }
             const ColoredAutomaton* target = merged_->automatonOf(delta.to);
             network_.setHost(target->color(), *hostText->asString(),
-                             static_cast<int>(*portInt->asInt()));
+                             static_cast<int>(*portInt->asInt()), session.slot);
         } else {
             throw SpecError(errc::ErrorCode::EngineUnknownAction,
                             "automata engine: unknown lambda action '" + action.name + "'");
         }
     }
-    if (recorder_.inSession()) {
-        recorder_.recordTransition(network_.network().now().time_since_epoch().count(),
-                                   merged_->automatonOf(delta.from)->name(), delta.from,
-                                   delta.to, telemetry::WireEvent::kActionDelta, "");
+    if (session.log.inSession()) {
+        session.log.recordTransition(network_.network().now().time_since_epoch().count(),
+                                     merged_->automatonOf(delta.from)->name(), delta.from,
+                                     delta.to, telemetry::WireEvent::kActionDelta, "");
     }
     STARLINK_LOG(Debug, "engine") << "delta " << delta.from << " -> " << delta.to;
-    enterState(delta.to);
-    lastWasDelta_ = true;
+    enterState(session, delta.to);
+    session.lastWasDelta = true;
 }
 
-void AutomataEngine::scheduleSend(const Transition& transition) {
-    sendPending_ = true;
+void AutomataEngine::scheduleSend(Session& session, const Transition& transition) {
+    session.sendPending = true;
     // The translate leg opens NOW: its virtual extent is exactly the
     // processingDelay window the session is about to be charged.
     telemetry::SpanId translateSpan = 0;
-    if (tracer_.inSession()) {
-        translateSpan = tracer_.begin("translate", network_.network().now());
-        tracer_.attr(translateSpan, "state", transition.from);
-        tracer_.attr(translateSpan, "message_type", transition.messageType);
-        tracer_.attr(translateSpan, "automaton",
-                     merged_->automatonOf(transition.from)->name());
+    if (session.tracer.inSession()) {
+        translateSpan = session.tracer.begin("translate", network_.network().now());
+        session.tracer.attr(translateSpan, "state", transition.from);
+        session.tracer.attr(translateSpan, "message_type", transition.messageType);
+        session.tracer.attr(translateSpan, "automaton",
+                            merged_->automatonOf(transition.from)->name());
     }
     // The interpretation cost of translating + composing, charged in virtual
-    // time so Fig 12(b)-style measures include it.
-    // Copy the transition: the engine may outlive iterator stability games.
-    network_.network().scheduler().schedule(options_.processingDelay,
-                                            [this, transition = transition, translateSpan] {
-        if (!running_ || !sessionActive_) return;
-        try {
-            performSend(transition, translateSpan);
-        } catch (const std::exception& error) {
-            STARLINK_LOG(Error, "engine") << "send of !" << transition.messageType
-                                          << " failed, aborting session: " << error.what();
-            completeSession(false, classify(error), starlink::to_error_code(error));
-        }
-    });
+    // time so Fig 12(b)-style measures include it. The ordinal guards against
+    // the pooled session having moved on to another conversation meanwhile.
+    network_.network().scheduler().schedule(
+        options_.processingDelay,
+        [this, s = &session, ordinal = session.ordinal, transition = transition, translateSpan] {
+            if (!running_ || !s->live || s->ordinal != ordinal) return;
+            try {
+                performSend(*s, transition, translateSpan);
+            } catch (const std::exception& error) {
+                STARLINK_LOG(Error, "engine") << "send of !" << transition.messageType
+                                              << " failed, aborting session: " << error.what();
+                completeSession(*s, false, classify(error), starlink::to_error_code(error));
+            }
+        });
 }
 
-void AutomataEngine::performSend(const Transition& transition,
+void AutomataEngine::performSend(Session& session, const Transition& transition,
                                  telemetry::SpanId translateSpan) {
-    ColoredAutomaton* component = merged_->automatonOf(transition.from);
-    const bool tracing = tracer_.inSession() && translateSpan != 0;
+    const ColoredAutomaton* component = merged_->automatonOf(transition.from);
+    telemetry::SessionTracer& tracer = session.tracer;
+    const bool tracing = tracer.inSession() && translateSpan != 0;
     const net::TimePoint now = network_.network().now();
-    if (recorder_.inSession()) {
-        recorder_.recordTranslate(now.time_since_epoch().count(), transition.from,
-                                  transition.messageType);
+    if (session.log.inSession()) {
+        session.log.recordTranslate(now.time_since_epoch().count(), transition.from,
+                                    transition.messageType);
     }
 
     std::uint64_t wall0 = tracing ? telemetry::wallNowNs() : 0;
-    AbstractMessage outgoing = buildOutgoing(transition.from, transition.messageType);
+    AbstractMessage outgoing = buildOutgoing(session, transition.from, transition.messageType);
     if (tracing) {
-        tracer_.instant("translation-logic", now, telemetry::wallSinceNs(wall0),
-                        translateSpan);
+        tracer.instant("translation-logic", now, telemetry::wallSinceNs(wall0), translateSpan);
         wall0 = telemetry::wallNowNs();
     }
     // Compose into the engine-lifetime scratch buffer: steady-state sessions
@@ -462,60 +623,60 @@ void AutomataEngine::performSend(const Transition& transition,
     codecFor(*component)->composeInto(outgoing, composeScratch_);
     if (tracing) {
         const telemetry::SpanId composeSpan =
-            tracer_.instant("compose", now, telemetry::wallSinceNs(wall0), translateSpan);
-        tracer_.attr(composeSpan, "protocol", component->name());
-        tracer_.attr(composeSpan, "bytes", std::to_string(composeScratch_.size()));
+            tracer.instant("compose", now, telemetry::wallSinceNs(wall0), translateSpan);
+        tracer.attr(composeSpan, "protocol", component->name());
+        tracer.attr(composeSpan, "bytes", std::to_string(composeScratch_.size()));
         wall0 = telemetry::wallNowNs();
     }
-    network_.send(component->color(), composeScratch_);
-    if (recorder_.inSession()) {
+    network_.send(component->color(), composeScratch_, session.slot);
+    if (session.log.inSession()) {
         // The Tx event itself is recorded by the network engine at the
         // actual wire moment (live send vs backlog flush); here only the
         // automaton step.
-        recorder_.recordTransition(now.time_since_epoch().count(), component->name(),
-                                   transition.from, transition.to,
-                                   telemetry::WireEvent::kActionSend, transition.messageType);
+        session.log.recordTransition(now.time_since_epoch().count(), component->name(),
+                                     transition.from, transition.to,
+                                     telemetry::WireEvent::kActionSend, transition.messageType);
     }
     if (tracing) {
         const telemetry::SpanId sendSpan =
-            tracer_.instant("send", now, telemetry::wallSinceNs(wall0), translateSpan);
-        tracer_.attr(sendSpan, "bytes", std::to_string(composeScratch_.size()));
+            tracer.instant("send", now, telemetry::wallSinceNs(wall0), translateSpan);
+        tracer.attr(sendSpan, "bytes", std::to_string(composeScratch_.size()));
     }
 
     // Keep the encoded request: if the following wait's deadline lapses the
     // engine re-sends these exact bytes. A fresh send resets the per-wait
     // retry budget.
-    lastSentColor_ = component->color();
-    lastSentPayload_ = composeScratch_;
-    retransmitsUsed_ = 0;
+    session.lastSentColor = component->color();
+    session.lastSentPayload = composeScratch_;
+    session.retransmitsUsed = 0;
 
-    component->state(transition.from)->pushMessage(std::move(outgoing));
-    liveSession_.lastSend = now;
-    if (!liveSession_.clientReply &&
-        component == merged_->automatonOf(merged_->initialState())) {
-        liveSession_.clientReply = liveSession_.lastSend;
+    queueAt(session, transition.from).push(std::move(outgoing));
+    SessionRecord& record = session.record;
+    record.lastSend = now;
+    if (!record.clientReply && component == merged_->automatonOf(merged_->initialState())) {
+        record.clientReply = record.lastSend;
     }
-    ++liveSession_.messagesOut;
+    ++record.messagesOut;
     if (telemetry::enabled()) metrics_.messagesOut->add();
-    armIdleTimeout();
-    if (tracing) tracer_.end(translateSpan, now);
+    armIdleTimeout(session);
+    if (tracing) tracer.end(translateSpan, now);
     STARLINK_LOG(Debug, "engine") << "sent !" << transition.messageType << " from "
                                   << transition.from;
 
-    enterState(transition.to);
-    lastWasDelta_ = false;
-    sendPending_ = false;
-    proceed();
+    enterState(session, transition.to);
+    session.lastWasDelta = false;
+    session.sendPending = false;
+    proceed(session);
 }
 
-AbstractMessage AutomataEngine::buildOutgoing(const std::string& stateId,
+AbstractMessage AutomataEngine::buildOutgoing(const Session& session, const std::string& stateId,
                                               const std::string& messageType) {
     AbstractMessage message(messageType);
     for (const merge::Assignment* assignment :
          merged_->assignmentsTargeting(stateId, messageType)) {
         Value value;
         if (assignment->source) {
-            value = resolveRef(*assignment->source, assignment->transform);
+            value = resolveRef(session, *assignment->source, assignment->transform);
         } else {
             value = Value::ofString(assignment->constant.value_or(""));
             if (!assignment->transform.empty()) {
@@ -544,14 +705,15 @@ AbstractMessage AutomataEngine::buildOutgoing(const std::string& stateId,
     return message;
 }
 
-Value AutomataEngine::resolveRef(const merge::FieldRef& ref, const std::string& transform) const {
-    const ColoredAutomaton* component = merged_->automatonOf(ref.state);
-    if (component == nullptr) {
+Value AutomataEngine::resolveRef(const Session& session, const merge::FieldRef& ref,
+                                 const std::string& transform) const {
+    const auto slot = stateIndex_.find(ref.state);
+    if (slot == stateIndex_.end()) {
         throw SpecError(errc::ErrorCode::EngineFieldUnresolved,
                         "automata engine: field reference " + ref.toString() +
                             " names an unknown state");
     }
-    const AbstractMessage* message = component->state(ref.state)->message(ref.messageType);
+    const AbstractMessage* message = session.queues[slot->second].latest(ref.messageType);
     if (message == nullptr) {
         throw SpecError(errc::ErrorCode::EngineFieldUnresolved,
                         "automata engine: no instance of " + ref.messageType +
@@ -579,24 +741,24 @@ Value AutomataEngine::resolveRef(const merge::FieldRef& ref, const std::string& 
     return *transformed;
 }
 
-void AutomataEngine::cancelRetransmit() {
-    if (retransmitEvent_) {
-        network_.network().scheduler().cancel(*retransmitEvent_);
-        retransmitEvent_.reset();
+void AutomataEngine::cancelRetransmit(Session& session) {
+    if (session.retransmitEvent) {
+        network_.network().scheduler().cancel(*session.retransmitEvent);
+        session.retransmitEvent.reset();
     }
 }
 
-void AutomataEngine::armRetransmit() {
-    cancelRetransmit();
-    if (options_.maxRetransmits <= 0 || !lastSentPayload_) return;
-    const automata::Color* color = colors_.lookup(lastSentColor_);
+void AutomataEngine::armRetransmit(Session& session) {
+    cancelRetransmit(session);
+    if (options_.maxRetransmits <= 0 || !session.lastSentPayload) return;
+    const automata::Color* color = colors_.lookup(session.lastSentColor);
     // Only datagram requests are worth re-sending: tcp delivers reliably, and
     // its genuine failures arrive as connect-refused/peer-closed faults.
     if (color == nullptr || color->transport() != "udp") return;
     const net::Duration deadline = options_.receiveTimeout;
     if (deadline.count() <= 0) return;
     double scale = 1.0;
-    for (int attempt = 0; attempt < retransmitsUsed_; ++attempt) {
+    for (int attempt = 0; attempt < session.retransmitsUsed; ++attempt) {
         scale *= options_.retransmitBackoff;
     }
     net::Duration wait{static_cast<net::Duration::rep>(
@@ -605,106 +767,107 @@ void AutomataEngine::armRetransmit() {
         wait += net::Duration{retryRng_.range(0, options_.retransmitJitter.count())};
         ++retryDrawsSinceSeed_;  // range() consumes exactly one draw
     }
-    retransmitEvent_ = network_.network().scheduler().schedule(wait, [this] {
-        retransmitEvent_.reset();
-        onReceiveDeadline();
-    });
+    session.retransmitEvent =
+        network_.network().scheduler().schedule(wait, [this, s = &session] {
+            s->retransmitEvent.reset();
+            onReceiveDeadline(*s);
+        });
 }
 
-void AutomataEngine::onReceiveDeadline() {
-    if (!running_ || !sessionActive_ || !lastSentPayload_) return;
-    if (retransmitsUsed_ >= options_.maxRetransmits) {
-        STARLINK_LOG(Warn, "engine") << "no reply in state " << current_ << " after "
-                                     << retransmitsUsed_
+void AutomataEngine::onReceiveDeadline(Session& session) {
+    if (!running_ || !session.live || !session.lastSentPayload) return;
+    if (session.retransmitsUsed >= options_.maxRetransmits) {
+        STARLINK_LOG(Warn, "engine") << "no reply in state " << session.current << " after "
+                                     << session.retransmitsUsed
                                      << " retransmissions; aborting session";
         // Coarse cause stays Timeout for compatibility; the code tells a
         // drained retry budget apart from the session watchdog.
-        completeSession(false, FailureCause::Timeout, errc::ErrorCode::EngineRetryExhausted);
+        completeSession(session, false, FailureCause::Timeout,
+                        errc::ErrorCode::EngineRetryExhausted);
         return;
     }
-    ++retransmitsUsed_;
-    ++liveSession_.retransmits;
+    ++session.retransmitsUsed;
+    ++session.record.retransmits;
     if (telemetry::enabled()) metrics_.retransmits->add();
-    STARLINK_LOG(Debug, "engine") << "reply deadline lapsed in state " << current_
-                                  << "; retransmission " << retransmitsUsed_ << "/"
+    STARLINK_LOG(Debug, "engine") << "reply deadline lapsed in state " << session.current
+                                  << "; retransmission " << session.retransmitsUsed << "/"
                                   << options_.maxRetransmits;
     try {
-        network_.send(lastSentColor_, *lastSentPayload_);
+        network_.send(session.lastSentColor, *session.lastSentPayload, session.slot);
     } catch (const std::exception& error) {
         STARLINK_LOG(Error, "engine") << "retransmission failed, aborting session: "
                                       << error.what();
-        completeSession(false, classify(error), starlink::to_error_code(error));
+        completeSession(session, false, classify(error), starlink::to_error_code(error));
         return;
     }
     // The re-sent request is a real datagram on the wire: count it, so the
     // session record agrees with the network engine's per-color counters.
-    ++liveSession_.messagesOut;
+    ++session.record.messagesOut;
     if (telemetry::enabled()) metrics_.messagesOut->add();
-    if (tracer_.inSession()) {
-        const telemetry::SpanId id = tracer_.instant(
-            "retransmit", network_.network().now(), 0, waitSpan_);
-        tracer_.attr(id, "state", current_);
-        tracer_.attr(id, "attempt", std::to_string(retransmitsUsed_));
-        tracer_.attr(id, "bytes", std::to_string(lastSentPayload_->size()));
+    if (session.tracer.inSession()) {
+        const telemetry::SpanId id = session.tracer.instant(
+            "retransmit", network_.network().now(), 0, session.waitSpan);
+        session.tracer.attr(id, "state", session.current);
+        session.tracer.attr(id, "attempt", std::to_string(session.retransmitsUsed));
+        session.tracer.attr(id, "bytes", std::to_string(session.lastSentPayload->size()));
     }
-    armRetransmit();
+    armRetransmit(session);
 }
 
-void AutomataEngine::completeSession(bool completed, FailureCause cause, errc::ErrorCode code) {
-    liveSession_.completed = completed;
-    liveSession_.cause = completed ? FailureCause::None : cause;
+void AutomataEngine::completeSession(Session& session, bool completed, FailureCause cause,
+                                     errc::ErrorCode code) {
+    SessionRecord& record = session.record;
+    record.completed = completed;
+    record.cause = completed ? FailureCause::None : cause;
     // Exact code when the abort path supplied one; otherwise the coarse
     // cause's floor code. Unclassified (an uncoded exception) is preserved,
     // not masked -- it is the taxonomy-escape signal the fuzzers hunt.
-    liveSession_.code = completed ? errc::ErrorCode::Ok
-                        : code != errc::ErrorCode::Ok ? code
-                                                      : to_error_code(liveSession_.cause);
-    liveSession_.modelVersion = options_.modelVersion;
-    sessions_.record(liveSession_);
+    record.code = completed ? errc::ErrorCode::Ok
+                  : code != errc::ErrorCode::Ok ? code
+                                                : to_error_code(record.cause);
+    record.modelVersion = options_.modelVersion;
+    sessions_.record(record);
     if (telemetry::enabled()) {
         if (completed) {
             metrics_.sessionsCompleted->add();
         } else {
-            abortedCounter(liveSession_.code)->add();
+            abortedCounter(record.code)->add();
         }
         metrics_.translationMs->observe(
             std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-                liveSession_.translationTime())
+                record.translationTime())
                 .count());
     }
-    const std::uint64_t spanSession = tracer_.inSession() ? tracer_.sessionOrdinal() : 0;
-    if (tracer_.inSession()) {
+    telemetry::SessionTracer& tracer = session.tracer;
+    const std::uint64_t spanSession = tracer.inSession() ? tracer.sessionOrdinal() : 0;
+    if (tracer.inSession()) {
         const net::TimePoint now = network_.network().now();
-        if (waitSpan_ != 0) {
+        if (session.waitSpan != 0) {
             // The wait genuinely ends here (watchdog / budget exhaustion),
             // not as a truncation artifact.
-            tracer_.end(waitSpan_, now);
+            tracer.end(session.waitSpan, now);
         }
-        const telemetry::SpanId root = tracer_.sessionSpan();
-        tracer_.attr(root, "result",
-                     completed ? "completed" : failureCauseName(liveSession_.cause));
+        const telemetry::SpanId root = tracer.sessionSpan();
+        tracer.attr(root, "result", completed ? "completed" : failureCauseName(record.cause));
         if (!completed) {
-            tracer_.attr(root, "error_code",
-                         std::to_string(errc::to_error_code(liveSession_.code)));
-            tracer_.attr(root, "error_name", errc::to_string(liveSession_.code));
+            tracer.attr(root, "error_code", std::to_string(errc::to_error_code(record.code)));
+            tracer.attr(root, "error_name", errc::to_string(record.code));
         }
-        tracer_.attr(root, "messages_in", std::to_string(liveSession_.messagesIn));
-        tracer_.attr(root, "messages_out", std::to_string(liveSession_.messagesOut));
-        tracer_.attr(root, "retransmits", std::to_string(liveSession_.retransmits));
-        tracer_.attr(root, "translation_us",
-                     std::to_string(liveSession_.translationTime().count()));
-        tracer_.endSession(now);
+        tracer.attr(root, "messages_in", std::to_string(record.messagesIn));
+        tracer.attr(root, "messages_out", std::to_string(record.messagesOut));
+        tracer.attr(root, "retransmits", std::to_string(record.retransmits));
+        tracer.attr(root, "translation_us", std::to_string(record.translationTime().count()));
+        tracer.endSession(now);
     }
-    waitSpan_ = 0;
-    if (recorder_.inSession()) {
-        recorder_.endSession(network_.network().now().time_since_epoch().count(),
-                             errc::to_error_code(liveSession_.code),
-                             static_cast<std::uint8_t>(liveSession_.cause),
-                             liveSession_.completed, liveSession_.messagesIn,
-                             liveSession_.messagesOut, liveSession_.retransmits);
+    session.waitSpan = 0;
+    if (session.log.inSession()) {
+        session.log.endSession(network_.network().now().time_since_epoch().count(),
+                               errc::to_error_code(record.code),
+                               static_cast<std::uint8_t>(record.cause), record.completed,
+                               record.messagesIn, record.messagesOut, record.retransmits);
         // Any non-zero terminal code ships a postmortem bundle to the spool:
         // the captured events plus everything replay needs to re-run them.
-        if (!liveSession_.completed && options_.postmortemSpool != nullptr &&
+        if (!record.completed && options_.postmortemSpool != nullptr &&
             recorder_.last() != nullptr) {
             const telemetry::FlightRecorder::SessionLog& log = *recorder_.last();
             telemetry::PostmortemBundle bundle;
@@ -712,13 +875,13 @@ void AutomataEngine::completeSession(bool completed, FailureCause cause, errc::E
             bundle.caseSlug = options_.recorderCase;
             bundle.bridgeHost = options_.bridgeHost;
             bundle.shard = options_.shardId;
-            bundle.sessionOrdinal = sessionOrdinal_;
-            bundle.sessionSeed = sessionSeed_;
-            bundle.retrySeed = retrySeedInEffect_;
-            bundle.retryDraws = sessionStartRetryDraws_;
+            bundle.sessionOrdinal = session.ordinal;
+            bundle.sessionSeed = session.seed;
+            bundle.retrySeed = session.retrySeed;
+            bundle.retryDraws = session.startRetryDraws;
             bundle.modelIdentity = options_.modelIdentity;
-            bundle.abortCode = errc::to_error_code(liveSession_.code);
-            bundle.cause = static_cast<std::uint8_t>(liveSession_.cause);
+            bundle.abortCode = errc::to_error_code(record.code);
+            bundle.cause = static_cast<std::uint8_t>(record.cause);
             bundle.processingDelayUs = options_.processingDelay.count();
             bundle.sessionTimeoutUs = options_.sessionTimeout.count();
             bundle.receiveTimeoutUs = options_.receiveTimeout.count();
@@ -743,58 +906,67 @@ void AutomataEngine::completeSession(bool completed, FailureCause cause, errc::E
         }
     }
     if (telemetry::enabled()) {
+        std::size_t arenaBytes = 0;
+        std::size_t arenaChunks = 0;
+        for (const auto& pooled : pool_) {
+            arenaBytes += pooled->rxArena.bytesReserved();
+            arenaChunks += pooled->rxArena.chunkCount();
+        }
         metrics_.spansDropped->set(static_cast<std::int64_t>(spans_.dropped()));
         metrics_.historyEvicted->set(static_cast<std::int64_t>(sessions_.evicted()));
-        metrics_.arenaBytes->set(static_cast<std::int64_t>(rxArena_.bytesReserved()));
-        metrics_.arenaChunks->set(static_cast<std::int64_t>(rxArena_.chunkCount()));
+        metrics_.arenaBytes->set(static_cast<std::int64_t>(arenaBytes));
+        metrics_.arenaChunks->set(static_cast<std::int64_t>(arenaChunks));
         metrics_.recorderBytes->set(static_cast<std::int64_t>(recorder_.bytesReserved()));
     }
-    if (timeoutEvent_) {
-        network_.network().scheduler().cancel(*timeoutEvent_);
-        timeoutEvent_.reset();
+    if (session.timeoutEvent) {
+        network_.network().scheduler().cancel(*session.timeoutEvent);
+        session.timeoutEvent.reset();
     }
-    cancelIdleTimeout();
-    cancelRetransmit();
-    lastSentPayload_.reset();
-    retransmitsUsed_ = 0;
+    cancelIdleTimeout(session);
+    cancelRetransmit(session);
+    session.lastSentPayload.reset();
+    session.retransmitsUsed = 0;
     STARLINK_LOG(Info, "engine") << "session " << (completed ? "completed" : "aborted")
-                                 << " after " << liveSession_.messagesIn << " in / "
-                                 << liveSession_.messagesOut << " out"
+                                 << " after " << record.messagesIn << " in / "
+                                 << record.messagesOut << " out"
                                  << (completed ? ""
                                                : std::string(" (cause: ") +
-                                                     failureCauseName(liveSession_.cause) +
-                                                     ", code: " +
-                                                     errc::to_string(liveSession_.code) + ")");
-    if (onSessionComplete) onSessionComplete(liveSession_);
+                                                     failureCauseName(record.cause) +
+                                                     ", code: " + errc::to_string(record.code) +
+                                                     ")");
+    if (onSessionComplete) onSessionComplete(record);
 
-    sessionActive_ = false;
-    sendPending_ = false;
-    lastWasDelta_ = false;
-    merged_->reset();
-    network_.resetSession();
-    current_ = merged_->initialState();
-    // Every holder of arena-backed views is gone (stored instances reset
-    // above): rewind the arena, keeping its chunks, so the next session
-    // parses into warm memory.
-    rxArena_.reset();
+    session.live = false;
+    session.sendPending = false;
+    session.lastWasDelta = false;
+    for (automata::InstanceQueue& queue : session.queues) queue.clear();
+    network_.resetSession(session.slot);
+    session.current = merged_->initialState();
+    // Every holder of arena-backed views is gone (queues cleared above):
+    // rewind the arena, keeping its chunks, so the next session parses into
+    // warm memory.
+    session.rxArena.reset();
+    std::erase(live_, &session);
+    idle_.push_back(&session);
 }
 
-void AutomataEngine::armIdleTimeout() {
-    cancelIdleTimeout();
-    if (!sessionActive_ || options_.idleTimeout.count() <= 0) return;
-    idleEvent_ = network_.network().scheduler().schedule(options_.idleTimeout, [this] {
-        idleEvent_.reset();
-        if (!sessionActive_) return;
-        STARLINK_LOG(Warn, "engine") << "session idle in state " << current_ << " for "
-                                     << options_.idleTimeout.count() << "us; evicting";
-        completeSession(false, FailureCause::Timeout, errc::ErrorCode::EngineIdleTimeout);
-    });
+void AutomataEngine::armIdleTimeout(Session& session) {
+    cancelIdleTimeout(session);
+    if (!session.live || options_.idleTimeout.count() <= 0) return;
+    session.idleEvent =
+        network_.network().scheduler().schedule(options_.idleTimeout, [this, s = &session] {
+            s->idleEvent.reset();
+            if (!s->live) return;
+            STARLINK_LOG(Warn, "engine") << "session idle in state " << s->current << " for "
+                                         << options_.idleTimeout.count() << "us; evicting";
+            completeSession(*s, false, FailureCause::Timeout, errc::ErrorCode::EngineIdleTimeout);
+        });
 }
 
-void AutomataEngine::cancelIdleTimeout() {
-    if (idleEvent_) {
-        network_.network().scheduler().cancel(*idleEvent_);
-        idleEvent_.reset();
+void AutomataEngine::cancelIdleTimeout(Session& session) {
+    if (session.idleEvent) {
+        network_.network().scheduler().cancel(*session.idleEvent);
+        session.idleEvent.reset();
     }
 }
 

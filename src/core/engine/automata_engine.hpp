@@ -24,17 +24,35 @@
 // the instance at the entered state; we follow the specs. See DESIGN.md.)
 // A sent instance is stored at the state it was composed in.
 //
-// Sessions: the engine serves request/response conversations repeatedly.
-// A session opens at the first receive, closes when an accepting state of
-// the merged automaton is reached with nothing left to do (or on timeout),
-// and resets all queues and network-session state for the next client.
+// Sessions: the engine serves request/response conversations repeatedly and
+// concurrently. A session opens at the first receive, closes when an
+// accepting state of the merged automaton is reached with nothing left to do
+// (or on timeout), and returns its pooled state to the engine for the next
+// client. All per-conversation state -- current state, per-state instance
+// queues, rx arena, timers, retransmission state, SessionRecord, open
+// recorder log, span root, dwell clock -- lives in a Session; the merged
+// automaton is read-only at runtime. Inbound traffic is demultiplexed to
+// sessions (DESIGN.md section 5l):
+//   - the opening message, on the merged automaton's initial color, starts
+//     the session keyed by (color, peer address) -- or joins the live one
+//     with that key, where a duplicate is dropped;
+//   - a later message on another server-role color (the HTTP leg of
+//     upnp-to-X) goes to the one live session from that peer host that is
+//     on that color, and is dropped when no single session matches;
+//   - replies on client-role colors arrive on the session's own socket or
+//     connection (NetworkEngine session slots) and go straight to it.
+// At most kMaxLiveSessions run at once; past that an opening message is
+// shed with engine.overload. Every datagram the engine does not accept is
+// counted under a DropReason.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -130,6 +148,36 @@ struct EngineOptions {
 // session_history.hpp (included above) when the history became bounded;
 // re-exported here so existing includes keep resolving.
 
+/// Why the engine did not accept an inbound message. Each reason is counted
+/// in starlink_engine_datagrams_dropped_total{bridge,reason} and maps to one
+/// taxonomy code (dropReasonCode).
+enum class DropReason : std::uint8_t {
+    InactiveAutomaton,  ///< the session is not in the message's automaton
+    SendPending,        ///< the session is composing a send
+    Unparseable,        ///< the codec rejected the bytes
+    NoTransition,       ///< no receive-transition on this message type here
+    NoSession,          ///< no single live session matches the message
+    SessionCap,         ///< opening message shed: kMaxLiveSessions are live
+};
+inline constexpr std::size_t kDropReasonCount = 6;
+
+/// Stable label value, e.g. "no-transition".
+const char* dropReasonName(DropReason reason);
+errc::ErrorCode dropReasonCode(DropReason reason);
+
+/// One color's inbound accounting: every message the network engine hands
+/// up is either accepted into a session or dropped for exactly one reason.
+struct ColorTraffic {
+    std::uint64_t accepted = 0;
+    std::array<std::uint64_t, kDropReasonCount> dropped{};
+
+    std::uint64_t droppedTotal() const {
+        std::uint64_t total = 0;
+        for (const std::uint64_t n : dropped) total += n;
+        return total;
+    }
+};
+
 class AutomataEngine {
 public:
     AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
@@ -146,7 +194,19 @@ public:
     void stop() { running_ = false; }
 
     bool running() const { return running_; }
-    const std::string& currentState() const { return current_; }
+
+    /// How many sessions may be live at once. An opening message past the
+    /// cap is shed (DropReason::SessionCap, engine.overload).
+    static constexpr std::size_t kMaxLiveSessions = 64;
+
+    std::size_t liveSessionCount() const { return live_.size(); }
+
+    /// The state of the oldest live session; the initial state when none is
+    /// live (the connector is re-armed at q0).
+    const std::string& currentState() const;
+
+    /// Inbound accounting for a component color; nullptr for unknown colors.
+    const ColorTraffic* traffic(std::uint64_t k) const;
 
     /// Recent session records (bounded ring) plus eviction-proof lifetime
     /// aggregates; see EngineOptions::sessionHistoryCapacity.
@@ -195,37 +255,99 @@ public:
     }
 
 private:
-    void onNetworkMessage(std::uint64_t colorK, const Bytes& payload, const net::Address& from);
-    void onNetworkFault(std::uint64_t colorK, NetworkFault fault, const std::string& detail);
-    void proceed();
+    /// Everything one live conversation owns. Pooled: a finished session's
+    /// object -- with its arena chunks, instance queues and open log, and the
+    /// network engine's sockets for its slot -- serves a later one.
+    struct Session {
+        Session(std::size_t slot, std::size_t states, telemetry::SpanBuffer& spans,
+                telemetry::FlightRecorder& recorder)
+            : slot(slot), queues(states), tracer(spans), log(recorder) {}
+
+        const std::size_t slot;  ///< NetworkEngine session slot == index in pool_
+        bool live = false;
+        std::uint64_t keyColor = 0;  ///< opening message's color ...
+        net::Address keyPeer;        ///< ... and sender
+        std::string current;
+        bool lastWasDelta = false;
+        bool sendPending = false;
+        SessionRecord record;
+        std::uint64_t ordinal = 0;
+        // Provenance for postmortem bundles, captured when the session opens.
+        std::uint64_t seed = 0;
+        std::uint64_t retrySeed = 0;
+        std::uint64_t startRetryDraws = 0;
+        std::optional<net::EventId> timeoutEvent;
+        std::optional<net::EventId> idleEvent;
+        // Retransmission state for the current wait: the last encoded request
+        // is kept so a lapsed reply deadline re-sends identical bytes.
+        std::optional<net::EventId> retransmitEvent;
+        std::optional<Bytes> lastSentPayload;
+        std::uint64_t lastSentColor = 0;
+        int retransmitsUsed = 0;
+        /// Receive arena: parsed String/Bytes field values borrow from the
+        /// single datagram copy stored here. Reset (chunks retained) when the
+        /// session ends, after the queues holding those views are cleared.
+        mdl::RxArena rxArena;
+        /// Per-state instance queues, indexed like stateIndex_.
+        std::vector<automata::InstanceQueue> queues;
+        telemetry::SessionTracer tracer;
+        telemetry::SpanId waitSpan = 0;
+        telemetry::FlightRecorder::OpenLog log;
+        net::TimePoint stateEnteredAt{};
+    };
+
+    void onNetworkMessage(std::uint64_t colorK, const Bytes& payload, const net::Address& from,
+                          std::size_t slot);
+    void onNetworkFault(const NetworkEngine::Fault& fault);
+    /// The live session an unowned arrival belongs to (see header), nullptr
+    /// when none does.
+    Session* sessionFor(std::uint64_t colorK, const net::Address& from);
+    /// An idle pooled session (creating one below the cap), nullptr at the
+    /// cap.
+    Session* acquireSession();
+    /// Hands a session that never opened back to the pool.
+    void releaseUnopened(Session& session);
+    void openSession(Session& session, std::uint64_t colorK, const net::Address& from);
+    void deliver(Session& session, std::size_t componentIdx, std::uint64_t colorK,
+                 const Bytes& payload, const net::Address& from);
+    void drop(std::size_t componentIdx, DropReason reason);
+    void proceed(Session& session);
     /// proceed() with runtime translation failures contained: the session
     /// aborts, the connector survives.
-    void safeProceed();
-    void takeDelta(const merge::DeltaTransition& delta);
-    void scheduleSend(const automata::Transition& transition);
-    void performSend(const automata::Transition& transition, telemetry::SpanId translateSpan);
-    AbstractMessage buildOutgoing(const std::string& stateId, const std::string& messageType);
-    Value resolveRef(const merge::FieldRef& ref, const std::string& transform) const;
-    void completeSession(bool completed, FailureCause cause = FailureCause::None,
+    void safeProceed(Session& session);
+    void takeDelta(Session& session, const merge::DeltaTransition& delta);
+    void scheduleSend(Session& session, const automata::Transition& transition);
+    void performSend(Session& session, const automata::Transition& transition,
+                     telemetry::SpanId translateSpan);
+    AbstractMessage buildOutgoing(const Session& session, const std::string& stateId,
+                                  const std::string& messageType);
+    Value resolveRef(const Session& session, const merge::FieldRef& ref,
+                     const std::string& transform) const;
+    automata::InstanceQueue& queueAt(Session& session, const std::string& stateId);
+    void completeSession(Session& session, bool completed, FailureCause cause = FailureCause::None,
                          errc::ErrorCode code = errc::ErrorCode::Ok);
-    void armRetransmit();
-    void onReceiveDeadline();
-    void cancelRetransmit();
+    void armRetransmit(Session& session);
+    void onReceiveDeadline(Session& session);
+    void cancelRetransmit(Session& session);
     /// (Re-)arms the idle deadline; called on every message in either
     /// direction while a session is live. No-op when idleTimeout is 0.
-    void armIdleTimeout();
-    void cancelIdleTimeout();
+    void armIdleTimeout(Session& session);
+    void cancelIdleTimeout(Session& session);
     static FailureCause classify(const std::exception& error);
 
     /// State change with per-state dwell accounting (virtual ms spent in the
-    /// state being left, while a session is live).
-    void enterState(const std::string& next);
+    /// state being left, while the session is live).
+    void enterState(Session& session, const std::string& next);
     telemetry::Histogram* dwellHistogram(const std::string& state);
 
     const automata::ColoredAutomaton* componentByColor(std::uint64_t k) const;
+    /// Position of color k's component in merged_->components(), or
+    /// kNoComponent.
+    std::size_t componentIndex(std::uint64_t k) const;
+    static constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
     std::shared_ptr<mdl::MessageCodec> codecFor(const automata::ColoredAutomaton& a) const;
 
-    std::shared_ptr<merge::MergedAutomaton> merged_;
+    std::shared_ptr<const merge::MergedAutomaton> merged_;
     std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs_;
     std::shared_ptr<merge::TranslationRegistry> translations_;
     NetworkEngine& network_;
@@ -233,58 +355,41 @@ private:
     EngineOptions options_;
 
     bool running_ = false;
-    std::string current_;
-    bool lastWasDelta_ = false;
-    bool sendPending_ = false;
-    bool sessionActive_ = false;
-    SessionRecord liveSession_;
-    std::optional<net::EventId> timeoutEvent_;
-    std::optional<net::EventId> idleEvent_;
+    /// Color of the merged automaton's initial state: its messages open
+    /// sessions.
+    std::uint64_t openingColor_ = 0;
+    /// State id -> index into Session::queues.
+    std::unordered_map<std::string, std::size_t> stateIndex_;
+    std::vector<ColorTraffic> traffic_;  // per component
 
-    // Retransmission state for the current wait. The engine keeps the last
-    // encoded request so a lapsed reply deadline re-sends identical bytes.
-    // retrySeedInEffect_/retryDrawsSinceSeed_ shadow the generator's exact
-    // position so a postmortem bundle can re-derive it (pooled engines are
-    // not reseeded per session outside the sharded driver).
+    // The retransmission-jitter generator is shared by every session (its
+    // draws stay in event order); retrySeedInEffect_/retryDrawsSinceSeed_
+    // shadow its exact position so a postmortem bundle can re-derive it.
     Rng retryRng_;
     std::uint64_t retrySeedInEffect_ = 0;
     std::uint64_t retryDrawsSinceSeed_ = 0;
-    std::uint64_t sessionStartRetryDraws_ = 0;
     std::uint64_t sessionSeed_ = 0;
     std::uint64_t sessionOrdinal_ = 0;
-    std::optional<net::EventId> retransmitEvent_;
-    std::optional<Bytes> lastSentPayload_;
-    std::uint64_t lastSentColor_ = 0;
-    int retransmitsUsed_ = 0;
 
     /// Compose scratch buffer, reused across every send of the engine's
     /// lifetime so steady-state sessions stop allocating per message.
     Bytes composeScratch_;
 
-    /// Receive arena: parsed String/Bytes field values borrow from the single
-    /// datagram copy stored here instead of owning fresh heap strings. Reset
-    /// (chunks retained) at every session boundary, so steady-state sessions
-    /// parse with zero per-message heap allocation. No parsed message
-    /// outlives the session: the state queues that hold them reset first.
-    mdl::RxArena rxArena_;
-
     SessionHistory sessions_;
 
     // --- telemetry -------------------------------------------------------
-    // Spans: one tracer per engine, shared with the network engine for the
-    // tcp-connect leg. Metrics: pointers cached at construction so the hot
-    // path never touches the registry mutex; every metric site is gated on
-    // telemetry::enabled().
+    // Spans: one buffer per engine, one tracer per session (lent to the
+    // network engine for the tcp-connect leg). Metrics: pointers cached at
+    // construction so the hot path never touches the registry mutex; every
+    // metric site is gated on telemetry::enabled().
     telemetry::SpanBuffer spans_;
-    telemetry::SessionTracer tracer_;
     telemetry::FlightRecorder recorder_;
-    telemetry::SpanId waitSpan_ = 0;
-    net::TimePoint stateEnteredAt_{};
     struct EngineMetrics {
         telemetry::Counter* sessionsCompleted = nullptr;
         telemetry::Counter* messagesIn = nullptr;
         telemetry::Counter* messagesOut = nullptr;
         telemetry::Counter* retransmits = nullptr;
+        std::array<telemetry::Counter*, kDropReasonCount> dropped{};
         telemetry::Histogram* translationMs = nullptr;
         // Previously-invisible accounting, refreshed at session boundaries:
         // span-ring drops, history evictions, arena/recorder memory held.
@@ -304,6 +409,11 @@ private:
     /// process-global registry.
     telemetry::MetricsRegistry* registry_ = nullptr;
     std::map<std::string, telemetry::Histogram*> dwellByState_;
+
+    // --- sessions (declared last: a Session borrows spans_ and recorder_) ---
+    std::vector<std::unique_ptr<Session>> pool_;  // index == slot
+    std::vector<Session*> idle_;                  // pooled, not live (LIFO)
+    std::vector<Session*> live_;                  // in opening order
 };
 
 }  // namespace starlink::engine

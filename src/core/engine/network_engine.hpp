@@ -19,8 +19,23 @@
 // (SLP side: receive first, reply later) or client (mDNS side: send first,
 // await response) falls out of the order of sends and receives, exactly as
 // the colored automaton prescribes.
+//
+// Sessions. The automata engine runs several conversations at once, each in
+// a numbered session slot. Everything a conversation owns on the wire lives
+// per (slot, color): the reply peer, the set_host target, the tcp connection
+// and its pre-connect backlog, and -- for a client-role udp color -- the
+// socket its requests leave from. Slot 0 sends from the color's own endpoint
+// socket; every further slot opens one ephemeral-port socket per client-role
+// udp color the first time it sends, and keeps it for later sessions. Legacy
+// services answer the source port (SSDP's unicast M-SEARCH response, RFC 6762
+// section 6.7 legacy unicast, SLP and WS-Discovery replies), so a reply's
+// socket names the session it belongs to. Arrivals on a server-role color's
+// shared endpoint -- a datagram on its well-known socket, a chunk on a
+// connection its listener accepted -- carry kUnowned; the automata engine
+// routes them by key and claims the connection through notePeer().
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -68,10 +83,28 @@ struct NetworkEngineOptions {
 
 class NetworkEngine {
 public:
-    /// colorK, payload, sender address.
-    using Handler = std::function<void(std::uint64_t, const Bytes&, const net::Address&)>;
-    /// colorK, what happened, human-readable detail.
-    using FaultHandler = std::function<void(std::uint64_t, NetworkFault, const std::string&)>;
+    /// Session slot of an arrival no session owns yet: a datagram on a
+    /// server-role color's shared socket, or a chunk on an accepted
+    /// connection that no session has claimed.
+    static constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
+
+    /// colorK, payload, sender address, owning session slot (or kUnowned).
+    using Handler =
+        std::function<void(std::uint64_t, const Bytes&, const net::Address&, std::size_t)>;
+    /// A session-fatal transport event.
+    struct Fault {
+        std::uint64_t color = 0;
+        NetworkFault fault = NetworkFault::PeerClosed;
+        /// The transport's cause: net.peer-closed for an ordinary close,
+        /// net.frame-oversize when the OS backend refused a frame, ...
+        errc::ErrorCode cause = errc::ErrorCode::NetPeerClosed;
+        std::string detail;
+        /// The session slot it hit, or kUnowned for a connection no session
+        /// had claimed (the automata engine then routes it by `peer`).
+        std::size_t slot = kUnowned;
+        net::Address peer;
+    };
+    using FaultHandler = std::function<void(const Fault&)>;
 
     using Options = NetworkEngineOptions;
 
@@ -80,11 +113,13 @@ public:
     const std::string& host() const { return host_; }
     net::Network& network() { return network_; }
 
-    /// Creates the endpoint for color k. Idempotent per k. `serverRole` only
-    /// matters for tcp colors: a server endpoint LISTENS on the color's port
-    /// at the bridge host and replies on the accepted connection, a client
-    /// endpoint CONNECTS to the set_host target. (The automata engine infers
-    /// the role from whether the component automaton opens with a receive.)
+    /// Creates the endpoint for color k. Idempotent per k. `serverRole`
+    /// decides who owns the endpoint: a server-role udp socket and a tcp
+    /// listener on the color's port are shared by every session (arrivals
+    /// are kUnowned), while a client-role udp socket is session slot 0's. A
+    /// client-role tcp color CONNECTS per session to the set_host target.
+    /// (The automata engine infers the role from whether the component
+    /// automaton opens with a receive.)
     void attach(std::uint64_t k, const automata::Color& color, bool serverRole = false);
 
     /// Installs the single upcall for every attached color.
@@ -95,43 +130,60 @@ public:
     /// events are logged and dropped.
     void setFaultHandler(FaultHandler handler) { faultHandler_ = std::move(handler); }
 
-    /// Sends one protocol message with color-k semantics. Throws SpecError
-    /// when k is not attached, NetError when a tcp target is missing.
-    void send(std::uint64_t k, const Bytes& payload);
+    /// Sends one protocol message with color-k semantics for session `slot`.
+    /// Throws SpecError when k is not attached, NetError when a tcp target is
+    /// missing.
+    void send(std::uint64_t k, const Bytes& payload, std::size_t slot = 0);
 
-    /// The set_host lambda action: directs color k's next tcp connection.
-    void setHost(std::uint64_t k, const std::string& host, int port);
+    /// The set_host lambda action: directs color k's next tcp connection of
+    /// session `slot`.
+    void setHost(std::uint64_t k, const std::string& host, int port, std::size_t slot = 0);
 
-    /// Records the reply route for color k. Called by the automata engine
-    /// when it ACCEPTS a received message -- datagrams the automaton rejects
-    /// must not steal the session's reply address.
-    void notePeer(std::uint64_t k, const net::Address& peer);
+    /// Records session `slot`'s reply route for color k. Called by the
+    /// automata engine when it ACCEPTS a received message -- datagrams the
+    /// automaton rejects must not steal a session's reply address. When the
+    /// accepted message arrived on an unclaimed accepted connection, the
+    /// session claims that connection as its reply path.
+    void notePeer(std::uint64_t k, const net::Address& peer, std::size_t slot = 0);
 
-    /// Ends the current bridge session: forgets reply peers and set_host
-    /// targets, closes tcp connections. Endpoints stay attached.
-    void resetSession();
+    /// Ends session `slot` on the wire: forgets its reply peers and set_host
+    /// targets, closes its tcp connections. Endpoints and the slot's own udp
+    /// sockets stay open for the next session in the slot.
+    void resetSession(std::size_t slot = 0);
 
-    /// Lends the automata engine's session tracer so tcp-connect legs land in
-    /// the same span tree. The tracer must outlive the engine or be cleared
-    /// (pass nullptr) before it dies.
-    void setTracer(telemetry::SessionTracer* tracer) { tracer_ = tracer; }
+    /// Lends session `slot`'s tracer (so tcp-connect legs land in its span
+    /// tree) and open flight-recorder log (so tx/connect/fault events are
+    /// captured at the moment they hit the network). Both must outlive the
+    /// engine or be cleared (pass nullptr) before they die.
+    void bindSession(std::size_t slot, telemetry::SessionTracer* tracer,
+                     telemetry::FlightRecorder::OpenLog* log);
 
-    /// Lends the automata engine's flight recorder so wire-level tx/connect/
-    /// fault events are captured at the moment they hit the (simulated)
-    /// network. Same lifetime contract as setTracer.
-    void setRecorder(telemetry::FlightRecorder* recorder) { recorder_ = recorder; }
-
-    /// The local address color k receives on ("host:port"): the udp socket's
-    /// or tcp listener's bound address, "" for client-mode tcp colors (their
-    /// rx arrives on an outbound connection with no stable local name).
+    /// The local address color k receives on ("host:port"): the endpoint udp
+    /// socket's or tcp listener's bound address, "" for client-mode tcp
+    /// colors (their rx arrives on an outbound connection with no stable
+    /// local name).
     std::string endpointAddress(std::uint64_t k) const;
 
 private:
+    /// Per color, shared by every session.
     struct Endpoint {
         automata::Color color;
         bool serverRole = false;
         std::unique_ptr<net::UdpSocket> udp;
         std::unique_ptr<net::TcpListener> listener;
+        /// Accepted connections no session has claimed yet.
+        std::vector<std::shared_ptr<net::TcpConnection>> unclaimed;
+        // Per-color traffic counters, resolved once at attach (null until
+        // then); recording is gated on telemetry::enabled().
+        telemetry::Counter* bytesIn = nullptr;
+        telemetry::Counter* bytesOut = nullptr;
+        telemetry::Counter* messagesIn = nullptr;
+        telemetry::Counter* messagesOut = nullptr;
+    };
+
+    /// One session slot's hold on one color.
+    struct Leg {
+        std::unique_ptr<net::UdpSocket> udp;        // client-role udp, slots >= 1
         std::optional<net::Address> lastPeer;       // reply target after a receive
         std::optional<net::Address> hostOverride;   // from set_host
         std::shared_ptr<net::TcpConnection> tcp;
@@ -139,23 +191,31 @@ private:
         std::size_t tcpBacklogBytes = 0;            // queued payload bytes (capped)
         bool tcpConnecting = false;
         bool peerClosed = false;                    // peer vanished this session
-        // Per-color traffic counters, resolved once at attach (null until
-        // then); recording is gated on telemetry::enabled().
-        telemetry::Counter* bytesIn = nullptr;
-        telemetry::Counter* bytesOut = nullptr;
-        telemetry::Counter* messagesIn = nullptr;
-        telemetry::Counter* messagesOut = nullptr;
+        std::uint64_t generation = 0;               // bumped per reset: stale connects
         telemetry::SpanId connectSpan = 0;          // open tcp-connect leg
     };
 
-    void tcpDeliver(std::uint64_t k, const Bytes& payload, const net::Address& from);
-    void startConnect(std::uint64_t k, const net::Address& target, int attempt);
-    void adoptConnection(std::uint64_t k, std::shared_ptr<net::TcpConnection> connection,
-                         const net::Address& peer);
-    void reportFault(std::uint64_t k, NetworkFault fault, const std::string& detail);
+    struct Slot {
+        std::map<std::uint64_t, Leg> legs;
+        telemetry::SessionTracer* tracer = nullptr;
+        telemetry::FlightRecorder::OpenLog* log = nullptr;
+    };
+
+    Endpoint& endpoint(std::uint64_t k, const char* operation);
+    Slot& slot(std::size_t index);
+    net::UdpSocket& udpFor(std::uint64_t k, Endpoint& endpoint, Leg& leg, std::size_t slot);
+    bool fromOwnSessionSocket(std::uint64_t k, const net::Address& from) const;
+    void wireConnection(std::uint64_t k, const std::shared_ptr<net::TcpConnection>& connection,
+                        const net::Address& peer);
+    std::size_t ownerOf(std::uint64_t k, const std::shared_ptr<net::TcpConnection>& connection);
+    void onConnectionClosed(std::uint64_t k, const std::shared_ptr<net::TcpConnection>& connection,
+                            const net::Address& peer, errc::ErrorCode cause);
+    void startConnect(std::uint64_t k, std::size_t slot, const net::Address& target,
+                      int attempt);
+    void reportFault(const Fault& fault);
     void noteReceived(std::uint64_t k, std::size_t bytes);
     void noteSent(Endpoint& endpoint, std::size_t bytes);
-    void endConnectSpan(Endpoint& endpoint, const char* result, int attempts);
+    void endConnectSpan(Slot& slot, Leg& leg, const char* result, int attempts);
 
     net::Network& network_;
     std::string host_;
@@ -163,8 +223,11 @@ private:
     Handler handler_;
     FaultHandler faultHandler_;
     std::map<std::uint64_t, Endpoint> endpoints_;
-    telemetry::SessionTracer* tracer_ = nullptr;
-    telemetry::FlightRecorder* recorder_ = nullptr;
+    std::deque<Slot> slots_;  // deque: references stay valid as slots are added
+    /// The unclaimed connection the current upcall's chunk arrived on, so
+    /// notePeer can hand it to the session that accepted the chunk.
+    std::shared_ptr<net::TcpConnection> inbound_;
+    std::uint64_t inboundColor_ = 0;
     telemetry::Counter* connectAttempts_ = nullptr;
     telemetry::Counter* connectFailures_ = nullptr;
     /// Payload bytes shed from pre-connect backlogs (cap overflow or

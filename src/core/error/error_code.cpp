@@ -16,7 +16,7 @@ struct Entry {
 // One row per code. Order is ascending numeric (most negative first) except Ok,
 // which allCodes() moves to the front. to_string/remediation/fromInt/fromName
 // all read this single table so the taxonomy cannot drift apart.
-constexpr std::array<Entry, 72> kEntries{{
+constexpr std::array<Entry, 76> kEntries{{
     {ErrorCode::LintUnknownKind, "lint.unknown-kind",
      "rename the root element to a known model kind (MDL, Automaton, Bridge)"},
     {ErrorCode::NetFrameOversize, "net.frame-oversize",
@@ -41,12 +41,25 @@ constexpr std::array<Entry, 72> kEntries{{
      "no listener at the destination; verify the peer is deployed and reachable"},
     {ErrorCode::NetMisuse, "net.misuse",
      "the network API was called with invalid arguments; fix the caller"},
+    {ErrorCode::EngineNoSession, "engine.no-session",
+     "dropped: no single live session matches the message's color and peer; expected for "
+     "strays, investigate if it climbs with traffic"},
+    {ErrorCode::EngineNoTransition, "engine.no-transition",
+     "dropped: the session's state has no receive-transition on the message type; "
+     "duplicates and wrong-direction traffic land here"},
+    {ErrorCode::EngineSendPending, "engine.send-pending",
+     "dropped: the message arrived while its session was composing a send; peers "
+     "normally retransmit"},
+    {ErrorCode::EngineInactiveAutomaton, "engine.inactive-automaton",
+     "dropped: the message's automaton is not active in its session (late or unsolicited "
+     "reply)"},
     {ErrorCode::EngineSpoolUnwritable, "engine.spool-unwritable",
      "the postmortem spool directory cannot be created or written; the message names the path"},
     {ErrorCode::EngineIdleTimeout, "engine.idle-timeout",
      "the session went silent past the idle deadline; raise idleTimeout or fix the peer"},
     {ErrorCode::EngineOverload, "engine.overload",
-     "admission control shed the session; add shards or raise the pending-queue cap"},
+     "admission control shed the session (shard queue full, or kMaxLiveSessions live in one "
+     "engine); add shards or raise the pending-queue cap"},
     {ErrorCode::EngineColorUnknown, "engine.color-unknown",
      "register the component's color in the codec registry before deploying"},
     {ErrorCode::EngineNoCodec, "engine.no-codec",

@@ -105,9 +105,13 @@ enum class ErrorCode : int {
     EngineFieldUnresolved = -607,///< translation input field could not be read
     EngineNoCodec = -608,        ///< component deployed without a codec
     EngineColorUnknown = -609,   ///< component color missing from the registry
-    EngineOverload = -610,       ///< admission control shed the session (queue full)
+    EngineOverload = -610,       ///< admission control shed the session (queue or engine cap full)
     EngineIdleTimeout = -611,    ///< idle deadline lapsed with no message activity
     EngineSpoolUnwritable = -612,///< postmortem spool directory cannot be written
+    EngineInactiveAutomaton = -613, ///< message for an automaton its session is not in
+    EngineSendPending = -614,    ///< message arrived while its session was composing a send
+    EngineNoTransition = -615,   ///< no receive-transition on the message's type
+    EngineNoSession = -616,      ///< no single live session matches the message
 
     // -- net: -700 .. -799 ---------------------------------------------------
     NetMisuse = -700,         ///< simulated network misused (generic)

@@ -124,11 +124,12 @@ std::optional<AbstractMessage> XmlCodec::parse(const Bytes& data, RxArena* arena
             const std::string text = trim(node->text());
             std::optional<Value> value;
             if (pf.valueType != ValueType::String) value = Value::fromText(pf.valueType, text);
-            if (!value) {
+            if (!value && arena != nullptr) {
                 // Untyped (or unparsable-as-typed) text: intern into the
                 // arena so the Value borrows instead of owning.
-                value = arena != nullptr ? Value::ofView(arena->intern(text))
-                                         : Value::ofString(text);
+                value = Value::ofView(arena->intern(text));
+            } else if (!value) {
+                value = Value::ofString(text);
             }
             fields.push_back(Field::primitive(spec.label, pf.marshallerName, std::move(*value)));
         }

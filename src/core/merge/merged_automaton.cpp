@@ -251,8 +251,4 @@ MergeKind MergedAutomaton::classify() const {
     return MergeKind::Strong;
 }
 
-void MergedAutomaton::reset() {
-    for (const auto& c : components_) c->reset();
-}
-
 }  // namespace starlink::merge

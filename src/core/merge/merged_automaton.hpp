@@ -117,9 +117,6 @@ public:
     /// Strong vs weak merge (see file header).
     MergeKind classify() const;
 
-    /// Clears all component queues (between bridge sessions).
-    void reset();
-
 private:
     std::string name_;
     std::vector<std::shared_ptr<automata::ColoredAutomaton>> components_;

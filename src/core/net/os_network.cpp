@@ -862,7 +862,7 @@ void OsNetwork::tcpDeliver(OsTcpConnection& conn) {
                     << conn.remote_.toString() << " announced a " << length
                     << "-byte frame (cap " << kMaxWireMessageBytes << "); closing";
                 rx.clear();
-                tcpPeerClosed(conn);
+                tcpPeerClosed(conn, errc::ErrorCode::NetFrameOversize);
                 return;
             }
             if (rx.size() - offset < 4 + length) break;
@@ -881,14 +881,14 @@ void OsNetwork::tcpDeliver(OsTcpConnection& conn) {
     }
 }
 
-void OsNetwork::tcpPeerClosed(OsTcpConnection& conn) {
+void OsNetwork::tcpPeerClosed(OsTcpConnection& conn, errc::ErrorCode cause) {
     const auto self = std::static_pointer_cast<OsTcpConnection>(conn.shared_from_this());
     conn.open_ = false;
     const auto handler = conn.closeHandler_;
     conn.dataHandler_ = nullptr;
     conn.closeHandler_ = nullptr;
     tcpTeardown(conn);
-    if (handler) handler();
+    if (handler) handler(cause);
 }
 
 void OsNetwork::tcpTeardown(OsTcpConnection& conn) {

@@ -279,7 +279,9 @@ private:
     void tcpQueueSend(OsTcpConnection& conn, const Bytes& payload);
     void tcpFlush(OsTcpConnection& conn);
     void tcpDeliver(OsTcpConnection& conn);
-    void tcpPeerClosed(OsTcpConnection& conn);
+    /// Reports a peer-side close to the connection's handler with `cause`.
+    void tcpPeerClosed(OsTcpConnection& conn,
+                       errc::ErrorCode cause = errc::ErrorCode::NetPeerClosed);
     void tcpTeardown(OsTcpConnection& conn);
 
     Options options_;

@@ -213,18 +213,20 @@ std::vector<WireEvent> decodeEvents(const Bytes& encoded) {
 // ---------------------------------------------------------------------------
 // FlightRecorder
 
-void FlightRecorder::beginSession(std::uint64_t ordinal, std::int64_t tsUs) {
+FlightRecorder::OpenLog::~OpenLog() { recorder_->chunks_ -= chunks_.size(); }
+
+void FlightRecorder::OpenLog::beginSession(std::uint64_t ordinal, std::int64_t tsUs) {
     (void)tsUs;
-    if (!enabled()) return;
-    sessionOpen_ = true;
+    if (!recorder_->enabled()) return;
+    open_ = true;
     ordinal_ = ordinal;
     used_ = 0;  // rewind; chunks stay allocated for the next session
     truncated_ = false;
     droppedEvents_ = 0;
 }
 
-void FlightRecorder::appendScratch() {
-    if (cap_ != 0 && used_ + scratch_.size() > cap_) {
+void FlightRecorder::OpenLog::appendScratch() {
+    if (used_ + recorder_->scratch_.size() > recorder_->cap_) {
         truncated_ = true;
         ++droppedEvents_;
         return;
@@ -232,14 +234,16 @@ void FlightRecorder::appendScratch() {
     appendUnconditional();
 }
 
-void FlightRecorder::appendUnconditional() {
-    const std::uint8_t* src = scratch_.data();
-    std::size_t left = scratch_.size();
+void FlightRecorder::OpenLog::appendUnconditional() {
+    const Bytes& scratch = recorder_->scratch_;
+    const std::uint8_t* src = scratch.data();
+    std::size_t left = scratch.size();
     while (left > 0) {
         const std::size_t chunkIndex = used_ / kChunkBytes;
         const std::size_t offset = used_ % kChunkBytes;
         if (chunkIndex == chunks_.size()) {
             chunks_.push_back(std::make_unique<std::uint8_t[]>(kChunkBytes));
+            ++recorder_->chunks_;
         }
         const std::size_t n = std::min(left, kChunkBytes - offset);
         std::memcpy(chunks_[chunkIndex].get() + offset, src, n);
@@ -249,10 +253,10 @@ void FlightRecorder::appendUnconditional() {
     }
 }
 
-void FlightRecorder::recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
+void FlightRecorder::OpenLog::recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
                               std::string_view to, const Bytes& payload) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::Rx, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::Rx, tsUs, [&](Bytes& out) {
         putU64(out, color);
         putStr(out, from);
         putStr(out, to);
@@ -261,20 +265,20 @@ void FlightRecorder::recordRx(std::int64_t tsUs, std::uint64_t color, std::strin
     appendScratch();
 }
 
-void FlightRecorder::recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::Tx, tsUs, [&](Bytes& out) {
+void FlightRecorder::OpenLog::recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::Tx, tsUs, [&](Bytes& out) {
         putU64(out, color);
         putBlob(out, payload);
     });
     appendScratch();
 }
 
-void FlightRecorder::recordConnect(std::int64_t tsUs, std::uint64_t color,
+void FlightRecorder::OpenLog::recordConnect(std::int64_t tsUs, std::uint64_t color,
                                    std::string_view target, std::uint8_t outcome,
                                    std::int32_t attempts) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::TcpConnect, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::TcpConnect, tsUs, [&](Bytes& out) {
         putU64(out, color);
         putStr(out, target);
         putU8(out, outcome);
@@ -283,11 +287,11 @@ void FlightRecorder::recordConnect(std::int64_t tsUs, std::uint64_t color,
     appendScratch();
 }
 
-void FlightRecorder::recordTransition(std::int64_t tsUs, std::string_view component,
+void FlightRecorder::OpenLog::recordTransition(std::int64_t tsUs, std::string_view component,
                                       std::string_view from, std::string_view to,
                                       std::uint8_t action, std::string_view messageType) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::Transition, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::Transition, tsUs, [&](Bytes& out) {
         putStr(out, component);
         putStr(out, from);
         putStr(out, to);
@@ -297,20 +301,20 @@ void FlightRecorder::recordTransition(std::int64_t tsUs, std::string_view compon
     appendScratch();
 }
 
-void FlightRecorder::recordTranslate(std::int64_t tsUs, std::string_view state,
+void FlightRecorder::OpenLog::recordTranslate(std::int64_t tsUs, std::string_view state,
                                      std::string_view messageType) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::Translate, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::Translate, tsUs, [&](Bytes& out) {
         putStr(out, state);
         putStr(out, messageType);
     });
     appendScratch();
 }
 
-void FlightRecorder::recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
+void FlightRecorder::OpenLog::recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
                                  std::string_view detail) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::Fault, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::Fault, tsUs, [&](Bytes& out) {
         putU64(out, color);
         putU8(out, fault);
         putStr(out, detail);
@@ -318,11 +322,11 @@ void FlightRecorder::recordFault(std::int64_t tsUs, std::uint64_t color, std::ui
     appendScratch();
 }
 
-void FlightRecorder::endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause,
+void FlightRecorder::OpenLog::endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause,
                                 bool completed, std::uint32_t messagesIn,
                                 std::uint32_t messagesOut, std::uint32_t retransmits) {
-    if (!sessionOpen_) return;
-    frameEvent(scratch_, WireEvent::Kind::SessionEnd, tsUs, [&](Bytes& out) {
+    if (!open_) return;
+    frameEvent(recorder_->scratch_, WireEvent::Kind::SessionEnd, tsUs, [&](Bytes& out) {
         putI32(out, code);
         putU8(out, cause);
         putU8(out, completed ? 1 : 0);
@@ -336,10 +340,11 @@ void FlightRecorder::endSession(std::int64_t tsUs, std::int32_t code, std::uint8
 
     // A full ring hands its oldest log over for reuse: its events buffer
     // keeps its capacity, so a warm ring copies the session without growing.
+    std::deque<SessionLog>& recent = recorder_->recent_;
     SessionLog log;
-    if (!recent_.empty() && recent_.size() >= ringCapacity_) {
-        log = std::move(recent_.front());
-        recent_.pop_front();
+    if (!recent.empty() && recent.size() >= recorder_->ringCapacity_) {
+        log = std::move(recent.front());
+        recent.pop_front();
     }
     log.ordinal = ordinal_;
     log.truncated = truncated_;
@@ -352,9 +357,9 @@ void FlightRecorder::endSession(std::int64_t tsUs, std::int32_t code, std::uint8
         log.events.insert(log.events.end(), chunk.get(), chunk.get() + n);
         left -= n;
     }
-    recent_.push_back(std::move(log));
-    while (recent_.size() > ringCapacity_) recent_.pop_front();
-    sessionOpen_ = false;
+    recent.push_back(std::move(log));
+    while (recent.size() > recorder_->ringCapacity_) recent.pop_front();
+    open_ = false;
     used_ = 0;
 }
 

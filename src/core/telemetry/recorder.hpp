@@ -1,4 +1,4 @@
-// Flight recorder: wire-level capture of one bridge session at a time.
+// Flight recorder: wire-level capture of every bridge session.
 //
 // Metrics aggregate and span trees summarize, but neither can REPRODUCE a
 // failed translation: for that you need the exact datagrams, their arrival
@@ -12,9 +12,10 @@
 // recorderSessionBytes == 0 records nothing: every record* call is then one
 // branch). When on, each record* call frames its event straight from its
 // arguments (strings are borrowed as string_view) into a reused scratch
-// buffer, then copies it into chunked storage whose chunks are retained
-// across sessions (the RxArena idiom). endSession flattens the chunks into
-// the log evicted from the full ring, reusing its buffer. Once the scratch
+// buffer, then copies it into the session's OpenLog: chunked storage whose
+// chunks are retained across the sessions that reuse the log (the RxArena
+// idiom). endSession flattens the chunks into the log evicted from the full
+// ring, reusing its buffer. Once the scratch
 // buffer, the chunks and the ring's buffers have grown to the largest
 // session seen, record* and endSession allocate nothing; the one remaining
 // allocation is the ring deque's node turnover (libstdc++ packs ten 48-byte
@@ -97,65 +98,81 @@ public:
         Bytes events;
     };
 
+    /// One session's open log: the events recorded so far, in chunked storage
+    /// that is retained when the log is reused by a later session (the
+    /// RxArena idiom). Each concurrently live session writes its own OpenLog;
+    /// endSession rotates it into the recorder's shared ring. Calls on a log
+    /// whose recorder is disabled, or outside begin/endSession, do nothing.
+    class OpenLog {
+    public:
+        explicit OpenLog(FlightRecorder& recorder) : recorder_(&recorder) {}
+        ~OpenLog();
+        OpenLog(const OpenLog&) = delete;
+        OpenLog& operator=(const OpenLog&) = delete;
+
+        bool inSession() const { return open_; }
+
+        void beginSession(std::uint64_t ordinal, std::int64_t tsUs);
+        void recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
+                      std::string_view to, const Bytes& payload);
+        void recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload);
+        void recordConnect(std::int64_t tsUs, std::uint64_t color, std::string_view target,
+                           std::uint8_t outcome, std::int32_t attempts);
+        void recordTransition(std::int64_t tsUs, std::string_view component,
+                              std::string_view from, std::string_view to, std::uint8_t action,
+                              std::string_view messageType);
+        void recordTranslate(std::int64_t tsUs, std::string_view state,
+                             std::string_view messageType);
+        void recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
+                         std::string_view detail);
+        /// Closes the log (the SessionEnd event bypasses the byte cap so every
+        /// log carries its terminal record) and rotates it into the
+        /// recorder's ring, reusing the evicted log's buffer once the ring is
+        /// full.
+        void endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause, bool completed,
+                        std::uint32_t messagesIn, std::uint32_t messagesOut,
+                        std::uint32_t retransmits);
+
+    private:
+        void appendScratch();        // recorder scratch -> chunks, cap-checked
+        void appendUnconditional();  // recorder scratch -> chunks, no cap (SessionEnd)
+
+        FlightRecorder* recorder_;
+        std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+        std::size_t used_ = 0;
+        bool open_ = false;
+        std::uint64_t ordinal_ = 0;
+        bool truncated_ = false;
+        std::uint64_t droppedEvents_ = 0;
+    };
+
     /// sessionCapBytes == 0 disables the recorder entirely.
     explicit FlightRecorder(std::size_t sessionCapBytes = 0,
                             std::size_t ringSessions = kDefaultRingSessions)
         : cap_(sessionCapBytes), ringCapacity_(ringSessions) {}
 
     bool enabled() const { return cap_ != 0; }
-    bool inSession() const { return sessionOpen_; }
     std::size_t sessionCapBytes() const { return cap_; }
-
-    void beginSession(std::uint64_t ordinal, std::int64_t tsUs);
-    void recordRx(std::int64_t tsUs, std::uint64_t color, std::string_view from,
-                  std::string_view to, const Bytes& payload);
-    void recordTx(std::int64_t tsUs, std::uint64_t color, const Bytes& payload);
-    void recordConnect(std::int64_t tsUs, std::uint64_t color, std::string_view target,
-                       std::uint8_t outcome, std::int32_t attempts);
-    void recordTransition(std::int64_t tsUs, std::string_view component, std::string_view from,
-                          std::string_view to, std::uint8_t action,
-                          std::string_view messageType);
-    void recordTranslate(std::int64_t tsUs, std::string_view state,
-                         std::string_view messageType);
-    void recordFault(std::int64_t tsUs, std::uint64_t color, std::uint8_t fault,
-                     std::string_view detail);
-    /// Closes the session log (the SessionEnd event bypasses the byte cap so
-    /// every log carries its terminal record) and rotates it into the ring,
-    /// reusing the evicted log's buffer once the ring is full.
-    void endSession(std::int64_t tsUs, std::int32_t code, std::uint8_t cause, bool completed,
-                    std::uint32_t messagesIn, std::uint32_t messagesOut,
-                    std::uint32_t retransmits);
 
     /// Recently finished sessions, oldest first (bounded ring).
     const std::deque<SessionLog>& recent() const { return recent_; }
     /// The most recently finished session, nullptr before the first one ends.
     const SessionLog* last() const { return recent_.empty() ? nullptr : &recent_.back(); }
 
-    /// Chunk memory currently held (retained across sessions, like RxArena).
-    std::size_t bytesReserved() const { return chunks_.size() * kChunkBytes; }
-    std::size_t chunkCount() const { return chunks_.size(); }
+    /// Chunk memory currently held by this recorder's open logs (retained
+    /// across sessions, like RxArena).
+    std::size_t bytesReserved() const { return chunks_ * kChunkBytes; }
+    std::size_t chunkCount() const { return chunks_; }
 
     static constexpr std::size_t kDefaultRingSessions = 4;
 
 private:
     static constexpr std::size_t kChunkBytes = 16 * 1024;
 
-    void appendScratch();      // scratch_ -> chunked log, cap-checked
-    void appendUnconditional();  // scratch_ -> chunked log, no cap (SessionEnd)
-
     std::size_t cap_;
     std::size_t ringCapacity_;
-
-    // Chunked byte log of the CURRENT session. Chunks are retained across
-    // sessions; used_ rewinds at each beginSession.
-    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
-    std::size_t used_ = 0;
-
-    Bytes scratch_;  // per-event encode buffer, reused
-    bool sessionOpen_ = false;
-    std::uint64_t ordinal_ = 0;
-    bool truncated_ = false;
-    std::uint64_t droppedEvents_ = 0;
+    std::size_t chunks_ = 0;  // summed over every OpenLog of this recorder
+    Bytes scratch_;           // per-event encode buffer, shared by the open logs
     std::deque<SessionLog> recent_;
 };
 

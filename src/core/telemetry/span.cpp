@@ -35,9 +35,9 @@ std::vector<Span> SpanBuffer::snapshot() const {
 
 SpanId SessionTracer::beginSession(net::TimePoint now) {
     if (!enabled()) return 0;
-    ++session_;
+    session_ = ++buffer_->sessions_;
     Span span;
-    span.id = nextId_++;
+    span.id = buffer_->nextId_++;
     span.session = session_;
     span.name = "session";
     span.start = now;
@@ -49,7 +49,7 @@ SpanId SessionTracer::beginSession(net::TimePoint now) {
 SpanId SessionTracer::begin(std::string name, net::TimePoint now, SpanId parent) {
     if (!enabled()) return 0;
     Span span;
-    span.id = nextId_++;
+    span.id = buffer_->nextId_++;
     span.parent = parent != 0 ? parent : root_;
     span.session = session_;
     span.name = std::move(name);
@@ -62,7 +62,7 @@ SpanId SessionTracer::instant(std::string name, net::TimePoint now, std::uint64_
                               SpanId parent) {
     if (!enabled()) return 0;
     Span span;
-    span.id = nextId_++;
+    span.id = buffer_->nextId_++;
     span.parent = parent != 0 ? parent : root_;
     span.session = session_;
     span.name = std::move(name);

@@ -80,17 +80,25 @@ public:
     std::vector<Span> snapshot() const;
 
 private:
+    friend class SessionTracer;
+
     std::size_t capacity_;
     std::vector<Span> ring_;
     std::size_t head_ = 0;  // index of the oldest span once the ring wrapped
     std::uint64_t dropped_ = 0;
+    // Span ids and session ordinals are drawn here, not per tracer, so the
+    // tracers of concurrently live sessions never hand out the same id.
+    SpanId nextId_ = 1;
+    std::uint64_t sessions_ = 0;
 };
 
 /// Builds one session's span tree and pushes completed spans into a
 /// SpanBuffer. Open spans live here; a span reaches the buffer when ended.
 /// begin() with parent 0 hangs the span off the session root (or records a
 /// free-standing root when no session is open -- network-engine legs can
-/// outlive the automata engine's notion of a session).
+/// outlive the automata engine's notion of a session). Several tracers may
+/// share one buffer, one per concurrently live session; ids and session
+/// ordinals stay unique across them.
 class SessionTracer {
 public:
     explicit SessionTracer(SpanBuffer& buffer) : buffer_(&buffer) {}
@@ -122,7 +130,6 @@ private:
 
     SpanBuffer* buffer_;
     std::vector<Span> open_;
-    SpanId nextId_ = 1;
     SpanId root_ = 0;
     std::uint64_t session_ = 0;
 };

@@ -14,6 +14,8 @@
 // auditable: anything typed `Network&` runs identically on both.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,6 +92,30 @@ protected:
     DatagramHandler handler_;
 };
 
+/// The upcall a TcpConnection makes when its PEER closes it, carrying why:
+/// net.peer-closed for an orderly FIN or a reset, net.frame-oversize when the
+/// OS backend's framed reader refused a frame over the wire cap. A handler
+/// that takes no argument is accepted too and simply ignores the cause, and
+/// a caller that invokes it without one reports net.peer-closed -- so
+/// decorators written against the older no-argument form keep working.
+class CloseHandler {
+public:
+    CloseHandler() = default;
+    CloseHandler(std::nullptr_t) {}
+    template <typename F>
+        requires std::invocable<F&, errc::ErrorCode>
+    CloseHandler(F fn) : fn_(std::move(fn)) {}
+    template <typename F>
+        requires(std::invocable<F&> && !std::invocable<F&, errc::ErrorCode>)
+    CloseHandler(F fn) : fn_([fn = std::move(fn)](errc::ErrorCode) mutable { fn(); }) {}
+
+    explicit operator bool() const { return static_cast<bool>(fn_); }
+    void operator()(errc::ErrorCode cause = errc::ErrorCode::NetPeerClosed) const { fn_(cause); }
+
+private:
+    std::function<void(errc::ErrorCode)> fn_;
+};
+
 /// One side of an established TCP connection. Both backends deliver data as
 /// ordered message chunks: the sim models one chunk per send(), the OS
 /// backend length-prefixes frames on the wire to preserve the same boundary
@@ -97,7 +123,7 @@ protected:
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 public:
     using DataHandler = std::function<void(const Bytes&)>;
-    using CloseHandler = std::function<void()>;
+    using CloseHandler = net::CloseHandler;
 
     virtual ~TcpConnection() = default;
 

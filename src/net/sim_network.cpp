@@ -434,7 +434,7 @@ void SimNetwork::tcpClose(SimTcpConnection& from) {
         const auto handler = peer->closeHandler_;
         peer->dataHandler_ = nullptr;  // break handler -> shared_ptr -> connection cycles
         peer->closeHandler_ = nullptr;
-        if (handler) handler();
+        if (handler) handler(errc::ErrorCode::NetPeerClosed);
     });
 }
 

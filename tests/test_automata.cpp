@@ -192,21 +192,21 @@ TEST_F(AutomatonTest, UnreachableStateFailsValidation) {
 }
 
 TEST_F(AutomatonTest, QueueStoresAndFindsLatestInstance) {
-    ColoredAutomaton automaton = makeSlpServer();
-    State* s11 = automaton.state("s11");
+    // A state's instance queue (one per state per engine session).
+    InstanceQueue s11;
     AbstractMessage first("SLPSrvRequest");
     first.setValue("XID", Value::ofInt(1), "Integer");
     AbstractMessage second("SLPSrvRequest");
     second.setValue("XID", Value::ofInt(2), "Integer");
-    s11->pushMessage(first);
-    s11->pushMessage(second);
-    const AbstractMessage* found = s11->message("SLPSrvRequest");
+    s11.push(first);
+    s11.push(second);
+    const AbstractMessage* found = s11.latest("SLPSrvRequest");
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->value("XID")->asInt(), 2);  // latest wins
-    EXPECT_EQ(s11->message("Other"), nullptr);
-    EXPECT_EQ(s11->messages().size(), 2u);
-    automaton.reset();
-    EXPECT_TRUE(s11->messages().empty());
+    EXPECT_EQ(s11.latest("Other"), nullptr);
+    EXPECT_EQ(s11.all().size(), 2u);
+    s11.clear();
+    EXPECT_TRUE(s11.all().empty());
 }
 
 }  // namespace

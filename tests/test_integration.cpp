@@ -7,11 +7,19 @@
 // exists (transparency requirement).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
+#include "core/telemetry/metrics.hpp"
+#include "protocols/ldap/ldap_agents.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
 #include "protocols/slp/slp_agents.hpp"
+#include "protocols/slp/slp_codec.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/wsd/wsd_agents.hpp"
 #include "sim_fixture.hpp"
 
 namespace starlink {
@@ -328,10 +336,10 @@ TEST_F(InteropTest, DuplicatedResponsesAreHarmless) {
     EXPECT_EQ(bridge.engine().sessions()[0].messagesIn, 2u);  // duplicate dropped
 }
 
-TEST_F(InteropTest, OverlappingClientsOneConversationAtATime) {
-    // The connector executes one merged conversation at a time (as in the
-    // paper); a request arriving mid-session is dropped, and the client
-    // retries successfully once the bridge is idle again.
+TEST_F(InteropTest, OverlappingClientsServedConcurrently) {
+    // B's request lands while A's session is mid-flight. The engine keeps
+    // one session per (color, peer), so B is served on its first try
+    // alongside A instead of waiting for A to finish.
     engine::EngineOptions options;
     options.sessionTimeout = net::ms(2000);
     auto& bridge = starlink.deploy(bridge::models::forCase(Case::SlpToBonjour, kBridgeHost),
@@ -352,7 +360,6 @@ TEST_F(InteropTest, OverlappingClientsOneConversationAtATime) {
     clientA.lookup("service:printer", [&aReplies](const slp::UserAgent::Result& result) {
         aReplies += result.urls.empty() ? 0 : 1;
     });
-    // B's request lands while A's session is mid-flight.
     scheduler.schedule(net::ms(20), [&clientB, &bReplies] {
         clientB.lookup("service:printer", [&bReplies](const slp::UserAgent::Result& result) {
             bReplies += result.urls.empty() ? 0 : 1;
@@ -360,15 +367,259 @@ TEST_F(InteropTest, OverlappingClientsOneConversationAtATime) {
     });
     run();
     EXPECT_EQ(aReplies, 1);
-    EXPECT_EQ(bReplies, 0);  // dropped mid-session, timed out
+    EXPECT_EQ(bReplies, 1);  // first try, no retry needed
+    ASSERT_EQ(bridge.engine().sessions().size(), 2u);
+    const engine::SessionRecord& first = bridge.engine().sessions()[0];
+    const engine::SessionRecord& second = bridge.engine().sessions()[1];
+    EXPECT_TRUE(first.completed);
+    EXPECT_TRUE(second.completed);
+    // The two conversations really overlapped.
+    EXPECT_LT(std::max(first.firstReceive, second.firstReceive),
+              std::min(first.lastSend, second.lastSend));
+    EXPECT_EQ(bridge.engine().liveSessionCount(), 0u);
+}
 
-    // B retries on the now-idle bridge.
-    clientB.lookup("service:printer", [&bReplies](const slp::UserAgent::Result& result) {
-        bReplies += result.urls.empty() ? 0 : 1;
-    });
-    run();
-    EXPECT_EQ(bReplies, 1);
-    EXPECT_GE(bridge.engine().sessions().size(), 2u);
+// --- concurrency across every direction ----------------------------------------
+
+/// One bridge direction with its legacy service and a client factory that
+/// issues one lookup from a given host.
+struct Direction {
+    const char* name;
+    std::function<bridge::models::DeploymentSpec()> spec;
+    std::function<std::shared_ptr<void>(net::Network&)> service;
+    /// Starts client `i` on `host`; `done` receives the URLs it discovered.
+    std::function<std::shared_ptr<void>(net::Network&, int i, const std::string& host,
+                                        std::function<void(std::vector<std::string>)> done)>
+        client;
+    /// The URL client `i` must discover.
+    std::function<std::string(int i)> expected;
+};
+
+constexpr const char* kServiceUrl = "http://10.0.0.3:631/printer";
+
+std::shared_ptr<void> slpService(net::Network& network) {
+    slp::ServiceAgent::Config config;
+    config.host = "10.0.0.3";
+    config.url = kServiceUrl;
+    config.attributes = {{"color", "true"}};
+    config.responseDelayBase = net::ms(40);
+    config.responseDelayJitter = net::ms(5);
+    return std::make_shared<slp::ServiceAgent>(network, config);
+}
+std::shared_ptr<void> mdnsService(net::Network& network) {
+    mdns::Responder::Config config;
+    config.url = kServiceUrl;
+    config.responseDelayBase = net::ms(40);
+    config.responseDelayJitter = net::ms(5);
+    return std::make_shared<mdns::Responder>(network, config);
+}
+std::shared_ptr<void> upnpService(net::Network& network) {
+    ssdp::Device::Config config;
+    config.serviceUrl = kServiceUrl;
+    config.responseDelayBase = net::ms(40);
+    config.responseDelayJitter = net::ms(5);
+    return std::make_shared<ssdp::Device>(network, config);
+}
+
+std::shared_ptr<void> slpClient(net::Network& network, int, const std::string& host,
+                                std::function<void(std::vector<std::string>)> done) {
+    slp::UserAgent::Config config;
+    config.host = host;
+    config.timeout = net::ms(20000);
+    auto agent = std::make_shared<slp::UserAgent>(network, config);
+    agent->lookup("service:printer",
+                  [done](const slp::UserAgent::Result& result) { done(result.urls); });
+    return agent;
+}
+std::shared_ptr<void> upnpClient(net::Network& network, int, const std::string& host,
+                                 std::function<void(std::vector<std::string>)> done) {
+    ssdp::ControlPoint::Config config;
+    config.host = host;
+    config.mxWindowBase = net::ms(30);
+    config.mxWindowJitter = net::ms(3);
+    config.timeout = net::ms(20000);
+    auto agent = std::make_shared<ssdp::ControlPoint>(network, config);
+    agent->search("urn:schemas-upnp-org:service:printer:1",
+                  [done](const ssdp::ControlPoint::Result& result) { done(result.urls); });
+    return agent;
+}
+std::shared_ptr<void> mdnsClient(net::Network& network, int, const std::string& host,
+                                 std::function<void(std::vector<std::string>)> done) {
+    mdns::Resolver::Config config;
+    config.host = host;
+    config.aggregationBase = net::ms(20);
+    config.aggregationJitter = net::ms(2);
+    config.timeout = net::ms(20000);
+    auto agent = std::make_shared<mdns::Resolver>(network, config);
+    agent->browse("_printer._tcp.local",
+                  [done](const mdns::Resolver::Result& result) { done(result.urls); });
+    return agent;
+}
+
+std::vector<Direction> allDirections() {
+    using bridge::models::forCase;
+    const auto paper = [](Case c) { return [c] { return forCase(c, kBridgeHost); }; };
+    const auto same = [](int) { return std::string(kServiceUrl); };
+    return {
+        {"slp-to-upnp", paper(Case::SlpToUpnp), upnpService, slpClient, same},
+        {"slp-to-bonjour", paper(Case::SlpToBonjour), mdnsService, slpClient, same},
+        {"upnp-to-slp", paper(Case::UpnpToSlp), slpService, upnpClient, same},
+        {"upnp-to-bonjour", paper(Case::UpnpToBonjour), mdnsService, upnpClient, same},
+        {"bonjour-to-upnp", paper(Case::BonjourToUpnp), upnpService, mdnsClient, same},
+        {"bonjour-to-slp", paper(Case::BonjourToSlp), slpService, mdnsClient, same},
+        {"slp-to-ldap", [] { return bridge::models::slpToLdap("10.0.0.3"); },
+         [](net::Network& network) -> std::shared_ptr<void> {
+             ldap::DirectoryServer::Config config;
+             config.responseDelayBase = net::ms(40);
+             config.responseDelayJitter = net::ms(5);
+             auto directory = std::make_shared<ldap::DirectoryServer>(network, config);
+             for (int i = 0; i < 3; ++i) {
+                 const std::string queue = "p" + std::to_string(i);
+                 directory->addEntry({"cn=" + queue + ",dc=services,dc=local",
+                                      "service:printer", std::string(kServiceUrl) + "-" + queue,
+                                      {{"queue", queue}}});
+             }
+             return directory;
+         },
+         // slp::UserAgent has no predicate parameter: each client asks for
+         // its own queue through the codec, so each gets its own URL.
+         [](net::Network& network, int i, const std::string& host,
+            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
+             std::shared_ptr<net::UdpSocket> socket = network.openUdp(host);
+             socket->onDatagram([done](const Bytes& payload, const net::Address&) {
+                 if (const auto reply = slp::decodeReply(payload)) done({reply->url});
+             });
+             slp::SrvRequest request;
+             request.xid = static_cast<std::uint16_t>(100 + i);
+             request.serviceType = "service:printer";
+             request.predicate = "(queue=p" + std::to_string(i) + ")";
+             socket->sendTo(net::Address{slp::kGroup, slp::kPort}, slp::encode(request));
+             return socket;
+         },
+         [](int i) { return std::string(kServiceUrl) + "-p" + std::to_string(i); }},
+        {"ldap-to-slp", [] { return bridge::models::ldapToSlp(); }, slpService,
+         [](net::Network& network, int, const std::string& host,
+            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
+             auto agent = std::make_shared<ldap::DirectoryClient>(network, host);
+             agent->search(kBridgeHost, ldap::kPort, "service:printer", "(color=true)",
+                           [done](const ldap::DirectoryClient::Result& result) {
+                               done(result.success ? std::vector<std::string>{result.url}
+                                                   : std::vector<std::string>{});
+                           });
+             return agent;
+         },
+         same},
+        {"slp-to-wsd", [] { return bridge::models::slpToWsd(); },
+         [](net::Network& network) -> std::shared_ptr<void> {
+             wsd::Target::Config config;
+             config.xaddrs = kServiceUrl;
+             config.responseDelayBase = net::ms(40);
+             config.responseDelayJitter = net::ms(5);
+             return std::make_shared<wsd::Target>(network, config);
+         },
+         slpClient, same},
+        {"wsd-to-slp", [] { return bridge::models::wsdToSlp(); }, slpService,
+         [](net::Network& network, int, const std::string& host,
+            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
+             wsd::Client::Config config;
+             config.host = host;
+             config.timeout = net::ms(20000);
+             auto agent = std::make_shared<wsd::Client>(network, config);
+             agent->probe("printer",
+                          [done](const wsd::Client::Result& result) { done(result.xaddrs); });
+             return agent;
+         },
+         same},
+    };
+}
+
+TEST_F(InteropTest, ThreeSimultaneousClientsEveryDirection) {
+    // Three clients on distinct hosts ask at once; every one is answered
+    // with its own result through its own session.
+    constexpr int kClients = 3;
+    for (const Direction& direction : allDirections()) {
+        SCOPED_TRACE(direction.name);
+        net::VirtualClock dirClock;
+        net::EventScheduler dirScheduler(dirClock);
+        net::SimNetwork dirNetwork(dirScheduler);
+        bridge::Starlink dirStarlink(dirNetwork);
+        auto& bridge = dirStarlink.deploy(direction.spec(), kBridgeHost);
+        const std::shared_ptr<void> service = direction.service(dirNetwork);
+
+        std::vector<std::vector<std::vector<std::string>>> answers(kClients);
+        std::vector<std::shared_ptr<void>> clients;
+        for (int i = 0; i < kClients; ++i) {
+            const std::string host = "10.0.1." + std::to_string(11 + i);
+            clients.push_back(direction.client(
+                dirNetwork, i, host,
+                [&answers, i](std::vector<std::string> urls) { answers[i].push_back(urls); }));
+        }
+        dirScheduler.runUntilIdle(200000);
+
+        for (int i = 0; i < kClients; ++i) {
+            ASSERT_EQ(answers[i].size(), 1u) << "client " << i;
+            ASSERT_EQ(answers[i][0].size(), 1u) << "client " << i;
+            EXPECT_EQ(answers[i][0][0], direction.expected(i)) << "client " << i;
+        }
+        const engine::SessionHistory& history = bridge.engine().sessions();
+        ASSERT_EQ(history.size(), static_cast<std::size_t>(kClients));
+        for (const engine::SessionRecord& record : history) EXPECT_TRUE(record.completed);
+        // Three distinct conversations, all in flight at once.
+        net::TimePoint lastStart{};
+        net::TimePoint firstEnd = history[0].lastSend;
+        for (const engine::SessionRecord& record : history) {
+            lastStart = std::max(lastStart, record.firstReceive);
+            firstEnd = std::min(firstEnd, record.lastSend);
+        }
+        EXPECT_LT(lastStart, firstEnd);
+        EXPECT_EQ(bridge.engine().liveSessionCount(), 0u);
+    }
+}
+
+TEST_F(InteropTest, SessionCapShedsOneOpeningMessage) {
+    // kMaxLiveSessions + 1 clients ask at once: all but one are served, and
+    // the one past the cap is shed with engine.overload and counted.
+    constexpr std::size_t kCap = engine::AutomataEngine::kMaxLiveSessions;
+    telemetry::setEnabled(true);
+    telemetry::MetricsRegistry metrics;
+    engine::EngineOptions options;
+    options.metrics = &metrics;
+    auto& bridge = starlink.deploy(bridge::models::forCase(Case::SlpToBonjour, kBridgeHost),
+                                   kBridgeHost, options);
+    mdns::Responder::Config slowResponder = fastResponder();
+    slowResponder.responseDelayBase = net::ms(200);
+    mdns::Responder responder(network, slowResponder);
+
+    std::vector<std::unique_ptr<slp::UserAgent>> clients;
+    std::size_t answered = 0;
+    std::size_t empty = 0;
+    for (std::size_t i = 0; i <= kCap; ++i) {
+        slp::UserAgent::Config config;
+        config.host = "10.0." + std::to_string(2 + i / 200) + "." + std::to_string(10 + i % 200);
+        config.timeout = net::ms(1000);
+        clients.push_back(std::make_unique<slp::UserAgent>(network, config));
+        clients.back()->lookup("service:printer",
+                               [&answered, &empty](const slp::UserAgent::Result& result) {
+                                   ++(result.urls.empty() ? empty : answered);
+                               });
+    }
+    run(1000000);
+    EXPECT_EQ(answered, kCap);
+    EXPECT_EQ(empty, 1u);
+    EXPECT_EQ(bridge.engine().sessions().size(), kCap);
+    const engine::ColorTraffic* slp =
+        bridge.engine().traffic(bridge.engine().merged().components()[0]->color());
+    ASSERT_NE(slp, nullptr);
+    EXPECT_EQ(slp->dropped[static_cast<std::size_t>(engine::DropReason::SessionCap)], 1u);
+    EXPECT_EQ(engine::dropReasonCode(engine::DropReason::SessionCap),
+              errc::ErrorCode::EngineOverload);
+    EXPECT_EQ(metrics
+                  .counter(telemetry::labeled("starlink_engine_datagrams_dropped_total",
+                                              {{"bridge", "slp-to-bonjour"},
+                                               {"reason", "session-cap"}}))
+                  .value(),
+              1u);
+    telemetry::setEnabled(false);
 }
 
 TEST_F(InteropTest, MalformedPeerAbortsSessionNotBridge) {
@@ -433,13 +684,9 @@ TEST_F(InteropTest, LongRunStability) {
     }
     EXPECT_EQ(successes, 200);
     EXPECT_EQ(bridge.engine().sessions().size(), 200u);
-    // All component queues are empty after the final reset.
-    for (const auto& component : bridge.engine().merged().components()) {
-        for (const automata::State* state : component->states()) {
-            EXPECT_TRUE(state->messages().empty())
-                << component->name() << ":" << state->id();
-        }
-    }
+    // Every session was handed back to the pool; the automata hold no
+    // per-session data to leak.
+    EXPECT_EQ(bridge.engine().liveSessionCount(), 0u);
     EXPECT_EQ(bridge.engine().currentState(), "s10");
 }
 

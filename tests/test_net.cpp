@@ -10,7 +10,11 @@
 #include <cerrno>
 
 #include "common/error.hpp"
+#include "core/bridge/models.hpp"
+#include "core/bridge/starlink.hpp"
 #include "core/net/os_network.hpp"
+#include "protocols/slp/slp_agents.hpp"
+#include "protocols/ssdp/ssdp_codec.hpp"
 #include "sim_fixture.hpp"
 
 namespace starlink {
@@ -302,8 +306,12 @@ TEST_F(NetTest, TcpChunksArriveInOrder) {
 TEST_F(NetTest, TcpCloseNotifiesPeer) {
     auto listener = network.listenTcp("10.0.0.2", 80);
     bool serverSawClose = false;
+    errc::ErrorCode closeCause = errc::ErrorCode::Ok;
     listener->onAccept([&](std::shared_ptr<net::TcpConnection> connection) {
-        connection->onClose([&serverSawClose] { serverSawClose = true; });
+        connection->onClose([&](errc::ErrorCode cause) {
+            serverSawClose = true;
+            closeCause = cause;
+        });
     });
     std::shared_ptr<net::TcpConnection> client;
     network.connectTcp("10.0.0.1", net::Address{"10.0.0.2", 80},
@@ -315,6 +323,7 @@ TEST_F(NetTest, TcpCloseNotifiesPeer) {
     client->close();
     run();
     EXPECT_TRUE(serverSawClose);
+    EXPECT_EQ(closeCause, errc::ErrorCode::NetPeerClosed);
     EXPECT_THROW(client->send(toBytes("x")), NetError);
 }
 
@@ -555,10 +564,14 @@ TEST_F(OsNetTest, OversizeFrameClosesConnectionCoded) {
     std::shared_ptr<net::TcpConnection> serverSide;
     bool serverSawClose = false;
     bool serverGotData = false;
+    errc::ErrorCode closeCause = errc::ErrorCode::Ok;
     listener->onAccept([&](std::shared_ptr<net::TcpConnection> conn) {
         serverSide = conn;
         conn->onData([&serverGotData](const Bytes&) { serverGotData = true; });
-        conn->onClose([&serverSawClose] { serverSawClose = true; });
+        conn->onClose([&](errc::ErrorCode cause) {
+            serverSawClose = true;
+            closeCause = cause;
+        });
     });
     const int fd = connectRaw(network, "10.0.0.2", 80);
     ASSERT_GE(fd, 0);
@@ -569,12 +582,54 @@ TEST_F(OsNetTest, OversizeFrameClosesConnectionCoded) {
     ASSERT_NE(serverSide, nullptr);
     EXPECT_FALSE(serverSide->isOpen());
     EXPECT_EQ(network.framesOversize(), 1u);
+    // The cause reaches the close handler, so an engine session records it.
+    EXPECT_EQ(closeCause, errc::ErrorCode::NetFrameOversize);
     EXPECT_EQ(errc::to_string(errc::ErrorCode::NetFrameOversize), std::string("net.frame-oversize"));
     // The client sees the close, not a stalled connection.
     char byte = 0;
     const ssize_t got = ::recv(fd, &byte, 1, 0);
     EXPECT_TRUE(got == 0 || (got < 0 && errno == ECONNRESET)) << "recv returned " << got;
     ::close(fd);
+}
+
+TEST_F(OsNetTest, OversizeFrameAbortsBridgeSessionCoded) {
+    // A plain-HTTP client reaches upnp-to-slp's framed HTTP port while the
+    // session waits for the description fetch. The close cause travels with
+    // the close, and the session records net.frame-oversize as its abort
+    // code instead of a bare peer close.
+    if (!net::OsNetwork::loopbackMulticastUsable()) {
+        GTEST_SKIP() << "kernel does not deliver multicast on loopback";
+    }
+    net::OsNetwork network;
+    bridge::Starlink starlink{network};
+    auto& deployed = starlink.deploy(
+        bridge::models::forCase(bridge::models::Case::UpnpToSlp, "10.0.0.9"), "10.0.0.9");
+    slp::ServiceAgent::Config service;
+    service.responseDelayBase = net::ms(5);
+    service.responseDelayJitter = net::ms(1);
+    slp::ServiceAgent agent(network, service);
+
+    // The control point's M-SEARCH; its answer means the session now waits
+    // on the HTTP leg.
+    auto controlPoint = network.openUdp("10.0.0.1");
+    bool answered = false;
+    controlPoint->onDatagram([&answered](const Bytes&, const net::Address&) { answered = true; });
+    ssdp::MSearch search;
+    search.st = "urn:schemas-upnp-org:service:printer:1";
+    controlPoint->sendTo(net::Address{"10.0.0.9", ssdp::kPort}, ssdp::encode(search));
+    network.runUntil([&answered] { return answered; }, net::ms(3000));
+    ASSERT_TRUE(answered);
+
+    const int fd = connectRaw(network, "10.0.0.9", 8085);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendRaw(fd, toBytes("GET /desc.xml HTTP/1.1\r\nHost: 10.0.0.9\r\n\r\n")));
+    const engine::AutomataEngine& engine = deployed.engine();
+    network.runUntil([&engine] { return engine.sessions().size() >= 1; }, net::ms(3000));
+    ::close(fd);
+    ASSERT_EQ(engine.sessions().size(), 1u);
+    EXPECT_FALSE(engine.sessions()[0].completed);
+    EXPECT_EQ(engine.sessions()[0].code, errc::ErrorCode::NetFrameOversize);
+    EXPECT_EQ(network.framesOversize(), 1u);
 }
 
 TEST_F(OsNetTest, TcpCloseNotifiesPeerAndSendThrowsCoded) {

@@ -250,8 +250,9 @@ TEST_P(ColorHashProperty, InjectiveOverRandomDescriptors) {
         automata::Color color;
         const int entries = static_cast<int>(rng.range(1, 6));
         for (int e = 0; e < entries; ++e) {
-            color.set("k" + std::to_string(rng.range(0, 9)),
-                      randomToken(rng, 8, "abcdefghij0123456789"));
+            std::string key = "k";
+            key += std::to_string(rng.range(0, 9));
+            color.set(key, randomToken(rng, 8, "abcdefghij0123456789"));
         }
         const std::uint64_t k = registry.colorOf(color);
         const auto [it, inserted] = seen.emplace(k, color.canonicalKey());

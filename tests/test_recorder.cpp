@@ -77,27 +77,29 @@ Bytes payloadOf(const char* text) {
 
 TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
     FlightRecorder recorder(0);
+    FlightRecorder::OpenLog session(recorder);
     EXPECT_FALSE(recorder.enabled());
-    recorder.beginSession(1, 0);
-    EXPECT_FALSE(recorder.inSession());
-    recorder.recordTx(10, 7, payloadOf("x"));
-    recorder.endSession(20, -600, 1, false, 1, 1, 0);
+    session.beginSession(1, 0);
+    EXPECT_FALSE(session.inSession());
+    session.recordTx(10, 7, payloadOf("x"));
+    session.endSession(20, -600, 1, false, 1, 1, 0);
     EXPECT_EQ(recorder.last(), nullptr);
     EXPECT_EQ(recorder.bytesReserved(), 0u);
 }
 
 TEST(FlightRecorder, EventCodecRoundTripsEveryKind) {
     FlightRecorder recorder(64 * 1024);
-    recorder.beginSession(3, 100);
-    ASSERT_TRUE(recorder.inSession());
-    recorder.recordRx(100, 0xaabb, "10.0.0.1:427", "10.0.0.9:427", payloadOf("hello"));
-    recorder.recordTransition(100, "SLP", "s10", "s11", WireEvent::kActionReceive,
-                              "SLPSrvRequest");
-    recorder.recordTranslate(112, "s11", "SSDP_MSearch");
-    recorder.recordTx(112, 0xccdd, payloadOf("out-bytes"));
-    recorder.recordConnect(150, 0xeeff, "10.0.0.1:49152", WireEvent::kConnectConnected, 2);
-    recorder.recordFault(160, 0xeeff, WireEvent::kFaultPeerClosed, "mid-session close");
-    recorder.endSession(200, -605, 3, false, 4, 5, 1);
+    FlightRecorder::OpenLog session(recorder);
+    session.beginSession(3, 100);
+    ASSERT_TRUE(session.inSession());
+    session.recordRx(100, 0xaabb, "10.0.0.1:427", "10.0.0.9:427", payloadOf("hello"));
+    session.recordTransition(100, "SLP", "s10", "s11", WireEvent::kActionReceive,
+                             "SLPSrvRequest");
+    session.recordTranslate(112, "s11", "SSDP_MSearch");
+    session.recordTx(112, 0xccdd, payloadOf("out-bytes"));
+    session.recordConnect(150, 0xeeff, "10.0.0.1:49152", WireEvent::kConnectConnected, 2);
+    session.recordFault(160, 0xeeff, WireEvent::kFaultPeerClosed, "mid-session close");
+    session.endSession(200, -605, 3, false, 4, 5, 1);
 
     const FlightRecorder::SessionLog* log = recorder.last();
     ASSERT_NE(log, nullptr);
@@ -162,16 +164,17 @@ TEST(FlightRecorder, EncodingMatchesGoldenBytes) {
     constexpr std::size_t kLongString = 70000;  // past the u16 string length
     constexpr std::size_t kPayload = 20000;     // straddles a 16 KiB chunk
     FlightRecorder recorder(1024 * 1024);
-    recorder.beginSession(9, 100);
-    recorder.recordRx(100, 0x0102030405060708ULL, "10.0.0.1:427", "10.0.0.9:427",
-                      payloadOf("hello"));
-    recorder.recordTransition(100, "SLP", std::string(kLongString, 'x'), "s11",
-                              WireEvent::kActionReceive, "SLPSrvRequest");
-    recorder.recordTranslate(112, "s11", "SSDP_MSearch");
-    recorder.recordTx(112, 0xccdd, Bytes(kPayload, 0x5a));
-    recorder.recordConnect(150, 0xeeff, "10.0.0.1:49152", WireEvent::kConnectConnected, 2);
-    recorder.recordFault(160, 0xeeff, WireEvent::kFaultPeerClosed, "mid-session close");
-    recorder.endSession(200, -605, 3, false, 4, 5, 1);
+    FlightRecorder::OpenLog session(recorder);
+    session.beginSession(9, 100);
+    session.recordRx(100, 0x0102030405060708ULL, "10.0.0.1:427", "10.0.0.9:427",
+                     payloadOf("hello"));
+    session.recordTransition(100, "SLP", std::string(kLongString, 'x'), "s11",
+                             WireEvent::kActionReceive, "SLPSrvRequest");
+    session.recordTranslate(112, "s11", "SSDP_MSearch");
+    session.recordTx(112, 0xccdd, Bytes(kPayload, 0x5a));
+    session.recordConnect(150, 0xeeff, "10.0.0.1:49152", WireEvent::kConnectConnected, 2);
+    session.recordFault(160, 0xeeff, WireEvent::kFaultPeerClosed, "mid-session close");
+    session.endSession(200, -605, 3, false, 4, 5, 1);
 
     // Frames: u32 body length, then u8 kind, i64 tsUs and the kind's fields,
     // little-endian; strings are u16-length-prefixed, blobs u32.
@@ -219,10 +222,11 @@ TEST(FlightRecorder, EncodingMatchesGoldenBytes) {
 
 TEST(FlightRecorder, ByteCapTruncatesButKeepsTerminalRecord) {
     FlightRecorder recorder(256);  // tiny: a few events fit, most don't
-    recorder.beginSession(1, 0);
+    FlightRecorder::OpenLog session(recorder);
+    session.beginSession(1, 0);
     const Bytes big(100, 0x41);
-    for (int i = 0; i < 50; ++i) recorder.recordTx(i, 1, big);
-    recorder.endSession(1000, -600, 1, false, 0, 50, 0);
+    for (int i = 0; i < 50; ++i) session.recordTx(i, 1, big);
+    session.endSession(1000, -600, 1, false, 0, 50, 0);
 
     const FlightRecorder::SessionLog* log = recorder.last();
     ASSERT_NE(log, nullptr);
@@ -237,10 +241,11 @@ TEST(FlightRecorder, ByteCapTruncatesButKeepsTerminalRecord) {
 
 TEST(FlightRecorder, RecentRingIsBounded) {
     FlightRecorder recorder(4096, /*ringSessions=*/3);
+    FlightRecorder::OpenLog session(recorder);
     for (int s = 1; s <= 7; ++s) {
-        recorder.beginSession(static_cast<std::uint64_t>(s), s * 10);
-        recorder.recordTx(s * 10, 1, payloadOf("p"));
-        recorder.endSession(s * 10 + 5, 0, 0, true, 1, 1, 0);
+        session.beginSession(static_cast<std::uint64_t>(s), s * 10);
+        session.recordTx(s * 10, 1, payloadOf("p"));
+        session.endSession(s * 10 + 5, 0, 0, true, 1, 1, 0);
     }
     EXPECT_EQ(recorder.recent().size(), 3u);
     EXPECT_EQ(recorder.recent().front().ordinal, 5u);
@@ -249,16 +254,17 @@ TEST(FlightRecorder, RecentRingIsBounded) {
 
 TEST(FlightRecorder, ChunkMemoryIsRetainedAcrossSessions) {
     FlightRecorder recorder(64 * 1024);
-    recorder.beginSession(1, 0);
+    FlightRecorder::OpenLog session(recorder);
+    session.beginSession(1, 0);
     const Bytes big(10000, 0x42);
-    for (int i = 0; i < 5; ++i) recorder.recordTx(i, 1, big);
-    recorder.endSession(100, 0, 0, true, 0, 5, 0);
+    for (int i = 0; i < 5; ++i) session.recordTx(i, 1, big);
+    session.endSession(100, 0, 0, true, 0, 5, 0);
     const std::size_t reserved = recorder.bytesReserved();
     EXPECT_GT(reserved, 0u);
     // A smaller follow-up session reuses the chunks; no growth.
-    recorder.beginSession(2, 200);
-    recorder.recordTx(201, 1, payloadOf("small"));
-    recorder.endSession(210, 0, 0, true, 0, 1, 0);
+    session.beginSession(2, 200);
+    session.recordTx(201, 1, payloadOf("small"));
+    session.endSession(210, 0, 0, true, 0, 1, 0);
     EXPECT_EQ(recorder.bytesReserved(), reserved);
 }
 
@@ -267,24 +273,25 @@ TEST(FlightRecorder, ChunkMemoryIsRetainedAcrossSessions) {
 // only the ring deque's node turnover.
 TEST(FlightRecorder, SteadyStateRecordingDoesNotAllocate) {
     FlightRecorder recorder(1024 * 1024);
+    FlightRecorder::OpenLog session(recorder);
     const Bytes request(300, 0x51);
     const Bytes reply(20000, 0x52);  // the log straddles a chunk boundary
     auto recordSession = [&](std::uint64_t ordinal) {
         const std::int64_t t = static_cast<std::int64_t>(ordinal) * 1000;
-        recorder.beginSession(ordinal, t);
-        recorder.recordRx(t, 1, "10.0.0.1:427", "10.0.0.9:427", request);
-        recorder.recordTransition(t, "SLP", "s10", "s11", WireEvent::kActionReceive,
-                                  "SLPSrvRequest");
-        recorder.recordTranslate(t + 1, "s11", "SSDP_MSearch");
-        recorder.recordTx(t + 1, 2, request);
-        recorder.recordConnect(t + 2, 3, "10.0.0.1:49152", WireEvent::kConnectConnected, 1);
-        recorder.recordRx(t + 3, 3, "10.0.0.1:49152", "", reply);
-        recorder.recordFault(t + 4, 3, WireEvent::kFaultPeerClosed, "mid-session close");
+        session.beginSession(ordinal, t);
+        session.recordRx(t, 1, "10.0.0.1:427", "10.0.0.9:427", request);
+        session.recordTransition(t, "SLP", "s10", "s11", WireEvent::kActionReceive,
+                                 "SLPSrvRequest");
+        session.recordTranslate(t + 1, "s11", "SSDP_MSearch");
+        session.recordTx(t + 1, 2, request);
+        session.recordConnect(t + 2, 3, "10.0.0.1:49152", WireEvent::kConnectConnected, 1);
+        session.recordRx(t + 3, 3, "10.0.0.1:49152", "", reply);
+        session.recordFault(t + 4, 3, WireEvent::kFaultPeerClosed, "mid-session close");
     };
     const std::size_t warmup = 2 * FlightRecorder::kDefaultRingSessions;
     for (std::uint64_t s = 1; s <= warmup; ++s) {
         recordSession(s);
-        recorder.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
+        session.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
     }
 
     constexpr std::uint64_t kSessions = 64;
@@ -298,7 +305,7 @@ TEST(FlightRecorder, SteadyStateRecordingDoesNotAllocate) {
         const std::uint64_t before = allocCalls();
         recordSession(s);
         const std::uint64_t between = allocCalls();
-        recorder.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
+        session.endSession(static_cast<std::int64_t>(s) * 1000 + 5, 0, 0, true, 2, 1, 0);
         recordAllocs += between - before;
         endAllocs += allocCalls() - between;
     }
@@ -335,9 +342,11 @@ PostmortemBundle sampleBundle() {
     bundle.tcpMaxBacklogBytes = 256 * 1024;
 
     FlightRecorder recorder(4096);
-    recorder.beginSession(17, 0);
-    recorder.recordRx(10, 1, "10.0.0.1:1900", "10.0.0.9:1900", payloadOf("M-SEARCH"));
-    recorder.endSession(30000000, -600, 1, false, 1, 0, 0);
+
+    FlightRecorder::OpenLog session(recorder);
+    session.beginSession(17, 0);
+    session.recordRx(10, 1, "10.0.0.1:1900", "10.0.0.9:1900", payloadOf("M-SEARCH"));
+    session.endSession(30000000, -600, 1, false, 1, 0, 0);
     bundle.events = recorder.last()->events;
 
     telemetry::Span root;

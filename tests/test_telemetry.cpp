@@ -4,7 +4,9 @@
 // (Fig 12(b)) and agree with the engine's counters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,7 +16,9 @@
 #include "core/telemetry/span.hpp"
 #include "core/telemetry/trace_export.hpp"
 #include "protocols/slp/slp_agents.hpp"
+#include "protocols/slp/slp_codec.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/ssdp/ssdp_codec.hpp"
 #include "sim_fixture.hpp"
 
 namespace starlink {
@@ -93,7 +97,8 @@ TEST(SpanBuffer, OverflowKeepsNewestAndCountsDropped) {
     for (int i = 1; i <= 5; ++i) {
         telemetry::Span span;
         span.id = static_cast<telemetry::SpanId>(i);
-        span.name = "s" + std::to_string(i);
+        span.name = "s";
+        span.name += std::to_string(i);
         buffer.push(std::move(span));
     }
     EXPECT_EQ(buffer.size(), 3u);
@@ -460,6 +465,92 @@ TEST_F(TelemetrySpanTest, SpanBufferOverflowSurfacesInDroppedCount) {
 
     EXPECT_EQ(deployed.engine().spans().size(), 4u);
     EXPECT_GT(deployed.engine().spans().dropped(), 0u);
+}
+
+// -- drop accounting: every inbound message is accepted or dropped ---------
+
+using DropAccountingTest = TelemetrySpanTest;
+
+TEST_F(DropAccountingTest, NetInEqualsEngineInPlusDropsPerColor) {
+    telemetry::MetricsRegistry metrics;
+    engine::EngineOptions options;
+    options.metrics = &metrics;
+    auto& deployed = starlink.deploy(
+        bridge::models::forCase(bridge::models::Case::SlpToUpnp, "10.0.0.9"), "10.0.0.9",
+        options);
+    const engine::AutomataEngine& engine = deployed.engine();
+    ssdp::Device device(network, fastDevice());
+
+    // Three overlapping clients; the first re-multicasts its request while
+    // its session runs, so its duplicates join that session and drop there.
+    std::vector<std::unique_ptr<slp::UserAgent>> clients;
+    int answered = 0;
+    for (int i = 0; i < 3; ++i) {
+        slp::UserAgent::Config config;
+        config.host = "10.0.0." + std::to_string(11 + i);
+        if (i == 0) config.retransmitInterval = net::ms(3);
+        clients.push_back(std::make_unique<slp::UserAgent>(network, config));
+        clients.back()->lookup("service:printer", [&answered](const slp::UserAgent::Result& r) {
+            answered += r.urls.empty() ? 0 : 1;
+        });
+    }
+    // Strays: junk and a wrong-direction reply on the SLP group, and an SSDP
+    // response nobody asked for at the bridge's SSDP endpoint.
+    auto stranger = network.openUdp("10.0.0.20");
+    const net::Address slpGroup{slp::kGroup, slp::kPort};
+    stranger->sendTo(slpGroup, toBytes("not an slp message"));
+    slp::SrvReply reply;
+    reply.xid = 7;
+    reply.url = "service:printer://10.0.0.20:515/x";
+    stranger->sendTo(slpGroup, slp::encode(reply));
+    ssdp::Response response;
+    response.st = "urn:schemas-upnp-org:service:printer:1";
+    response.location = "http://10.0.0.20:80/desc.xml";
+    stranger->sendTo(net::Address{"10.0.0.9", ssdp::kPort}, ssdp::encode(response));
+    run();
+    EXPECT_EQ(answered, 3);
+
+    std::uint64_t accepted = 0;
+    std::array<std::uint64_t, engine::kDropReasonCount> dropped{};
+    for (const auto& component : engine.merged().components()) {
+        const std::uint64_t k = component->color();
+        const automata::Color* color = starlink.colors().lookup(k);
+        ASSERT_NE(color, nullptr);
+        const std::uint64_t netIn =
+            metrics
+                .counter(telemetry::labeled("starlink_net_messages_in_total",
+                                            {{"color", std::to_string(k)},
+                                             {"transport", color->transport()}}))
+                .value();
+        const engine::ColorTraffic* traffic = engine.traffic(k);
+        ASSERT_NE(traffic, nullptr);
+        EXPECT_EQ(netIn, traffic->accepted + traffic->droppedTotal()) << component->name();
+        accepted += traffic->accepted;
+        for (std::size_t r = 0; r < engine::kDropReasonCount; ++r) {
+            dropped[r] += traffic->dropped[r];
+        }
+    }
+    // The per-color tallies agree with the exported counters.
+    EXPECT_EQ(metrics
+                  .counter(telemetry::labeled("starlink_engine_messages_in_total",
+                                              {{"bridge", "slp-to-upnp"}}))
+                  .value(),
+              accepted);
+    for (std::size_t r = 0; r < engine::kDropReasonCount; ++r) {
+        const auto reason = static_cast<engine::DropReason>(r);
+        EXPECT_EQ(metrics
+                      .counter(telemetry::labeled("starlink_engine_datagrams_dropped_total",
+                                                  {{"bridge", "slp-to-upnp"},
+                                                   {"reason", engine::dropReasonName(reason)}}))
+                      .value(),
+                  dropped[r])
+            << engine::dropReasonName(reason);
+    }
+    using engine::DropReason;
+    EXPECT_GE(dropped[static_cast<std::size_t>(DropReason::Unparseable)], 1u);
+    EXPECT_GE(dropped[static_cast<std::size_t>(DropReason::NoTransition)], 1u);
+    EXPECT_GE(dropped[static_cast<std::size_t>(DropReason::InactiveAutomaton)], 1u);
+    EXPECT_EQ(dropped[static_cast<std::size_t>(DropReason::SessionCap)], 0u);
 }
 
 class TelemetryDisabledTest : public SimTest {

@@ -10,6 +10,7 @@
 // deliver multicast on the loopback interface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -313,6 +314,76 @@ TEST_F(TransportConformance, ConsecutiveSessionTalliesMatch) {
     ASSERT_EQ(sim.size(), static_cast<std::size_t>(kRounds));
     ASSERT_EQ(os.size(), sim.size());
     EXPECT_EQ(sim, os) << "per-session message tallies diverged across backends";
+}
+
+// --- overlapping clients -----------------------------------------------------
+
+TEST_F(TransportConformance, OverlappingSlpClientsAllServed) {
+    // Three SLP user agents ask at once through slp-to-upnp. Each session
+    // multicasts its M-SEARCH from its own socket, so the device's unicast
+    // responses find their way back to the right session on both backends.
+    constexpr int kClients = 3;
+    const auto runOverlapping = [](net::Network& net) {
+        bridge::Starlink starlink{net};
+        auto& deployed = starlink.deploy(
+            bridge::models::forCase(Case::SlpToUpnp, kBridgeHost), kBridgeHost);
+        ssdp::Device::Config slowDevice = fastDevice();
+        slowDevice.responseDelayBase = net::ms(100);  // keeps the sessions overlapping
+        ssdp::Device device(net, slowDevice);
+
+        std::vector<std::unique_ptr<slp::UserAgent>> clients;
+        std::vector<std::string> urls(kClients);
+        int settled = 0;
+        for (int i = 0; i < kClients; ++i) {
+            slp::UserAgent::Config config;
+            config.host = "10.0.0." + std::to_string(11 + i);
+            config.timeout = net::ms(5000);
+            clients.push_back(std::make_unique<slp::UserAgent>(net, config));
+            clients.back()->lookup("service:printer",
+                                   [&urls, &settled, i](const slp::UserAgent::Result& r) {
+                                       if (!r.urls.empty()) urls[i] = r.urls[0];
+                                       ++settled;
+                                   });
+        }
+        auto& engine = deployed.engine();
+        net.runUntil(
+            [&settled, &engine] {
+                return settled == kClients &&
+                       engine.sessions().size() >= static_cast<std::size_t>(kClients);
+            },
+            kSessionBudget);
+        for (int i = 0; i < kClients; ++i) {
+            EXPECT_EQ(urls[i], device.config().serviceUrl)
+                << net.backendName() << " client " << i;
+        }
+        EXPECT_EQ(engine.sessions().size(), static_cast<std::size_t>(kClients))
+            << net.backendName();
+        net::TimePoint lastStart{};
+        net::TimePoint firstEnd = net::TimePoint::max();
+        for (const auto& record : engine.sessions()) {
+            EXPECT_TRUE(record.completed) << net.backendName();
+            lastStart = std::max(lastStart, record.firstReceive);
+            firstEnd = std::min(firstEnd, record.lastSend);
+        }
+        EXPECT_LT(lastStart, firstEnd) << net.backendName() << ": sessions did not overlap";
+        // Healthy overlapping traffic drops nothing: no reply strays into
+        // another session, and no session's multicast query loops back into
+        // the bridge.
+        for (const auto& component : engine.merged().components()) {
+            const engine::ColorTraffic* traffic = engine.traffic(component->color());
+            ASSERT_NE(traffic, nullptr);
+            EXPECT_EQ(traffic->droppedTotal(), 0u) << net.backendName() << " "
+                                                    << component->name();
+        }
+    };
+
+    net::VirtualClock clock;
+    net::EventScheduler scheduler{clock};
+    net::SimNetwork simNetwork{scheduler};
+    runOverlapping(simNetwork);
+
+    net::OsNetwork osNetwork;
+    runOverlapping(osNetwork);
 }
 
 }  // namespace

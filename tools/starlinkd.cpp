@@ -492,8 +492,7 @@ int cmdChaos(const std::string& caseName, double loss, std::uint64_t seed) {
     std::cout << "network: " << network.datagramsSent() << " datagrams sent, "
               << network.datagramsLost() << " lost, " << network.partitionDrops()
               << " partition drops, " << network.connectsRefused() << " connects refused\n";
-    const bool connectorHealthy =
-        deployed.engine().currentState() == deployed.engine().merged().initialState();
+    const bool connectorHealthy = deployed.engine().liveSessionCount() == 0;
     std::cout << "connector: " << (connectorHealthy ? "re-armed at q0" : "WEDGED") << "\n";
     return successes > 0 && connectorHealthy ? 0 : 1;
 }
@@ -759,9 +758,10 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
     // RELOAD is not (the old version keeps serving, below).
     bridge::ModelRegistryOptions registryOptions;
     registryOptions.canaryPercent = canaryPercent;
-    // The live daemon serves one session at a time, so a canary generation
-    // serves every NEW session (time-based canary); after this many clean
-    // canary sessions it is promoted outright.
+    // The live daemon deploys one model generation at a time (it swaps only
+    // when no session is live), so a canary generation serves every NEW
+    // session (time-based canary); after this many clean canary sessions it
+    // is promoted outright.
     registryOptions.promoteAfter = canaryPercent > 0.0 ? 64 : 0;
     bridge::ModelRegistry registry{registryOptions};
     registry.onEvent = [](const bridge::RegistryEvent& event) {
@@ -973,11 +973,11 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
                           << std::flush;
             }
         }
-        // Apply a pending swap only while no session is in flight: the
-        // in-flight conversation always finishes on the version it started.
+        // Apply a pending swap only while no session is in flight: every
+        // in-flight conversation finishes on the version it started.
         const auto want = desiredSet();
         if (want != nullptr && want->version() != serving->version() &&
-            engineRef->currentState() == engineRef->merged().initialState()) {
+            engineRef->liveSessionCount() == 0) {
             retireEngine();
             const auto fromVersion = serving->version();
             deployServing(want);
