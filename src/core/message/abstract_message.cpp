@@ -23,26 +23,40 @@ Field* findIn(std::vector<Field>& fields, std::string_view label) {
     return nullptr;
 }
 
-}  // namespace
+/// Splits "a.b.c" into its first label and the rest without allocating; an
+/// empty path (or an empty segment) is the label "".
+struct PathWalk {
+    std::string_view rest;
+    bool done = false;
 
-const Field* AbstractMessage::field(std::string_view dottedPath) const {
-    const std::vector<std::string> steps = split(dottedPath, '.');
-    if (steps.empty()) return nullptr;
-    const Field* current = findIn(fields_, steps[0]);
-    for (std::size_t i = 1; current != nullptr && i < steps.size(); ++i) {
-        current = current->child(steps[i]);
+    std::string_view next() {
+        const std::size_t dot = rest.find('.');
+        const std::string_view step = rest.substr(0, dot);
+        if (dot == std::string_view::npos) {
+            done = true;
+        } else {
+            rest.remove_prefix(dot + 1);
+        }
+        return step;
     }
+};
+
+template <typename FieldT, typename Fields>
+FieldT* walk(Fields& fields, std::string_view dottedPath) {
+    PathWalk path{dottedPath};
+    FieldT* current = findIn(fields, path.next());
+    while (current != nullptr && !path.done) current = current->child(path.next());
     return current;
 }
 
+}  // namespace
+
+const Field* AbstractMessage::field(std::string_view dottedPath) const {
+    return walk<const Field>(fields_, dottedPath);
+}
+
 Field* AbstractMessage::field(std::string_view dottedPath) {
-    const std::vector<std::string> steps = split(dottedPath, '.');
-    if (steps.empty()) return nullptr;
-    Field* current = findIn(fields_, steps[0]);
-    for (std::size_t i = 1; current != nullptr && i < steps.size(); ++i) {
-        current = current->child(steps[i]);
-    }
-    return current;
+    return walk<Field>(fields_, dottedPath);
 }
 
 std::optional<Value> AbstractMessage::value(std::string_view dottedPath) const {
@@ -52,27 +66,28 @@ std::optional<Value> AbstractMessage::value(std::string_view dottedPath) const {
 }
 
 void AbstractMessage::setValue(std::string_view dottedPath, Value value, std::string typeName) {
-    const std::vector<std::string> steps = split(dottedPath, '.');
-    if (steps.empty()) throw SpecError("setValue: empty path");
-
     // Walk/create the structured spine.
+    PathWalk path{dottedPath};
+    std::string_view step = path.next();
     std::vector<Field>* container = &fields_;
-    for (std::size_t i = 0; i + 1 < steps.size(); ++i) {
-        Field* next = findIn(*container, steps[i]);
+    while (!path.done) {
+        Field* next = findIn(*container, step);
         if (next == nullptr) {
-            container->push_back(Field::structured(steps[i]));
+            container->push_back(Field::structured(std::string(step)));
             next = &container->back();
         }
         if (next->isPrimitive()) {
-            throw SpecError("setValue: '" + steps[i] + "' in path '" + std::string(dottedPath) +
-                            "' is a primitive field, cannot descend");
+            throw SpecError("setValue: '" + std::string(step) + "' in path '" +
+                            std::string(dottedPath) + "' is a primitive field, cannot descend");
         }
         container = &next->children();
+        step = path.next();
     }
 
-    Field* leaf = findIn(*container, steps.back());
+    Field* leaf = findIn(*container, step);
     if (leaf == nullptr) {
-        container->push_back(Field::primitive(steps.back(), std::move(typeName), std::move(value)));
+        container->push_back(
+            Field::primitive(std::string(step), std::move(typeName), std::move(value)));
         return;
     }
     if (!leaf->isPrimitive()) {

@@ -52,41 +52,95 @@ void appendFrameHeader(Bytes& out, std::size_t length) {
     out.push_back(static_cast<std::uint8_t>(length & 0xff));
 }
 
+/// Calls the handler held in `slot` without copying it: it is moved out for
+/// the call, so it may replace itself or destroy its owner, and goes back
+/// (also when it throws) only when `alive()` still holds and nothing
+/// replaced it. Clearing the slot from inside the call is not seen.
+template <typename Handler, typename Alive, typename... Args>
+void callInPlace(Handler& slot, Alive alive, Args&&... args) {
+    if (!slot) return;
+    struct Restore {
+        Handler& slot;
+        Alive& alive;
+        Handler handler;
+        ~Restore() {
+            if (alive() && !slot) slot = std::move(handler);
+        }
+    } restore{slot, alive, std::move(slot)};
+    slot = nullptr;
+    restore.handler(std::forward<Args>(args)...);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // TimerQueue
 
-EventId OsNetwork::TimerQueue::schedule(Duration delay, std::function<void()> fn) {
+EventId TimerQueue::schedule(Duration delay, std::function<void()> fn) {
     if (delay.count() < 0) delay = us(0);
-    const Key key{net_.now() + delay, nextSeq_++};
-    queue_.emplace(key, std::move(fn));
-    index_.emplace(key.seq, key);
-    return key.seq;
+    std::uint32_t slot = freeHead_;
+    if (slot == kNoSlot) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        freeHead_ = slots_[slot].nextFree;
+    }
+    Slot& s = slots_[slot];
+    s.fn = std::move(fn);
+    heap_.push_back(Entry{clock_() + delay, nextSeq_++, slot, s.generation});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
-bool OsNetwork::TimerQueue::cancel(EventId id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    queue_.erase(it->second);
-    index_.erase(it);
+bool TimerQueue::cancel(EventId id) {
+    const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
+    if (slot >= slots_.size()) return false;
+    Slot& s = slots_[slot];
+    if (s.generation != static_cast<std::uint32_t>(id >> 32)) return false;  // ran or cancelled
+    const std::function<void()> dropped = std::move(s.fn);  // destroyed after the bookkeeping
+    s.fn = nullptr;
+    release(slot);
+    ++stale_;
+    dropStale();
     return true;
 }
 
-std::optional<Duration> OsNetwork::TimerQueue::nextDelay() const {
-    if (queue_.empty()) return std::nullopt;
-    const Duration delay = queue_.begin()->first.when - net_.now();
+void TimerQueue::release(std::uint32_t slot) {
+    Slot& s = slots_[slot];
+    if (++s.generation == 0) s.generation = 1;  // ids are never 0
+    s.nextFree = freeHead_;
+    freeHead_ = slot;
+}
+
+void TimerQueue::dropStale() {
+    while (!heap_.empty() && isStale(heap_.front())) {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        heap_.pop_back();
+        --stale_;
+    }
+    if (stale_ > 32 && stale_ * 2 > heap_.size()) {
+        std::erase_if(heap_, [this](const Entry& e) { return isStale(e); });
+        std::make_heap(heap_.begin(), heap_.end(), later);
+        stale_ = 0;
+    }
+}
+
+std::optional<Duration> TimerQueue::nextDelay() const {
+    if (heap_.empty()) return std::nullopt;
+    const Duration delay = heap_.front().when - clock_();
     return delay.count() < 0 ? us(0) : delay;
 }
 
-std::size_t OsNetwork::TimerQueue::runDue() {
+std::size_t TimerQueue::runDue() {
     std::size_t ran = 0;
-    while (!queue_.empty() && queue_.begin()->first.when <= net_.now()) {
-        auto it = queue_.begin();
-        const Key key = it->first;
-        auto fn = std::move(it->second);
-        queue_.erase(it);
-        index_.erase(key.seq);
+    while (!heap_.empty() && heap_.front().when <= clock_()) {
+        const std::uint32_t slot = heap_.front().slot;
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        heap_.pop_back();
+        std::function<void()> fn = std::move(slots_[slot].fn);
+        slots_[slot].fn = nullptr;
+        release(slot);
+        dropStale();
         fn();
         ++ran;
     }
@@ -98,7 +152,8 @@ std::size_t OsNetwork::TimerQueue::runDue() {
 
 OsNetwork::OsNetwork() : OsNetwork(Options{}) {}
 
-OsNetwork::OsNetwork(Options options) : options_(std::move(options)), timers_(*this) {
+OsNetwork::OsNetwork(Options options)
+    : options_(std::move(options)), timers_([this] { return now(); }) {
     start_ = std::chrono::time_point_cast<Duration>(std::chrono::steady_clock::now());
     epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epollFd_ < 0) {
@@ -109,39 +164,41 @@ OsNetwork::OsNetwork(Options options) : options_(std::move(options)), timers_(*t
         ::close(epollFd_);
         throw NetError(errc::ErrorCode::NetIo, "eventfd: " + errnoText(errno));
     }
-    registerFd(wakeFd_, [this](std::uint32_t) {
-        std::uint64_t drained = 0;
-        while (::read(wakeFd_, &drained, sizeof drained) > 0) {
-        }
-    });
+    registerFd(wakeFd_, FdKind::Wake, kReadEvents);
 }
 
 OsNetwork::~OsNetwork() {
     // Mirror ~SimNetwork: mark surviving connections closed and drop their
     // handlers so user-held shared_ptrs do not keep cycles (or dead fds).
-    for (const auto& conn : aliveTcp_) {
-        conn->open_ = false;
-        conn->dataHandler_ = nullptr;
-        conn->closeHandler_ = nullptr;
-        if (conn->fd_ >= 0) ::close(conn->fd_);
-        conn->fd_ = -1;
-        conn->net_ = nullptr;
+    for (FdEntry& entry : fds_) {
+        switch (entry.kind) {
+            case FdKind::Udp:
+                entry.udp->fd_ = -1;
+                entry.udp->net_ = nullptr;
+                break;
+            case FdKind::Listener:
+                entry.listener->fd_ = -1;
+                entry.listener->net_ = nullptr;
+                break;
+            case FdKind::Tcp: {
+                OsTcpConnection& conn = *entry.tcp;
+                conn.open_ = false;
+                conn.dataHandler_ = nullptr;
+                conn.closeHandler_ = nullptr;
+                conn.fd_ = -1;
+                conn.net_ = nullptr;
+                break;
+            }
+            case FdKind::Free:
+                continue;
+            case FdKind::Wake:
+            case FdKind::Membership:
+            case FdKind::Connecting:
+                break;
+        }
+        ::close(static_cast<int>(&entry - fds_.data()));
     }
-    aliveTcp_.clear();
-    for (OsUdpSocket* socket : udpSockets_) {
-        if (socket->fd_ >= 0) ::close(socket->fd_);
-        socket->fd_ = -1;
-        socket->net_ = nullptr;
-    }
-    for (OsTcpListener* listener : listeners_) {
-        if (listener->fd_ >= 0) ::close(listener->fd_);
-        listener->fd_ = -1;
-        listener->net_ = nullptr;
-    }
-    for (auto& [group, membership] : memberships_) {
-        if (membership.fd >= 0) ::close(membership.fd);
-    }
-    ::close(wakeFd_);
+    fds_.clear();
     ::close(epollFd_);
 }
 
@@ -179,28 +236,28 @@ int OsNetwork::makeSocket(int type, const char* what) {
     return fd;
 }
 
-void OsNetwork::registerFd(int fd, std::function<void(std::uint32_t)> onEvents) {
-    FdEntry entry;
+OsNetwork::FdEntry& OsNetwork::registerFd(int fd, FdKind kind, std::uint32_t events) {
+    if (static_cast<std::size_t>(fd) >= fds_.size()) fds_.resize(static_cast<std::size_t>(fd) + 1);
+    FdEntry& entry = entryOf(fd);
+    entry.kind = kind;
     entry.generation = nextGeneration_++;
-    entry.onEvents = std::move(onEvents);
-    epoll_event ev{};
-    ev.events = kReadEvents;
-    ev.data.u64 = (entry.generation << 32) | static_cast<std::uint32_t>(fd);
-    fds_[fd] = std::move(entry);
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
+    if (nextGeneration_ == 0) nextGeneration_ = 1;  // 0 marks a free slot
+    epollCtl(EPOLL_CTL_ADD, fd, events);
+    return entry;
 }
 
-void OsNetwork::updateFd(int fd, std::uint32_t events) {
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) return;
+void OsNetwork::epollCtl(int op, int fd, std::uint32_t events) {
     epoll_event ev{};
     ev.events = events;
-    ev.data.u64 = (it->second.generation << 32) | static_cast<std::uint32_t>(fd);
-    ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev);
+    ev.data.u64 = (static_cast<std::uint64_t>(entryOf(fd).generation) << 32) |
+                  static_cast<std::uint32_t>(fd);
+    ::epoll_ctl(epollFd_, op, fd, &ev);
 }
 
 void OsNetwork::unregisterFd(int fd) {
-    if (fds_.erase(fd) > 0) ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
+    if (static_cast<std::size_t>(fd) >= fds_.size() || entryOf(fd).kind == FdKind::Free) return;
+    entryOf(fd) = FdEntry{};
+    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 void OsNetwork::closeFd(int fd) {
@@ -210,10 +267,18 @@ void OsNetwork::closeFd(int fd) {
     if (openFds_ > 0) --openFds_;
 }
 
+bool OsNetwork::live(int fd, std::uint32_t generation) const {
+    return generation != 0 && static_cast<std::size_t>(fd) < fds_.size() &&
+           fds_[static_cast<std::size_t>(fd)].generation == generation;
+}
+
 // ---------------------------------------------------------------------------
 // event loop
 
 bool OsNetwork::poll(Duration maxWait) {
+    if (dispatching_) {
+        throw NetError(errc::ErrorCode::NetMisuse, "OsNetwork::poll re-entered from a callback");
+    }
     Duration wait = maxWait;
     if (const auto next = timers_.nextDelay()) wait = std::min(wait, *next);
     if (wait.count() < 0) wait = us(0);
@@ -222,18 +287,57 @@ bool OsNetwork::poll(Duration maxWait) {
 
     epoll_event events[64];
     const int n = ::epoll_wait(epollFd_, events, 64, timeoutMs);
+    dispatching_ = true;
+    struct Done {
+        bool& flag;
+        ~Done() { flag = false; }
+    } done{dispatching_};
     bool ran = false;
     for (int i = 0; i < n; ++i) {
         const int fd = static_cast<int>(events[i].data.u64 & 0xffffffffu);
-        const std::uint64_t generation = events[i].data.u64 >> 32;
-        const auto it = fds_.find(fd);
-        if (it == fds_.end() || it->second.generation != generation) continue;
-        const auto handler = it->second.onEvents;  // copy: may unregister itself
-        handler(events[i].events);
+        const auto generation = static_cast<std::uint32_t>(events[i].data.u64 >> 32);
+        if (!live(fd, generation)) continue;  // closed, or its number reused, meanwhile
+        dispatch(fd, events[i].events);
         ran = true;
     }
     if (timers_.runDue() > 0) ran = true;
     return ran;
+}
+
+void OsNetwork::dispatch(int fd, std::uint32_t events) {
+    FdEntry& entry = entryOf(fd);
+    const std::uint32_t generation = entry.generation;
+    switch (entry.kind) {
+        case FdKind::Wake: {
+            std::uint64_t drained = 0;
+            while (::read(fd, &drained, sizeof drained) > 0) {
+            }
+            break;
+        }
+        case FdKind::Udp:
+            if (events & EPOLLIN) onUdpReadable(fd, generation);
+            break;
+        case FdKind::Membership:
+            if (events & EPOLLIN) onMembershipReadable(fd, generation);
+            break;
+        case FdKind::Listener:
+            if (events & EPOLLIN) onListenerReadable(fd, generation);
+            break;
+        case FdKind::Tcp: {
+            const std::shared_ptr<OsTcpConnection> guard = entry.tcp;  // handlers may drop it
+            onTcpEvents(guard, events);
+            break;
+        }
+        case FdKind::Connecting: {
+            int socketError = 0;
+            socklen_t len = sizeof socketError;
+            ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &socketError, &len);
+            settleConnect(fd, generation, socketError);
+            break;
+        }
+        case FdKind::Free:
+            break;
+    }
 }
 
 bool OsNetwork::runUntil(std::function<bool()> done, Duration timeout) {
@@ -353,27 +457,25 @@ std::unique_ptr<UdpSocket> OsNetwork::openUdp(const std::string& host, std::uint
     const Address logical{host, port != 0 ? port : real.port};
     auto socket = std::unique_ptr<OsUdpSocket>(new OsUdpSocket(this, fd, logical, real));
     udpBindings_[logical] = socket.get();
-    udpSockets_.insert(socket.get());
-    registerFd(fd, [this, raw = socket.get()](std::uint32_t events) {
-        if (events & EPOLLIN) onUdpReadable(raw);
-    });
+    registerFd(fd, FdKind::Udp, kReadEvents).udp = socket.get();
     return socket;
 }
 
-void OsNetwork::onUdpReadable(OsUdpSocket* socket) {
-    std::vector<std::uint8_t>& buffer = rxScratch_;
-    while (udpSockets_.contains(socket)) {
+void OsNetwork::onUdpReadable(int fd, std::uint32_t generation) {
+    while (live(fd, generation)) {
         sockaddr_in src{};
         socklen_t len = sizeof src;
-        const ssize_t n = ::recvfrom(socket->fd_, buffer.data(), buffer.size(), 0,
+        const ssize_t n = ::recvfrom(fd, rxScratch_.data(), rxScratch_.size(), 0,
                                      reinterpret_cast<sockaddr*>(&src), &len);
         if (n < 0) break;  // EAGAIN (or transient error): wait for next wakeup
-        socket->deliver(Bytes(buffer.data(), buffer.data() + n), fromSockaddr(src));
+        rxPayload_.assign(rxScratch_.data(), rxScratch_.data() + n);
+        deliverDatagram(fd, generation, fromSockaddr(src));
     }
 }
 
-void OsUdpSocket::deliver(const Bytes& payload, const Address& from) {
-    if (handler_) handler_(payload, from);
+void OsNetwork::deliverDatagram(int fd, std::uint32_t generation, const Address& from) {
+    const auto alive = [this, fd, generation] { return live(fd, generation); };
+    callInPlace(entryOf(fd).udp->handler_, alive, rxPayload_, from);
 }
 
 void OsUdpSocket::sendTo(const Address& dest, const Bytes& payload) {
@@ -459,9 +561,11 @@ OsUdpSocket::~OsUdpSocket() {
         if (fd_ >= 0) ::close(fd_);
         return;
     }
-    for (const Address& group : std::set<Address>(groups_)) net_->dropMember(this, group);
+    while (!groups_.empty()) {
+        net_->dropMember(this, *groups_.begin());
+        groups_.erase(groups_.begin());
+    }
     net_->udpBindings_.erase(logical_);
-    net_->udpSockets_.erase(this);
     net_->closeFd(fd_);
 }
 
@@ -510,9 +614,7 @@ OsNetwork::Membership& OsNetwork::ensureMembership(const Address& group) {
     Membership& membership = memberships_[group];
     membership.fd = fd;
     membership.realPort = realPort;
-    registerFd(fd, [this, group](std::uint32_t events) {
-        if (events & EPOLLIN) onMembershipReadable(group);
-    });
+    registerFd(fd, FdKind::Membership, kReadEvents).membership = &membership;
     return membership;
 }
 
@@ -527,24 +629,25 @@ void OsNetwork::dropMember(OsUdpSocket* socket, const Address& group) {
     }
 }
 
-void OsNetwork::onMembershipReadable(const Address& group) {
-    std::vector<std::uint8_t>& buffer = rxScratch_;
-    for (;;) {
-        const auto it = memberships_.find(group);
-        if (it == memberships_.end()) return;
+void OsNetwork::onMembershipReadable(int fd, std::uint32_t generation) {
+    while (live(fd, generation)) {
         sockaddr_in src{};
         socklen_t len = sizeof src;
-        const ssize_t n = ::recvfrom(it->second.fd, buffer.data(), buffer.size(), 0,
+        const ssize_t n = ::recvfrom(fd, rxScratch_.data(), rxScratch_.size(), 0,
                                      reinterpret_cast<sockaddr*>(&src), &len);
         if (n < 0) break;
         const Address from = fromSockaddr(src);
-        const Bytes payload(buffer.data(), buffer.data() + n);
-        // Snapshot membership: handlers may join/leave while we deliver.
-        const std::vector<OsUdpSocket*> members = it->second.members;
-        for (OsUdpSocket* member : members) {
-            if (!udpSockets_.contains(member)) continue;
-            if (member->realAddress().port == from.port) continue;  // never the sender
-            member->deliver(payload, from);
+        rxPayload_.assign(rxScratch_.data(), rxScratch_.data() + n);
+        // Deliver to the members at arrival (as the sim fixes recipients at
+        // send time); one that closes meanwhile is skipped by its generation.
+        fanout_.clear();
+        for (const OsUdpSocket* member : entryOf(fd).membership->members) {
+            fanout_.emplace_back(member->fd_, entryOf(member->fd_).generation);
+        }
+        for (const auto& [memberFd, memberGeneration] : fanout_) {
+            if (!live(memberFd, memberGeneration)) continue;
+            if (entryOf(memberFd).udp->realAddress().port == from.port) continue;  // the sender
+            deliverDatagram(memberFd, memberGeneration, from);
         }
     }
 }
@@ -611,10 +714,7 @@ std::unique_ptr<TcpListener> OsNetwork::listenTcpInternal(const std::string& hos
     auto listener = std::unique_ptr<OsTcpListener>(
         new OsTcpListener(this, fd, effectiveLogical, real, framed));
     tcpBindings_[effectiveLogical] = listener.get();
-    listeners_.insert(listener.get());
-    registerFd(fd, [this, raw = listener.get()](std::uint32_t events) {
-        if (events & EPOLLIN) onListenerReadable(raw);
-    });
+    registerFd(fd, FdKind::Listener, kReadEvents).listener = listener.get();
     return listener;
 }
 
@@ -624,15 +724,15 @@ OsTcpListener::~OsTcpListener() {
         return;
     }
     net_->tcpBindings_.erase(logical_);
-    net_->listeners_.erase(this);
     net_->closeFd(fd_);
 }
 
-void OsNetwork::onListenerReadable(OsTcpListener* listener) {
-    while (listeners_.contains(listener)) {
+void OsNetwork::onListenerReadable(int listenFd, std::uint32_t generation) {
+    while (live(listenFd, generation)) {
+        OsTcpListener* listener = entryOf(listenFd).listener;
         sockaddr_in peer{};
         socklen_t len = sizeof peer;
-        const int fd = ::accept4(listener->fd_, reinterpret_cast<sockaddr*>(&peer), &len,
+        const int fd = ::accept4(listenFd, reinterpret_cast<sockaddr*>(&peer), &len,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
             if (errno == EMFILE || errno == ENFILE) {
@@ -652,27 +752,28 @@ void OsNetwork::onListenerReadable(OsTcpListener* listener) {
         ++openFds_;
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        auto conn = std::shared_ptr<OsTcpConnection>(new OsTcpConnection(
-            this, fd, listener->localAddress(), fromSockaddr(peer), listener->framed_));
+        auto conn = std::make_shared<OsTcpConnection>(OsTcpConnection::Key{}, this, fd,
+                                                      listener->localAddress(),
+                                                      fromSockaddr(peer), listener->framed_);
         adoptConnection(conn);
-        const auto handler = listener->handler_;  // copy: may destroy the listener
-        if (handler) handler(conn);
+        callInPlace(
+            listener->handler_, [this, listenFd, generation] { return live(listenFd, generation); },
+            std::move(conn));
     }
 }
 
-void OsNetwork::adoptConnection(const std::shared_ptr<OsTcpConnection>& conn) {
-    aliveTcp_.insert(conn);
-    registerFd(conn->fd_, [this, raw = conn.get()](std::uint32_t events) {
-        onTcpEvents(raw, events);
-    });
+void OsNetwork::adoptConnection(std::shared_ptr<OsTcpConnection> conn) {
+    const int fd = conn->fd_;
+    registerFd(fd, FdKind::Tcp, kReadEvents).tcp = std::move(conn);
 }
 
 void OsNetwork::connectTcp(const std::string& /*host*/, const Address& dest,
                            ConnectCallback onResult, ConnectErrorCallback onError) {
-    const auto fail = [this, onResult, onError](errc::ErrorCode code, const std::string& what) {
+    const auto fail = [&](errc::ErrorCode code, std::string what) {
         // Deliver asynchronously so the caller observes the same
         // callback-later contract as the sim backend.
-        timers_.schedule(us(0), [onResult, onError, code, what] {
+        timers_.schedule(us(0), [onResult = std::move(onResult), onError = std::move(onError),
+                                 code, what = std::move(what)] {
             if (onError) onError(code, what);
             onResult(nullptr);
         });
@@ -722,56 +823,43 @@ void OsNetwork::connectTcp(const std::string& /*host*/, const Address& dest,
         return;
     }
 
-    struct Pending {
-        ConnectCallback onResult;
-        ConnectErrorCallback onError;
-        Address logicalDest;
-        EventId timer = 0;
-        bool settled = false;
-    };
-    auto pending = std::make_shared<Pending>();
-    pending->onResult = std::move(onResult);
-    pending->onError = std::move(onError);
-    pending->logicalDest = dest;
-
-    const auto settle = [this, fd, pending](int socketError) {
-        if (pending->settled) return;
-        pending->settled = true;
-        timers_.cancel(pending->timer);
-        unregisterFd(fd);
-        if (socketError != 0) {
-            ::close(fd);
-            if (openFds_ > 0) --openFds_;
-            if (pending->onError) {
-                // A timed-out or refused connect is "refused" to the engine
-                // (its bounded retry loop handles both identically).
-                const bool refused = socketError == ECONNREFUSED || socketError == ETIMEDOUT;
-                pending->onError(refused ? errc::ErrorCode::NetConnectRefused
-                                         : errc::ErrorCode::NetIo,
-                                 "connect to " + pending->logicalDest.toString() + ": " +
-                                     errnoText(socketError));
-            }
-            pending->onResult(nullptr);
-            return;
-        }
-        sockaddr_in local{};
-        socklen_t len = sizeof local;
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len);
-        auto conn = std::shared_ptr<OsTcpConnection>(new OsTcpConnection(
-            this, fd, fromSockaddr(local), pending->logicalDest, /*framed=*/true));
-        adoptConnection(conn);
-        pending->onResult(conn);
-    };
-
-    registerFd(fd, [fd, settle](std::uint32_t) {
-        int socketError = 0;
-        socklen_t len = sizeof socketError;
-        ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &socketError, &len);
-        settle(socketError);
+    FdEntry& entry = registerFd(fd, FdKind::Connecting, kReadWriteEvents);
+    const std::uint32_t generation = entry.generation;
+    entry.connect.onResult = std::move(onResult);
+    entry.connect.onError = std::move(onError);
+    entry.connect.dest = dest;
+    entry.connect.timer = timers_.schedule(options_.connectTimeout, [this, fd, generation] {
+        settleConnect(fd, generation, ETIMEDOUT);
     });
-    updateFd(fd, kReadWriteEvents);
-    pending->timer = timers_.schedule(options_.connectTimeout,
-                                      [settle] { settle(ETIMEDOUT); });
+}
+
+void OsNetwork::settleConnect(int fd, std::uint32_t generation, int socketError) {
+    if (!live(fd, generation)) return;
+    PendingConnect pending = std::move(entryOf(fd).connect);
+    timers_.cancel(pending.timer);
+    unregisterFd(fd);
+    if (socketError != 0) {
+        ::close(fd);
+        if (openFds_ > 0) --openFds_;
+        if (pending.onError) {
+            // A timed-out or refused connect is "refused" to the engine (its
+            // bounded retry loop handles both identically).
+            const bool refused = socketError == ECONNREFUSED || socketError == ETIMEDOUT;
+            pending.onError(
+                refused ? errc::ErrorCode::NetConnectRefused : errc::ErrorCode::NetIo,
+                "connect to " + pending.dest.toString() + ": " + errnoText(socketError));
+        }
+        pending.onResult(nullptr);
+        return;
+    }
+    sockaddr_in local{};
+    socklen_t len = sizeof local;
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len);
+    auto conn = std::make_shared<OsTcpConnection>(OsTcpConnection::Key{}, this, fd,
+                                                  fromSockaddr(local), std::move(pending.dest),
+                                                  /*framed=*/true);
+    adoptConnection(conn);
+    pending.onResult(std::move(conn));
 }
 
 void OsTcpConnection::send(const Bytes& payload) {
@@ -799,25 +887,24 @@ void OsNetwork::tcpFlush(OsTcpConnection& conn) {
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            updateFd(conn.fd_, kReadWriteEvents);
+            armWrite(conn, true);
             return;
         }
         // EPIPE / ECONNRESET: the peer is gone; surface it as a close.
         tcpPeerClosed(conn);
         return;
     }
-    updateFd(conn.fd_, kReadEvents);
+    armWrite(conn, false);
     if (!conn.open_) tcpTeardown(conn);  // close() was waiting for the drain
 }
 
-void OsNetwork::onTcpEvents(OsTcpConnection* conn, std::uint32_t events) {
-    // Hold the connection alive across handler invocations.
-    std::shared_ptr<OsTcpConnection> guard;
-    const auto it = std::find_if(aliveTcp_.begin(), aliveTcp_.end(),
-                                 [conn](const auto& c) { return c.get() == conn; });
-    if (it == aliveTcp_.end()) return;
-    guard = *it;
+void OsNetwork::armWrite(OsTcpConnection& conn, bool on) {
+    if (conn.writeArmed_ == on) return;
+    conn.writeArmed_ = on;
+    epollCtl(EPOLL_CTL_MOD, conn.fd_, on ? kReadWriteEvents : kReadEvents);
+}
 
+void OsNetwork::onTcpEvents(const std::shared_ptr<OsTcpConnection>& conn, std::uint32_t events) {
     if (events & EPOLLIN) {
         for (;;) {
             const ssize_t n = ::recv(conn->fd_, rxScratch_.data(), rxScratch_.size(), 0);
@@ -847,44 +934,44 @@ void OsNetwork::onTcpEvents(OsTcpConnection* conn, std::uint32_t events) {
 }
 
 void OsNetwork::tcpDeliver(OsTcpConnection& conn) {
-    if (conn.framed_) {
-        Bytes& rx = conn.rxBuffer_;
-        std::size_t offset = 0;
-        while (conn.open_ && rx.size() - offset >= 4) {
-            const std::size_t length = (static_cast<std::size_t>(rx[offset]) << 24) |
-                                       (static_cast<std::size_t>(rx[offset + 1]) << 16) |
-                                       (static_cast<std::size_t>(rx[offset + 2]) << 8) |
-                                       static_cast<std::size_t>(rx[offset + 3]);
-            if (length > kMaxWireMessageBytes) {
-                ++framesOversize_;
-                STARLINK_LOG(Warn, "os-net")
-                    << errc::to_string(errc::ErrorCode::NetFrameOversize) << ": "
-                    << conn.remote_.toString() << " announced a " << length
-                    << "-byte frame (cap " << kMaxWireMessageBytes << "); closing";
-                rx.clear();
-                tcpPeerClosed(conn, errc::ErrorCode::NetFrameOversize);
-                return;
-            }
-            if (rx.size() - offset < 4 + length) break;
-            const auto begin = rx.begin() + static_cast<long>(offset) + 4;
-            const Bytes frame(begin, begin + static_cast<long>(length));
-            offset += 4 + length;
-            const auto handler = conn.dataHandler_;  // copy: handler may close()
-            if (handler) handler(frame);
-        }
-        rx.erase(rx.begin(), rx.begin() + static_cast<long>(offset));  // compact once per read
-    } else if (conn.open_ && !conn.rxBuffer_.empty()) {
-        Bytes chunk;
-        chunk.swap(conn.rxBuffer_);
-        const auto handler = conn.dataHandler_;
-        if (handler) handler(chunk);
+    const auto stillOpen = [&conn] { return conn.open_; };
+    Bytes& rx = conn.rxBuffer_;
+    if (!conn.framed_) {
+        if (!conn.open_ || rx.empty()) return;
+        rxPayload_.assign(rx.begin(), rx.end());
+        rx.clear();
+        callInPlace(conn.dataHandler_, stillOpen, rxPayload_);
+        return;
     }
+    std::size_t offset = 0;
+    while (conn.open_ && rx.size() - offset >= 4) {
+        const std::size_t length = (static_cast<std::size_t>(rx[offset]) << 24) |
+                                   (static_cast<std::size_t>(rx[offset + 1]) << 16) |
+                                   (static_cast<std::size_t>(rx[offset + 2]) << 8) |
+                                   static_cast<std::size_t>(rx[offset + 3]);
+        if (length > kMaxWireMessageBytes) {
+            ++framesOversize_;
+            STARLINK_LOG(Warn, "os-net")
+                << errc::to_string(errc::ErrorCode::NetFrameOversize) << ": "
+                << conn.remote_.toString() << " announced a " << length
+                << "-byte frame (cap " << kMaxWireMessageBytes << "); closing";
+            rx.clear();
+            tcpPeerClosed(conn, errc::ErrorCode::NetFrameOversize);
+            return;
+        }
+        if (rx.size() - offset < 4 + length) break;
+        const auto begin = rx.begin() + static_cast<long>(offset) + 4;
+        rxPayload_.assign(begin, begin + static_cast<long>(length));
+        offset += 4 + length;
+        callInPlace(conn.dataHandler_, stillOpen, rxPayload_);
+    }
+    rx.erase(rx.begin(), rx.begin() + static_cast<long>(offset));  // compact once per read
 }
 
 void OsNetwork::tcpPeerClosed(OsTcpConnection& conn, errc::ErrorCode cause) {
-    const auto self = std::static_pointer_cast<OsTcpConnection>(conn.shared_from_this());
+    const auto self = conn.shared_from_this();
     conn.open_ = false;
-    const auto handler = conn.closeHandler_;
+    const CloseHandler handler = std::move(conn.closeHandler_);
     conn.dataHandler_ = nullptr;
     conn.closeHandler_ = nullptr;
     tcpTeardown(conn);
@@ -892,12 +979,11 @@ void OsNetwork::tcpPeerClosed(OsTcpConnection& conn, errc::ErrorCode cause) {
 }
 
 void OsNetwork::tcpTeardown(OsTcpConnection& conn) {
-    const auto self = std::static_pointer_cast<OsTcpConnection>(conn.shared_from_this());
+    const auto self = conn.shared_from_this();  // the fd table may hold the last reference
     if (conn.fd_ >= 0) {
         closeFd(conn.fd_);
         conn.fd_ = -1;
     }
-    aliveTcp_.erase(self);
 }
 
 void OsTcpConnection::close() {

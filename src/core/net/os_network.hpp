@@ -34,7 +34,11 @@
 // socket cap -> net.fd-exhausted, refused/timed-out connects ->
 // net.connect-refused, anything else -> net.io.
 //
-// Single-threaded like the sim: all callbacks fire inside runUntil()/poll().
+// Single-threaded like the sim: all callbacks fire inside runUntil()/poll(),
+// which must not be re-entered from a callback. Steady-state dispatch does
+// not allocate: the fd table is typed (no stored closure per fd), payloads
+// land in one reused buffer, and timers live in a vector heap (the "OS event
+// loop" section of docs/TRANSPORT.md).
 // Chaos (FaultSchedule, latency models, partitions) is sim-only by design.
 #pragma once
 
@@ -53,9 +57,61 @@
 namespace starlink::net {
 
 class OsNetwork;
-class OsUdpSocket;
-class OsTcpConnection;
-class OsTcpListener;
+
+/// Wall-clock deferred tasks with EventScheduler's ordering contract: tasks
+/// run in (deadline, scheduling order), so equal deadlines run FIFO, and a
+/// task scheduled from a running one with a due deadline runs in the same
+/// runDue() pass. A binary heap in a vector holds (deadline, seq, slot); each
+/// task's closure sits in a pooled slot whose generation is part of its
+/// EventId, so cancel() is O(1) and returns false once the task ran or was
+/// cancelled. A cancelled task's heap entry is dropped when it reaches the
+/// top, or all at once when such entries outnumber the live ones. Once the
+/// vectors have grown to the peak number of pending tasks, schedule, cancel
+/// and fire allocate nothing beyond what the caller's closure needs.
+class TimerQueue final : public TaskScheduler {
+public:
+    using Clock = std::function<TimePoint()>;
+    explicit TimerQueue(Clock clock) : clock_(std::move(clock)) {}
+    TimerQueue(const TimerQueue&) = delete;
+    TimerQueue& operator=(const TimerQueue&) = delete;
+
+    EventId schedule(Duration delay, std::function<void()> fn) override;
+    bool cancel(EventId id) override;
+
+    /// Delay until the earliest pending task (nullopt when none), never < 0.
+    std::optional<Duration> nextDelay() const;
+    /// Runs every task due now, including ones they schedule; returns how
+    /// many ran.
+    std::size_t runDue();
+    std::size_t pending() const { return heap_.size() - stale_; }
+
+private:
+    struct Slot {
+        std::function<void()> fn;
+        std::uint32_t generation = 1;
+        std::uint32_t nextFree = 0;
+    };
+    struct Entry {
+        TimePoint when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t generation;
+    };
+    static bool later(const Entry& a, const Entry& b) {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+    bool isStale(const Entry& e) const { return slots_[e.slot].generation != e.generation; }
+    void release(std::uint32_t slot);
+    void dropStale();
+
+    Clock clock_;
+    std::vector<Slot> slots_;
+    std::vector<Entry> heap_;
+    std::uint32_t freeHead_ = kNoSlot;
+    std::size_t stale_ = 0;
+    std::uint64_t nextSeq_ = 1;
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+};
 
 /// The OS backend's UDP socket: a non-blocking AF_INET datagram socket.
 class OsUdpSocket final : public UdpSocket {
@@ -76,7 +132,6 @@ private:
     OsUdpSocket(OsNetwork* net, int fd, Address logical, Address real)
         : net_(net), fd_(fd), logical_(std::move(logical)), real_(std::move(real)) {}
 
-    void deliver(const Bytes& payload, const Address& from);
     void configureMulticastEgress();
 
     OsNetwork* net_;  // nulled if the network dies first
@@ -89,7 +144,16 @@ private:
 
 /// One side of a real TCP connection (framed or raw; see header comment).
 class OsTcpConnection final : public TcpConnection {
+    struct Key {
+        explicit Key() = default;
+    };
+
 public:
+    /// Only OsNetwork can make a Key; public so std::make_shared can build
+    /// the connection and its control block in one allocation.
+    OsTcpConnection(Key, OsNetwork* net, int fd, Address local, Address remote, bool framed)
+        : net_(net), fd_(fd), local_(std::move(local)), remote_(std::move(remote)),
+          framed_(framed) {}
     ~OsTcpConnection() override;
 
     void send(const Bytes& payload) override;
@@ -100,9 +164,6 @@ public:
 
 private:
     friend class OsNetwork;
-    OsTcpConnection(OsNetwork* net, int fd, Address local, Address remote, bool framed)
-        : net_(net), fd_(fd), local_(std::move(local)), remote_(std::move(remote)),
-          framed_(framed) {}
 
     OsNetwork* net_;
     int fd_ = -1;
@@ -110,6 +171,7 @@ private:
     Address remote_;
     bool framed_ = true;
     bool open_ = true;
+    bool writeArmed_ = false;  // EPOLLOUT registered while txBuffer_ waits
     Bytes rxBuffer_;
     Bytes txBuffer_;  // bytes the kernel would not take yet
 };
@@ -174,6 +236,7 @@ public:
 
     /// Runs one event-loop iteration: waits up to `maxWait` for I/O or a due
     /// timer and dispatches everything ready. Returns true if anything ran.
+    /// Throws net.misuse when called from inside one of its own callbacks.
     bool poll(Duration maxWait);
 
     /// Makes runUntil() return at the next loop iteration. Safe to pair with
@@ -207,11 +270,6 @@ private:
     friend class OsTcpConnection;
     friend class OsTcpListener;
 
-    struct FdEntry {
-        std::uint64_t generation = 0;
-        std::function<void(std::uint32_t events)> onEvents;
-    };
-
     /// Shared per-(group, logical port) membership socket: bound to the
     /// group address itself (so it never collides with unicast binds on the
     /// same port) with SO_REUSEADDR + IP_ADD_MEMBERSHIP on loopback; fans
@@ -222,40 +280,41 @@ private:
         std::vector<OsUdpSocket*> members;
     };
 
-    /// Wall-clock deferred tasks, same (time, insertion) ordering contract
-    /// as EventScheduler but against OsNetwork::now().
-    class TimerQueue final : public TaskScheduler {
-    public:
-        explicit TimerQueue(OsNetwork& net) : net_(net) {}
-        EventId schedule(Duration delay, std::function<void()> fn) override;
-        bool cancel(EventId id) override;
+    /// A connect in flight: its fd waits for EPOLLOUT or the timeout timer.
+    struct PendingConnect {
+        ConnectCallback onResult;
+        ConnectErrorCallback onError;
+        Address dest;  // logical
+        EventId timer = 0;
+    };
 
-        /// Wall-clock delay until the earliest timer (nullopt when empty).
-        std::optional<Duration> nextDelay() const;
-        /// Runs every timer due at `now`; returns how many ran.
-        std::size_t runDue();
+    /// What an fd is; poll() dispatches on it with a switch.
+    enum class FdKind : std::uint8_t { Free, Wake, Udp, Membership, Listener, Tcp, Connecting };
 
-    private:
-        struct Key {
-            TimePoint when;
-            std::uint64_t seq;
-            bool operator<(const Key& other) const {
-                return when != other.when ? when < other.when : seq < other.seq;
-            }
-        };
-        OsNetwork& net_;
-        std::map<Key, std::function<void()>> queue_;
-        std::map<EventId, Key> index_;
-        std::uint64_t nextSeq_ = 1;
+    /// One slot of the fd-indexed table. `generation` is unique per
+    /// registration and rides in the epoll event, so an event for a closed
+    /// fd, or for an fd number reused within one dispatch, is skipped.
+    struct FdEntry {
+        std::uint32_t generation = 0;
+        FdKind kind = FdKind::Free;
+        OsUdpSocket* udp = nullptr;
+        Membership* membership = nullptr;
+        OsTcpListener* listener = nullptr;
+        std::shared_ptr<OsTcpConnection> tcp;  // the table keeps open connections alive
+        PendingConnect connect;
     };
 
     // fd bookkeeping
     int makeSocket(int type, const char* what);
-    void registerFd(int fd, std::function<void(std::uint32_t)> onEvents);
-    void updateFd(int fd, std::uint32_t events);
+    FdEntry& registerFd(int fd, FdKind kind, std::uint32_t events);
+    void epollCtl(int op, int fd, std::uint32_t events);  // ADD/MOD, tagged with the generation
     void unregisterFd(int fd);
     void closeFd(int fd);
     void reserveFd(const char* what);  // soft-cap guard; throws net.fd-exhausted
+    FdEntry& entryOf(int fd) { return fds_[static_cast<std::size_t>(fd)]; }
+    /// True while the registration (fd, generation) is still the current one.
+    bool live(int fd, std::uint32_t generation) const;
+    void dispatch(int fd, std::uint32_t events);
 
     // address mapping
     bool isLiteralHost(const std::string& host) const;
@@ -266,18 +325,22 @@ private:
     // multicast
     Membership& ensureMembership(const Address& group);
     void dropMember(OsUdpSocket* socket, const Address& group);
-    void onMembershipReadable(const Address& group);
+    void onMembershipReadable(int fd, std::uint32_t generation);
 
     // udp / tcp plumbing
-    void onUdpReadable(OsUdpSocket* socket);
+    void onUdpReadable(int fd, std::uint32_t generation);
+    /// Hands rxPayload_ to the handler of the UDP socket registered at fd.
+    void deliverDatagram(int fd, std::uint32_t generation, const Address& from);
     void udpSend(OsUdpSocket& from, const Address& dest, const Bytes& payload);
     std::unique_ptr<TcpListener> listenTcpInternal(const std::string& host, std::uint16_t port,
                                                    bool framed);
-    void onListenerReadable(OsTcpListener* listener);
-    void adoptConnection(const std::shared_ptr<OsTcpConnection>& conn);
-    void onTcpEvents(OsTcpConnection* conn, std::uint32_t events);
+    void onListenerReadable(int fd, std::uint32_t generation);
+    void adoptConnection(std::shared_ptr<OsTcpConnection> conn);
+    void settleConnect(int fd, std::uint32_t generation, int socketError);
+    void onTcpEvents(const std::shared_ptr<OsTcpConnection>& conn, std::uint32_t events);
     void tcpQueueSend(OsTcpConnection& conn, const Bytes& payload);
     void tcpFlush(OsTcpConnection& conn);
+    void armWrite(OsTcpConnection& conn, bool on);
     void tcpDeliver(OsTcpConnection& conn);
     /// Reports a peer-side close to the connection's handler with `cause`.
     void tcpPeerClosed(OsTcpConnection& conn,
@@ -289,23 +352,25 @@ private:
     int wakeFd_ = -1;  // eventfd written by wakeFromSignal()
     TimePoint start_{};
     TimerQueue timers_;
-    std::uint64_t nextGeneration_ = 1;
-    std::map<int, FdEntry> fds_;
+    std::uint32_t nextGeneration_ = 1;
+    std::vector<FdEntry> fds_;  // indexed by fd
     std::size_t openFds_ = 0;
     std::size_t unrouted_ = 0;
     std::size_t framesOversize_ = 0;
-    /// One receive buffer for every socket: each read copies out what it got
-    /// before any handler runs, so nothing outlives the next read.
+    bool dispatching_ = false;
+    /// Every recv() lands here first.
     std::vector<std::uint8_t> rxScratch_ = std::vector<std::uint8_t>(65536);
+    /// The payload handed to handlers: one datagram or frame at a time,
+    /// valid only for the duration of the handler call.
+    Bytes rxPayload_;
+    /// Multicast fan-out snapshot (fd, generation) of the group's members.
+    std::vector<std::pair<int, std::uint32_t>> fanout_;
     volatile bool stopRequested_ = false;
 
     std::map<Address, OsUdpSocket*> udpBindings_;     // logical addr -> socket
     std::map<Address, OsTcpListener*> tcpBindings_;   // logical addr -> listener
     std::map<Address, Membership> memberships_;       // (group ip, logical port)
     std::map<Address, std::uint16_t> groupPorts_;     // group addr -> real port
-    std::set<std::shared_ptr<OsTcpConnection>> aliveTcp_;
-    std::set<OsUdpSocket*> udpSockets_;
-    std::set<OsTcpListener*> listeners_;
 };
 
 }  // namespace starlink::net

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 
+#include "alloc_counter.hpp"
 #include "common/error.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
@@ -682,6 +683,280 @@ TEST_F(OsNetTest, LoopbackMulticastFansOutExceptSender) {
     EXPECT_EQ(aGot, 1);
     EXPECT_EQ(bGot, 1);
     EXPECT_EQ(senderGot, 0);  // never delivered back to the sender
+}
+
+
+// --- the OS backend's timer queue -------------------------------------------
+//
+// net::TimerQueue keeps EventScheduler's contract over a wall clock. A fake
+// clock pins the cases that need two tasks on the same deadline.
+
+TEST_F(OsNetTest, TimerQueueRunsEqualDeadlinesFifo) {
+    net::TimePoint now{};
+    net::TimerQueue timers([&now] { return now; });
+    std::vector<int> order;
+    for (int i = 0; i < 6; ++i) {
+        timers.schedule(net::ms(i % 2 == 0 ? 5 : 3), [&order, i] { order.push_back(i); });
+    }
+    EXPECT_EQ(timers.runDue(), 0u);
+    EXPECT_EQ(timers.nextDelay(), net::ms(3));
+    now += net::ms(5);
+    EXPECT_EQ(timers.runDue(), 6u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 0, 2, 4}));
+    EXPECT_FALSE(timers.nextDelay().has_value());
+}
+
+TEST_F(OsNetTest, TimerQueueKeepsOrderThroughManyCancellations) {
+    // Enough cancelled entries to trigger the heap's compaction, with slots
+    // reused by later timers in between.
+    net::TimePoint now{};
+    net::TimerQueue timers([&now] { return now; });
+    std::vector<net::EventId> ids;
+    std::vector<int> fired;
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 200; ++i) {
+            const int delayMs = (i * 37) % 101;
+            ids.push_back(timers.schedule(net::ms(delayMs), [&fired, delayMs] {
+                fired.push_back(delayMs);
+            }));
+        }
+        for (std::size_t i = ids.size() - 200; i < ids.size(); i += 3) {
+            EXPECT_TRUE(timers.cancel(ids[i]));
+        }
+    }
+    EXPECT_EQ(timers.pending(), 400u - 2 * 67);
+    now += net::ms(100);
+    EXPECT_EQ(timers.runDue(), 400u - 2 * 67);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(timers.pending(), 0u);
+    for (const net::EventId id : ids) EXPECT_FALSE(timers.cancel(id));
+}
+
+TEST_F(OsNetTest, TimerCancelReturnsFalseOnceRunOrCancelled) {
+    net::OsNetwork network;
+    net::TaskScheduler& timers = network.scheduler();
+    int ran = 0;
+    const net::EventId once = timers.schedule(net::us(0), [&ran] { ++ran; });
+    network.runUntil([&ran] { return ran == 1; }, net::ms(1000));
+    ASSERT_EQ(ran, 1);
+    EXPECT_FALSE(timers.cancel(once));  // already ran
+
+    const net::EventId later = timers.schedule(net::ms(60'000), [&ran] { ++ran; });
+    EXPECT_TRUE(timers.cancel(later));
+    EXPECT_FALSE(timers.cancel(later));  // a second cancel
+    EXPECT_FALSE(timers.cancel(0));      // never issued
+}
+
+TEST_F(OsNetTest, TimerCallbackCancelsAnotherPendingTimer) {
+    net::OsNetwork network;
+    net::TaskScheduler& timers = network.scheduler();
+    bool victimRan = false;
+    bool cancelled = false;
+    net::EventId victim = 0;
+    timers.schedule(net::us(0), [&] { cancelled = timers.cancel(victim); });
+    victim = timers.schedule(net::us(0), [&victimRan] { victimRan = true; });
+    bool after = false;
+    timers.schedule(net::ms(20), [&after] { after = true; });
+    network.runUntil([&after] { return after; }, net::ms(1000));
+    EXPECT_TRUE(cancelled);
+    EXPECT_FALSE(victimRan);
+}
+
+TEST_F(OsNetTest, ZeroDelayTimerFromCallbackRunsInSamePass) {
+    net::TimePoint now{};
+    net::TimerQueue timers([&now] { return now; });
+    std::vector<std::string> order;
+    timers.schedule(net::ms(1), [&] {
+        order.push_back("outer");
+        timers.schedule(net::us(0), [&order] { order.push_back("inner"); });
+    });
+    timers.schedule(net::ms(1), [&order] { order.push_back("sibling"); });
+    now += net::ms(1);
+    EXPECT_EQ(timers.runDue(), 3u);
+    EXPECT_EQ(order, (std::vector<std::string>{"outer", "sibling", "inner"}));
+}
+
+// --- re-entrant callbacks on real sockets ------------------------------------
+//
+// Handlers run in place, never copied; each may close, replace or destroy
+// what it was called for. These run under ASan/UBSan in CI.
+
+TEST_F(OsNetTest, TcpHandlerClosingOnFirstCoalescedFrameGetsNoSecond) {
+    net::OsNetwork network;
+    auto listener = network.listenTcp("10.0.0.2", 80);
+    std::vector<std::string> frames;
+    listener->onAccept([&frames](std::shared_ptr<net::TcpConnection> conn) {
+        conn->onData([&frames, conn](const Bytes& frame) {
+            frames.push_back(toString(frame));
+            conn->close();
+        });
+    });
+    const int fd = connectRaw(network, "10.0.0.2", 80);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendRaw(fd, Bytes{0, 0, 0, 3, 'o', 'n', 'e', 0, 0, 0, 3, 't', 'w', 'o'}));
+    network.runUntil([&frames] { return !frames.empty(); }, net::ms(2000));
+    network.runUntil([] { return false; }, net::ms(50));
+    EXPECT_EQ(frames, (std::vector<std::string>{"one"}));
+    ::close(fd);
+}
+
+TEST_F(OsNetTest, TcpHandlerReplacingItselfGetsNextFrameInNewHandler) {
+    net::OsNetwork network;
+    auto listener = network.listenTcp("10.0.0.2", 80);
+    std::vector<std::string> frames;
+    listener->onAccept([&frames](std::shared_ptr<net::TcpConnection> conn) {
+        const std::string tag = "first:";  // a capture the old handler reads after replacing
+        conn->onData([&frames, tag, raw = conn.get()](const Bytes& frame) {
+            raw->onData([&frames](const Bytes& next) {
+                frames.push_back("second:" + toString(next));
+            });
+            frames.push_back(tag + toString(frame));
+        });
+    });
+    const int fd = connectRaw(network, "10.0.0.2", 80);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(sendRaw(fd, Bytes{0, 0, 0, 1, 'a', 0, 0, 0, 1, 'b'}));
+    network.runUntil([&frames] { return frames.size() >= 2; }, net::ms(2000));
+    ASSERT_TRUE(sendRaw(fd, Bytes{0, 0, 0, 1, 'c'}));
+    network.runUntil([&frames] { return frames.size() >= 3; }, net::ms(2000));
+    EXPECT_EQ(frames, (std::vector<std::string>{"first:a", "second:b", "second:c"}));
+    ::close(fd);
+}
+
+TEST_F(OsNetTest, UdpSocketDestroyedInsideItsOwnHandler) {
+    net::OsNetwork network;
+    auto sender = network.openUdp("10.0.0.1", 1000);
+    std::unique_ptr<net::UdpSocket> receiver = network.openUdp("10.0.0.2", 2000);
+    int got = 0;
+    receiver->onDatagram([&got, &receiver](const Bytes&, const net::Address&) {
+        ++got;
+        receiver.reset();
+    });
+    const net::Address to{"10.0.0.2", 2000};
+    sender->sendTo(to, toBytes("one"));
+    sender->sendTo(to, toBytes("two"));  // queued behind the first
+    network.runUntil([&got] { return got > 0; }, net::ms(2000));
+    network.runUntil([] { return false; }, net::ms(50));
+    EXPECT_EQ(got, 1);
+    EXPECT_EQ(receiver, nullptr);
+    // The logical port is free again.
+    EXPECT_NO_THROW(receiver = network.openUdp("10.0.0.2", 2000));
+}
+
+TEST_F(OsNetTest, MulticastMemberLeavingOrClosingDuringFanOut) {
+    if (!net::OsNetwork::loopbackMulticastUsable()) {
+        GTEST_SKIP() << "kernel does not deliver multicast on loopback";
+    }
+    net::OsNetwork network;
+    const net::Address group{"239.255.255.253", 427};
+    auto sender = network.openUdp("10.0.0.1", 0);
+    auto first = network.openUdp("10.0.0.2", 0);
+    auto leaver = network.openUdp("10.0.0.3", 0);
+    auto closer = network.openUdp("10.0.0.4", 0);
+    first->joinGroup(group);
+    leaver->joinGroup(group);
+    closer->joinGroup(group);
+    int firstGot = 0;
+    int leaverGot = 0;
+    int closerGot = 0;
+    // The first member in fan-out order makes the others leave or close.
+    first->onDatagram([&](const Bytes&, const net::Address&) {
+        if (++firstGot == 1) {
+            leaver->leaveGroup(group);
+            closer.reset();
+        }
+    });
+    leaver->onDatagram([&leaverGot](const Bytes&, const net::Address&) { ++leaverGot; });
+    closer->onDatagram([&closerGot](const Bytes&, const net::Address&) { ++closerGot; });
+    sender->sendTo(group, toBytes("one"));
+    sender->sendTo(group, toBytes("two"));
+    network.runUntil([&firstGot] { return firstGot >= 2; }, net::ms(2000));
+    network.runUntil([] { return false; }, net::ms(50));
+    EXPECT_EQ(firstGot, 2);
+    // Recipients are the members when the datagram arrived, as the sim fixes
+    // them at send time: the leaver still gets the one in flight, the closed
+    // socket gets nothing, and neither gets the next one.
+    EXPECT_EQ(leaverGot, 1);
+    EXPECT_EQ(closerGot, 0);
+}
+
+TEST_F(OsNetTest, FdNumberReusedWithinOneDispatchSkipsStaleEvent) {
+    // Two sockets readable in the same epoll batch. Whichever handler runs
+    // first closes the other and opens a fresh socket, which the kernel gives
+    // the freed fd number, and sends it a datagram. The closed socket's
+    // event, still in the batch, must not read the fresh socket: its datagram
+    // arrives through its own registration, in the next poll.
+    net::OsNetwork network;
+    auto sender = network.openUdp("10.0.0.1", 1000);
+    std::unique_ptr<net::UdpSocket> sockets[2] = {network.openUdp("10.0.0.2", 2000),
+                                                  network.openUdp("10.0.0.3", 3000)};
+    const net::Address freshAddress{"10.0.0.5", 5000};
+    std::unique_ptr<net::UdpSocket> fresh;
+    int handled = 0;
+    int freshGot = 0;
+    for (int i = 0; i < 2; ++i) {
+        sockets[i]->onDatagram([&, other = 1 - i](const Bytes&, const net::Address&) {
+            ++handled;
+            sockets[other].reset();
+            fresh = network.openUdp(freshAddress.host, freshAddress.port);
+            fresh->onDatagram([&freshGot](const Bytes&, const net::Address&) { ++freshGot; });
+            sender->sendTo(freshAddress, toBytes("c"));
+        });
+    }
+    sender->sendTo(net::Address{"10.0.0.2", 2000}, toBytes("a"));
+    sender->sendTo(net::Address{"10.0.0.3", 3000}, toBytes("b"));
+    ::usleep(20'000);  // both queued before the first epoll_wait
+    network.poll(net::ms(1000));
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(freshGot, 0);
+    network.runUntil([&freshGot] { return freshGot > 0; }, net::ms(2000));
+    EXPECT_EQ(handled, 1);
+    EXPECT_EQ(freshGot, 1);
+}
+
+TEST_F(OsNetTest, WarmDeliveryAndTimersDoNotAllocate) {
+    // One warm datagram delivery, framed TCP frame delivery and timer
+    // schedule+fire allocate nothing. The handlers capture one reference, so
+    // std::function keeps them inline.
+    net::OsNetwork network;
+    auto a = network.openUdp("10.0.0.1", 1000);
+    auto b = network.openUdp("10.0.0.2", 2000);
+    auto listener = network.listenTcp("10.0.0.2", 80);
+    struct Tally {
+        int datagrams = 0;
+        int frames = 0;
+        int timers = 0;
+        int target = 0;
+        bool done() const { return datagrams == target && frames == target && timers == target; }
+    } tally;
+    std::shared_ptr<net::TcpConnection> serverSide;
+    listener->onAccept([&](std::shared_ptr<net::TcpConnection> conn) {
+        serverSide = conn;
+        conn->onData([&tally](const Bytes&) { ++tally.frames; });
+    });
+    std::shared_ptr<net::TcpConnection> client;
+    network.connectTcp("10.0.0.1", net::Address{"10.0.0.2", 80},
+                       [&client](std::shared_ptr<net::TcpConnection> conn) { client = conn; });
+    network.runUntil([&] { return client != nullptr && serverSide != nullptr; }, net::ms(2000));
+    ASSERT_NE(client, nullptr);
+    b->onDatagram([&tally](const Bytes&, const net::Address&) { ++tally.datagrams; });
+    const net::Address to{"10.0.0.2", 2000};
+    const Bytes payload = toBytes("a payload of some length");
+    const auto round = [&] {
+        ++tally.target;
+        a->sendTo(to, payload);
+        client->send(payload);
+        network.scheduler().schedule(net::us(0), [&tally] { ++tally.timers; });
+        return network.runUntil([&tally] { return tally.done(); }, net::ms(2000));
+    };
+    for (int i = 0; i < 8; ++i) ASSERT_TRUE(round());
+    const std::uint64_t before = testing::allocCalls();
+    bool delivered = true;
+    for (int i = 0; i < 64; ++i) delivered = round() && delivered;
+    const std::uint64_t allocs = testing::allocCalls() - before;
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(tally.target, 72);
+    EXPECT_EQ(allocs, 0u);
 }
 
 }  // namespace

@@ -7,13 +7,11 @@
 // directions, as promised in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 
+#include "alloc_counter.hpp"
 #include "common/error.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/replay.hpp"
@@ -21,49 +19,10 @@
 #include "core/telemetry/recorder.hpp"
 #include "core/telemetry/span.hpp"
 
-// Counting allocator for FlightRecorder.SteadyStateRecordingDoesNotAllocate:
-// every operator new in this binary goes through here (the idiom of
-// bench/capacity_sweep.cpp). Relaxed atomics because the chaos tests run
-// shard workers on their own threads.
-namespace {
-std::atomic<std::uint64_t> g_allocCalls{0};
-
-// noinline keeps GCC from pairing the malloc/free behind the replacement
-// operators at inlined call sites (-Wmismatched-new-delete false positive).
-[[gnu::noinline]] void* countedAlloc(std::size_t size) noexcept {
-    void* p = std::malloc(size == 0 ? 1 : size);
-    if (p != nullptr) g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-    return p;
-}
-
-[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
-
-std::uint64_t allocCalls() { return g_allocCalls.load(std::memory_order_relaxed); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-    void* p = countedAlloc(size);
-    if (p == nullptr) throw std::bad_alloc();
-    return p;
-}
-void* operator new[](std::size_t size) {
-    void* p = countedAlloc(size);
-    if (p == nullptr) throw std::bad_alloc();
-    return p;
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return countedAlloc(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    return countedAlloc(size);
-}
-void operator delete(void* p) noexcept { countedFree(p); }
-void operator delete[](void* p) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { countedFree(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { countedFree(p); }
-
 namespace starlink {
 namespace {
+
+using testing::allocCalls;
 
 using telemetry::FlightRecorder;
 using telemetry::PostmortemBundle;

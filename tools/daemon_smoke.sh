@@ -8,7 +8,11 @@
 # requires a clean, coded shutdown:
 #
 #   (a) every probe lookup discovers the bridged service URL,
-#   (b) the /metrics scrape returns a non-empty Prometheus exposition,
+#   (b) the /metrics scrape returns a non-empty Prometheus exposition in
+#       which, summed over all series, every message the network engine
+#       handed up was accepted into a session or dropped for a counted
+#       reason: starlink_net_messages_in_total =
+#       starlink_engine_messages_in_total + starlink_engine_datagrams_dropped_total,
 #   (c) the daemon's stdout carries a terminal record for every session,
 #   (d) the daemon exits 0 == zero aborts escaped the error taxonomy.
 #
@@ -114,6 +118,24 @@ if ! echo "$metrics" | grep -q "# TYPE"; then
     exit 1
 fi
 echo "scraped $(echo "$metrics" | grep -c '^# TYPE') metric families"
+
+# Sum of every series of one counter family; fails when the family is absent.
+family_sum() {
+    if ! echo "$metrics" | grep -q "^# TYPE $1 counter"; then
+        echo "FAIL: /metrics lacks the $1 family" >&2
+        exit 1
+    fi
+    echo "$metrics" | awk -v name="$1" \
+        'index($1, name "{") == 1 || $1 == name { sum += $NF } END { printf "%.0f", sum }'
+}
+net_in=$(family_sum starlink_net_messages_in_total) || exit 1
+engine_in=$(family_sum starlink_engine_messages_in_total) || exit 1
+dropped=$(family_sum starlink_engine_datagrams_dropped_total) || exit 1
+if [ "$net_in" -lt "$sessions" ] || [ "$net_in" -ne $((engine_in + dropped)) ]; then
+    echo "FAIL: accounting identity: net in $net_in != engine in $engine_in + dropped $dropped" >&2
+    exit 1
+fi
+echo "accounting: net in $net_in = engine in $engine_in + dropped $dropped"
 
 # (c)+(d) clean signal-driven shutdown with a terminal record per session.
 kill -TERM "$daemon_pid"
