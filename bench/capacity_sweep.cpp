@@ -28,16 +28,15 @@
 // stable run-to-run on one toolchain; the committed baseline is gated with
 // bench_compare.py --absolute like the other virtual-time benches.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "core/bridge/models.hpp"
 #include "core/engine/session_history.hpp"
 #include "core/engine/shard_engine.hpp"
@@ -45,61 +44,17 @@
 #include "core/mdl/rx_arena.hpp"
 #include "stats.hpp"
 
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in the process goes through here.
-// Relaxed atomics because shard workers allocate from their own threads.
-// ---------------------------------------------------------------------------
-
 namespace {
-std::atomic<std::uint64_t> g_allocCalls{0};
-std::atomic<std::uint64_t> g_allocBytes{0};
 
-// noinline keeps GCC from pairing the malloc/free behind the replacement
-// operators at inlined call sites (-Wmismatched-new-delete false positive).
-[[gnu::noinline]] void* countedAlloc(std::size_t size) noexcept {
-    void* p = std::malloc(size == 0 ? 1 : size);
-    if (p != nullptr) {
-        g_allocCalls.fetch_add(1, std::memory_order_relaxed);
-        g_allocBytes.fetch_add(size, std::memory_order_relaxed);
-    }
-    return p;
-}
-
-[[gnu::noinline]] void countedFree(void* p) noexcept { std::free(p); }
-
+/// Allocations so far, from the counting operator new of alloc_counter.cpp.
 struct AllocSnapshot {
     std::uint64_t calls = 0;
     std::uint64_t bytes = 0;
 };
 
 AllocSnapshot snapshotAllocs() {
-    return {g_allocCalls.load(std::memory_order_relaxed),
-            g_allocBytes.load(std::memory_order_relaxed)};
+    return {starlink::testing::allocCalls(), starlink::testing::allocBytes()};
 }
-}  // namespace
-
-void* operator new(std::size_t size) {
-    void* p = countedAlloc(size);
-    if (p == nullptr) throw std::bad_alloc();
-    return p;
-}
-void* operator new[](std::size_t size) {
-    void* p = countedAlloc(size);
-    if (p == nullptr) throw std::bad_alloc();
-    return p;
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return countedAlloc(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    return countedAlloc(size);
-}
-void operator delete(void* p) noexcept { countedFree(p); }
-void operator delete[](void* p) noexcept { countedFree(p); }
-void operator delete(void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete[](void* p, std::size_t) noexcept { countedFree(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { countedFree(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { countedFree(p); }
-
-namespace {
 
 using namespace starlink;
 using bridge::models::Case;

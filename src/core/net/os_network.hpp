@@ -37,8 +37,8 @@
 // Single-threaded like the sim: all callbacks fire inside runUntil()/poll(),
 // which must not be re-entered from a callback. Steady-state dispatch does
 // not allocate: the fd table is typed (no stored closure per fd), payloads
-// land in one reused buffer, and timers live in a vector heap (the "OS event
-// loop" section of docs/TRANSPORT.md).
+// land in one reused buffer, and timers live in the TimerQueue the sim also
+// runs on (the "OS event loop" section of docs/TRANSPORT.md).
 // Chaos (FaultSchedule, latency models, partitions) is sim-only by design.
 #pragma once
 
@@ -53,65 +53,11 @@
 
 #include "common/bytes.hpp"
 #include "net/network.hpp"
+#include "net/timer_queue.hpp"
 
 namespace starlink::net {
 
 class OsNetwork;
-
-/// Wall-clock deferred tasks with EventScheduler's ordering contract: tasks
-/// run in (deadline, scheduling order), so equal deadlines run FIFO, and a
-/// task scheduled from a running one with a due deadline runs in the same
-/// runDue() pass. A binary heap in a vector holds (deadline, seq, slot); each
-/// task's closure sits in a pooled slot whose generation is part of its
-/// EventId, so cancel() is O(1) and returns false once the task ran or was
-/// cancelled. A cancelled task's heap entry is dropped when it reaches the
-/// top, or all at once when such entries outnumber the live ones. Once the
-/// vectors have grown to the peak number of pending tasks, schedule, cancel
-/// and fire allocate nothing beyond what the caller's closure needs.
-class TimerQueue final : public TaskScheduler {
-public:
-    using Clock = std::function<TimePoint()>;
-    explicit TimerQueue(Clock clock) : clock_(std::move(clock)) {}
-    TimerQueue(const TimerQueue&) = delete;
-    TimerQueue& operator=(const TimerQueue&) = delete;
-
-    EventId schedule(Duration delay, std::function<void()> fn) override;
-    bool cancel(EventId id) override;
-
-    /// Delay until the earliest pending task (nullopt when none), never < 0.
-    std::optional<Duration> nextDelay() const;
-    /// Runs every task due now, including ones they schedule; returns how
-    /// many ran.
-    std::size_t runDue();
-    std::size_t pending() const { return heap_.size() - stale_; }
-
-private:
-    struct Slot {
-        std::function<void()> fn;
-        std::uint32_t generation = 1;
-        std::uint32_t nextFree = 0;
-    };
-    struct Entry {
-        TimePoint when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t generation;
-    };
-    static bool later(const Entry& a, const Entry& b) {
-        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-    bool isStale(const Entry& e) const { return slots_[e.slot].generation != e.generation; }
-    void release(std::uint32_t slot);
-    void dropStale();
-
-    Clock clock_;
-    std::vector<Slot> slots_;
-    std::vector<Entry> heap_;
-    std::uint32_t freeHead_ = kNoSlot;
-    std::size_t stale_ = 0;
-    std::uint64_t nextSeq_ = 1;
-    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-};
 
 /// The OS backend's UDP socket: a non-blocking AF_INET datagram socket.
 class OsUdpSocket final : public UdpSocket {

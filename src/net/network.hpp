@@ -48,9 +48,9 @@ struct Address {
 using EventId = std::uint64_t;
 
 /// Deferred-task scheduling, over whichever clock the backend runs on.
-/// EventScheduler (virtual time) and the OS backend's timer wheel (wall
-/// clock) both implement it, so protocol agents and engines schedule
-/// timeouts without knowing which world they live in.
+/// EventScheduler (virtual time) and the OS backend (wall clock) both
+/// implement it over one TimerQueue, so protocol agents and engines
+/// schedule timeouts without knowing which world they live in.
 class TaskScheduler {
 public:
     virtual ~TaskScheduler() = default;

@@ -2,67 +2,29 @@
 
 namespace starlink::net {
 
-EventId EventScheduler::schedule(Duration delay, std::function<void()> fn) {
-    return scheduleAt(clock_.now() + delay, std::move(fn));
-}
-
-EventId EventScheduler::scheduleAt(TimePoint when, std::function<void()> fn) {
-    if (when < clock_.now()) when = clock_.now();
-    const Key key{when, nextSeq_++};
-    queue_.emplace(key, std::move(fn));
-    index_.emplace(key.seq, key);
-    return key.seq;
-}
-
-bool EventScheduler::cancel(EventId id) {
-    const auto it = index_.find(id);
-    if (it == index_.end()) return false;
-    queue_.erase(it->second);
-    index_.erase(it);
-    return true;
+bool EventScheduler::runNextBy(TimePoint limit) {
+    const auto next = tasks_.nextDeadline();
+    if (!next || *next > limit) return false;
+    clock_.advanceTo(*next);
+    return tasks_.runNext();
 }
 
 void EventScheduler::runUntilIdle(std::size_t maxEvents) {
-    std::size_t executed = 0;
-    while (!queue_.empty() && executed < maxEvents) {
-        auto it = queue_.begin();
-        const Key key = it->first;
-        auto fn = std::move(it->second);
-        queue_.erase(it);
-        index_.erase(key.seq);
-        clock_.advanceTo(key.when);
-        fn();
-        ++executed;
-    }
+    std::size_t ran = 0;
+    while (ran < maxEvents && runNextBy(TimePoint::max())) ++ran;
 }
 
 bool EventScheduler::runOneBefore(TimePoint limit) {
-    if (queue_.empty() || queue_.begin()->first.when > limit) {
-        clock_.advanceTo(limit);
-        return false;
-    }
-    auto it = queue_.begin();
-    const Key key = it->first;
-    auto fn = std::move(it->second);
-    queue_.erase(it);
-    index_.erase(key.seq);
-    clock_.advanceTo(key.when);
-    fn();
-    return true;
+    if (runNextBy(limit)) return true;
+    clock_.advanceTo(limit);
+    return false;
 }
 
 void EventScheduler::runFor(Duration window) {
     const TimePoint deadline = clock_.now() + window;
-    while (!queue_.empty() && queue_.begin()->first.when <= deadline) {
-        auto it = queue_.begin();
-        const Key key = it->first;
-        auto fn = std::move(it->second);
-        queue_.erase(it);
-        index_.erase(key.seq);
-        clock_.advanceTo(key.when);
-        fn();
+    while (runOneBefore(deadline)) {
+        // each call runs one due event; the last one moves the clock to the deadline
     }
-    clock_.advanceTo(deadline);
 }
 
 }  // namespace starlink::net

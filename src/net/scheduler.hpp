@@ -4,32 +4,37 @@
 // are events. Execution is single-threaded: callbacks run inside run*() in
 // strict (time, insertion) order, which makes every interleaving
 // reproducible. Implements net::TaskScheduler so engines and agents can
-// schedule deferred work without naming the backend (the OS backend supplies
-// a wall-clock implementation of the same interface).
+// schedule deferred work without naming the backend. The events sit in the
+// same TimerQueue the OS backend runs over the wall clock; this class only
+// moves the VirtualClock to each event's deadline before running it.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "net/clock.hpp"
 #include "net/network.hpp"
+#include "net/timer_queue.hpp"
 
 namespace starlink::net {
 
 class EventScheduler final : public TaskScheduler {
 public:
-    explicit EventScheduler(VirtualClock& clock) : clock_(clock) {}
+    explicit EventScheduler(VirtualClock& clock)
+        : clock_(clock), tasks_([&clock] { return clock.now(); }) {}
 
     /// Schedules `fn` to run `delay` after the current virtual time.
-    EventId schedule(Duration delay, std::function<void()> fn) override;
+    EventId schedule(Duration delay, std::function<void()> fn) override {
+        return tasks_.schedule(delay, std::move(fn));
+    }
 
     /// Schedules at an absolute virtual time (clamped to now if in the past).
-    EventId scheduleAt(TimePoint when, std::function<void()> fn);
+    EventId scheduleAt(TimePoint when, std::function<void()> fn) {
+        return tasks_.schedule(when - clock_.now(), std::move(fn));
+    }
 
     /// Cancels a pending event; returns false if it already ran or is unknown.
-    bool cancel(EventId id) override;
+    bool cancel(EventId id) override { return tasks_.cancel(id); }
 
     /// Runs events until the queue drains. `maxEvents` guards against
     /// accidental infinite event loops in tests.
@@ -45,22 +50,16 @@ public:
     /// false. This is the stepping primitive behind SimNetwork::runUntil.
     bool runOneBefore(TimePoint limit);
 
-    std::size_t pendingEvents() const { return queue_.size(); }
+    std::size_t pendingEvents() const { return tasks_.pending(); }
     VirtualClock& clock() { return clock_; }
 
 private:
-    struct Key {
-        TimePoint when;
-        std::uint64_t seq;
-        bool operator<(const Key& other) const {
-            return when != other.when ? when < other.when : seq < other.seq;
-        }
-    };
+    /// Advances the clock to the earliest event and runs it, if that event
+    /// is due at or before `limit`; otherwise leaves the clock alone.
+    bool runNextBy(TimePoint limit);
 
     VirtualClock& clock_;
-    std::map<Key, std::function<void()>> queue_;
-    std::map<EventId, Key> index_;
-    std::uint64_t nextSeq_ = 1;
+    TimerQueue tasks_;
 };
 
 }  // namespace starlink::net

@@ -6,12 +6,16 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocCalls{0};
+std::atomic<std::uint64_t> g_allocBytes{0};
 
 // noinline keeps GCC from pairing the malloc/free behind the replacement
 // operators at inlined call sites (-Wmismatched-new-delete false positive).
 [[gnu::noinline]] void* countedAlloc(std::size_t size) noexcept {
     void* p = std::malloc(size == 0 ? 1 : size);
-    if (p != nullptr) g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+    if (p != nullptr) {
+        g_allocCalls.fetch_add(1, std::memory_order_relaxed);
+        g_allocBytes.fetch_add(size, std::memory_order_relaxed);
+    }
     return p;
 }
 
@@ -20,6 +24,10 @@ std::atomic<std::uint64_t> g_allocCalls{0};
 
 std::uint64_t starlink::testing::allocCalls() {
     return g_allocCalls.load(std::memory_order_relaxed);
+}
+
+std::uint64_t starlink::testing::allocBytes() {
+    return g_allocBytes.load(std::memory_order_relaxed);
 }
 
 void* operator new(std::size_t size) {

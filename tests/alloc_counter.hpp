@@ -1,9 +1,9 @@
 // Counting global operator new for tests that pin allocation counts.
 //
-// Linking tests/alloc_counter.cpp into a test binary replaces operator
-// new/delete for the whole binary (the idiom of bench/capacity_sweep.cpp), so
-// a test can read how many allocations a stretch of code made. Counts are
-// relaxed atomics, shared by every thread of the process.
+// Linking tests/alloc_counter.cpp into a binary replaces operator new/delete
+// for the whole binary, so a test or bench (bench/capacity_sweep.cpp) can read
+// how many allocations, and how many bytes, a stretch of code asked for.
+// Counts are relaxed atomics, shared by every thread of the process.
 #pragma once
 
 #include <cstdint>
@@ -12,5 +12,8 @@ namespace starlink::testing {
 
 /// Successful operator new calls so far in this process.
 std::uint64_t allocCalls();
+
+/// Bytes requested by those calls.
+std::uint64_t allocBytes();
 
 }  // namespace starlink::testing

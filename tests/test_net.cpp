@@ -67,6 +67,117 @@ TEST_F(NetTest, EventsScheduledDuringRunExecute) {
     EXPECT_EQ(depth, 2);
 }
 
+TEST_F(NetTest, SchedulerCallbackCancelsAnotherPendingEvent) {
+    bool victimRan = false;
+    bool cancelled = false;
+    net::EventId victim = 0;
+    scheduler.schedule(net::ms(5), [&] { cancelled = scheduler.cancel(victim); });
+    victim = scheduler.schedule(net::ms(5), [&victimRan] { victimRan = true; });
+    run();
+    EXPECT_TRUE(cancelled);
+    EXPECT_FALSE(victimRan);
+    EXPECT_EQ(scheduler.pendingEvents(), 0u);
+}
+
+TEST_F(NetTest, SchedulerKeepsOrderThroughManyCancellations) {
+    // Enough cancelled events to trigger the queue's compaction, with slots
+    // reused by later events in between.
+    std::vector<net::EventId> ids;
+    std::vector<int> fired;
+    for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 200; ++i) {
+            const int delayMs = (i * 37) % 101;
+            ids.push_back(scheduler.schedule(net::ms(delayMs), [&fired, delayMs] {
+                fired.push_back(delayMs);
+            }));
+        }
+        for (std::size_t i = ids.size() - 200; i < ids.size(); i += 3) {
+            EXPECT_TRUE(scheduler.cancel(ids[i]));
+        }
+    }
+    EXPECT_EQ(scheduler.pendingEvents(), 400u - 2 * 67);
+    run();
+    EXPECT_EQ(fired.size(), 400u - 2 * 67);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(100));
+    for (const net::EventId id : ids) EXPECT_FALSE(scheduler.cancel(id));
+}
+
+TEST_F(NetTest, SchedulerPendingEventsCountsOnlyLiveEvents) {
+    const auto a = scheduler.schedule(net::ms(1), [] {});
+    scheduler.schedule(net::ms(2), [] {});
+    const auto c = scheduler.schedule(net::ms(3), [] {});
+    EXPECT_EQ(scheduler.pendingEvents(), 3u);
+    EXPECT_TRUE(scheduler.cancel(c));  // the latest: its entry stays buried
+    EXPECT_EQ(scheduler.pendingEvents(), 2u);
+    EXPECT_TRUE(scheduler.cancel(a));  // the earliest
+    EXPECT_EQ(scheduler.pendingEvents(), 1u);
+    run();
+    EXPECT_EQ(scheduler.pendingEvents(), 0u);
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(2));
+}
+
+TEST_F(NetTest, SchedulerCancelReturnsFalseForZeroRunOrCancelled) {
+    EXPECT_FALSE(scheduler.cancel(0));  // never issued
+    const auto ran = scheduler.schedule(net::ms(1), [] {});
+    run();
+    EXPECT_FALSE(scheduler.cancel(ran));  // already ran
+    const auto twice = scheduler.schedule(net::ms(1), [] {});
+    EXPECT_NE(twice, 0u);
+    EXPECT_TRUE(scheduler.cancel(twice));
+    EXPECT_FALSE(scheduler.cancel(twice));  // a second cancel
+    EXPECT_FALSE(scheduler.cancel(ran));    // its slot was reused since
+}
+
+TEST_F(NetTest, SchedulerRunOneBeforeRunsExactlyOneDueEvent) {
+    std::vector<int> order;
+    scheduler.schedule(net::ms(10), [&order] { order.push_back(1); });
+    scheduler.schedule(net::ms(10), [&order] { order.push_back(2); });
+    scheduler.schedule(net::ms(20), [&order] { order.push_back(3); });
+    const net::TimePoint limit = clock.now() + net::ms(15);
+    EXPECT_TRUE(scheduler.runOneBefore(limit));
+    EXPECT_EQ(order, (std::vector<int>{1}));
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(10));  // the event's time, not the limit
+    EXPECT_TRUE(scheduler.runOneBefore(limit));
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(scheduler.pendingEvents(), 1u);
+}
+
+TEST_F(NetTest, SchedulerRunOneBeforeAdvancesToLimitWhenIdleOrNotDue) {
+    EXPECT_FALSE(scheduler.runOneBefore(clock.now() + net::ms(5)));  // idle
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(5));
+    bool ran = false;
+    scheduler.schedule(net::ms(20), [&ran] { ran = true; });  // due at 25 ms
+    EXPECT_FALSE(scheduler.runOneBefore(clock.now() + net::ms(10)));
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(15));
+    EXPECT_EQ(scheduler.pendingEvents(), 1u);
+    EXPECT_TRUE(scheduler.runOneBefore(clock.now() + net::ms(10)));
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(clock.now().time_since_epoch(), net::ms(25));
+}
+
+TEST_F(NetTest, WarmSchedulerDoesNotAllocate) {
+    // Schedule, cancel, schedule and run allocate nothing once the queue has
+    // grown. The closures capture one reference, so std::function keeps them
+    // inline.
+    int ran = 0;
+    const auto round = [&] {
+        for (int i = 0; i < 16; ++i) {
+            const auto id = scheduler.schedule(net::ms(i), [&ran] { ++ran; });
+            scheduler.cancel(id);
+            scheduler.schedule(net::ms(i), [&ran] { ++ran; });
+        }
+        run();
+    };
+    for (int i = 0; i < 4; ++i) round();
+    const std::uint64_t before = testing::allocCalls();
+    for (int i = 0; i < 64; ++i) round();
+    const std::uint64_t allocs = testing::allocCalls() - before;
+    EXPECT_EQ(ran, 68 * 16);
+    EXPECT_EQ(allocs, 0u);
+}
+
 TEST_F(NetTest, UdpUnicastDelivery) {
     auto a = network.openUdp("10.0.0.1", 1000);
     auto b = network.openUdp("10.0.0.2", 2000);
@@ -686,10 +797,9 @@ TEST_F(OsNetTest, LoopbackMulticastFansOutExceptSender) {
 }
 
 
-// --- the OS backend's timer queue -------------------------------------------
+// --- the timer queue over a wall clock ---------------------------------------
 //
-// net::TimerQueue keeps EventScheduler's contract over a wall clock. A fake
-// clock pins the cases that need two tasks on the same deadline.
+// A fake clock pins the cases that need two tasks on the same deadline.
 
 TEST_F(OsNetTest, TimerQueueRunsEqualDeadlinesFifo) {
     net::TimePoint now{};
@@ -699,11 +809,11 @@ TEST_F(OsNetTest, TimerQueueRunsEqualDeadlinesFifo) {
         timers.schedule(net::ms(i % 2 == 0 ? 5 : 3), [&order, i] { order.push_back(i); });
     }
     EXPECT_EQ(timers.runDue(), 0u);
-    EXPECT_EQ(timers.nextDelay(), net::ms(3));
+    EXPECT_EQ(timers.nextDeadline(), now + net::ms(3));
     now += net::ms(5);
     EXPECT_EQ(timers.runDue(), 6u);
     EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 0, 2, 4}));
-    EXPECT_FALSE(timers.nextDelay().has_value());
+    EXPECT_FALSE(timers.nextDeadline().has_value());
 }
 
 TEST_F(OsNetTest, TimerQueueKeepsOrderThroughManyCancellations) {
