@@ -8,16 +8,13 @@
 // model-driven composition) that Starlink pays for being deployable at
 // runtime.
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "net/sim_network.hpp"
 #include "baseline/static_bridges.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 #include "stats.hpp"
 
 namespace {
@@ -27,144 +24,52 @@ using bridge::models::Case;
 
 constexpr int kRepetitions = 100;
 
-// Fast services so the bridge's own cost dominates the comparison.
-slp::ServiceAgent::Config fastSlp() {
-    slp::ServiceAgent::Config config;
-    config.responseDelayBase = net::ms(10);
-    config.responseDelayJitter = net::ms(2);
-    return config;
-}
-mdns::Responder::Config fastMdns() {
-    mdns::Responder::Config config;
-    config.responseDelayBase = net::ms(10);
-    config.responseDelayJitter = net::ms(2);
-    return config;
-}
-ssdp::Device::Config fastUpnp() {
-    ssdp::Device::Config config;
-    config.responseDelayBase = net::ms(10);
-    config.responseDelayJitter = net::ms(2);
-    return config;
+/// Drives kRepetitions lookups from case `c`'s legacy client to its service,
+/// through the bridge already deployed on `network`. The service is fast so
+/// the bridge's own cost dominates the comparison.
+void driveLookups(net::SimNetwork& network, net::EventScheduler& scheduler, Case c) {
+    peers::ServiceConfigs fast;
+    fast.each([](auto& config) {
+        config.responseDelayBase = net::ms(10);
+        config.responseDelayJitter = net::ms(2);
+    });
+    peers::Service service(network, c, fast);
+    peers::Client client(network, c);
+    for (int i = 0; i < kRepetitions; ++i) {
+        client.lookup([](const peers::Client::Result&) {});
+        scheduler.runUntilIdle();
+    }
 }
 
-// --- SLP -> Bonjour -------------------------------------------------------------
+/// Translation times of the completed sessions in `sessions`.
+template <class Sessions>
+bench::Summary translationTimes(const Sessions& sessions) {
+    std::vector<double> samples;
+    for (const auto& session : sessions) {
+        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
+    }
+    return bench::summarize(std::move(samples));
+}
 
-bench::Summary starlinkSlpToBonjour() {
+bench::Summary starlinkCase(Case c) {
     net::VirtualClock clock;
     net::EventScheduler scheduler(clock);
     net::SimNetwork network(scheduler);
     bridge::Starlink starlink(network);
-    auto& deployed =
-        starlink.deploy(bridge::models::forCase(Case::SlpToBonjour, "10.0.0.9"), "10.0.0.9");
-    mdns::Responder responder(network, fastMdns());
-    slp::UserAgent client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup("service:printer", [](const slp::UserAgent::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : deployed.engine().sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
+    auto& deployed = starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9");
+    driveLookups(network, scheduler, c);
+    return translationTimes(deployed.engine().sessions());
 }
 
-bench::Summary staticSlpToBonjour() {
+/// The same case through the hand-coded `StaticBridge`.
+template <class StaticBridge>
+bench::Summary staticCase(Case c) {
     net::VirtualClock clock;
     net::EventScheduler scheduler(clock);
     net::SimNetwork network(scheduler);
-    baseline::SlpToBonjourStatic bridge(network, "10.0.0.9");
-    mdns::Responder responder(network, fastMdns());
-    slp::UserAgent client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup("service:printer", [](const slp::UserAgent::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : bridge.sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
-}
-
-// --- SLP -> UPnP ----------------------------------------------------------------
-
-bench::Summary starlinkSlpToUpnp() {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    auto& deployed =
-        starlink.deploy(bridge::models::forCase(Case::SlpToUpnp, "10.0.0.9"), "10.0.0.9");
-    ssdp::Device device(network, fastUpnp());
-    slp::UserAgent client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup("service:printer", [](const slp::UserAgent::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : deployed.engine().sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
-}
-
-bench::Summary staticSlpToUpnp() {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    baseline::SlpToUpnpStatic bridge(network, "10.0.0.9");
-    ssdp::Device device(network, fastUpnp());
-    slp::UserAgent client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup("service:printer", [](const slp::UserAgent::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : bridge.sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
-}
-
-// --- Bonjour -> SLP --------------------------------------------------------------
-
-bench::Summary starlinkBonjourToSlp() {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    auto& deployed =
-        starlink.deploy(bridge::models::forCase(Case::BonjourToSlp, "10.0.0.9"), "10.0.0.9");
-    slp::ServiceAgent service(network, fastSlp());
-    mdns::Resolver client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.browse("_printer._tcp.local", [](const mdns::Resolver::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : deployed.engine().sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
-}
-
-bench::Summary staticBonjourToSlp() {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    baseline::BonjourToSlpStatic bridge(network, "10.0.0.9");
-    slp::ServiceAgent service(network, fastSlp());
-    mdns::Resolver client(network, {});
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.browse("_printer._tcp.local", [](const mdns::Resolver::Result&) {});
-        scheduler.runUntilIdle();
-    }
-    std::vector<double> samples;
-    for (const auto& session : bridge.sessions()) {
-        if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
-    }
-    return bench::summarize(std::move(samples));
+    StaticBridge bridge(network, "10.0.0.9");
+    driveLookups(network, scheduler, c);
+    return translationTimes(bridge.sessions());
 }
 
 void printPair(const char* label, const bench::Summary& starlinkSummary,
@@ -183,16 +88,16 @@ int main() {
                 " bridge cost dominates)\n\n",
                 kRepetitions);
 
-    const auto slpBonjourStarlink = starlinkSlpToBonjour();
-    const auto slpBonjourStatic = staticSlpToBonjour();
+    const auto slpBonjourStarlink = starlinkCase(Case::SlpToBonjour);
+    const auto slpBonjourStatic = staticCase<baseline::SlpToBonjourStatic>(Case::SlpToBonjour);
     printPair("SLP->Bonjour", slpBonjourStarlink, slpBonjourStatic);
 
-    const auto slpUpnpStarlink = starlinkSlpToUpnp();
-    const auto slpUpnpStatic = staticSlpToUpnp();
+    const auto slpUpnpStarlink = starlinkCase(Case::SlpToUpnp);
+    const auto slpUpnpStatic = staticCase<baseline::SlpToUpnpStatic>(Case::SlpToUpnp);
     printPair("SLP->UPnP", slpUpnpStarlink, slpUpnpStatic);
 
-    const auto bonjourSlpStarlink = starlinkBonjourToSlp();
-    const auto bonjourSlpStatic = staticBonjourToSlp();
+    const auto bonjourSlpStarlink = starlinkCase(Case::BonjourToSlp);
+    const auto bonjourSlpStatic = staticCase<baseline::BonjourToSlpStatic>(Case::BonjourToSlp);
     printPair("Bonjour->SLP", bonjourSlpStarlink, bonjourSlpStatic);
 
     const bool ok = slpBonjourStarlink.samples == kRepetitions &&

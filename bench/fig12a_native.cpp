@@ -10,9 +10,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
 #include "native_bench.hpp"
 #include "stats.hpp"
 
@@ -29,9 +26,9 @@ int main() {
     std::printf("(%d repetitions each, virtual-time milliseconds)\n\n", kRepetitions);
     std::printf("%-18s %8s %8s %8s\n", "Protocol", "Min", "Median", "Max");
 
-    const auto slpSummary = bench::benchNativeSlp(kRepetitions);
-    const auto bonjourSummary = bench::benchNativeBonjour(kRepetitions);
-    const auto upnpSummary = bench::benchNativeUpnp(kRepetitions);
+    const auto slpSummary = bench::benchNative(peers::Protocol::Slp, kRepetitions);
+    const auto bonjourSummary = bench::benchNative(peers::Protocol::Bonjour, kRepetitions);
+    const auto upnpSummary = bench::benchNative(peers::Protocol::Upnp, kRepetitions);
     bench::printRow("SLP", slpSummary, "5982 / 6022 / 6053");
     bench::printRow("Bonjour", bonjourSummary, " 687 /  710 /  726");
     bench::printRow("UPnP", upnpSummary, " 945 / 1014 / 1079");

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "net/sim_network.hpp"
@@ -19,9 +18,7 @@
 #include "core/bridge/starlink.hpp"
 #include "core/telemetry/span.hpp"
 #include "native_bench.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 #include "stats.hpp"
 
 namespace {
@@ -56,51 +53,14 @@ CaseResult benchCase(Case c, std::size_t* specLines) {
     options.spanCapacity = 1 << 16;
     auto& deployed = starlink.deploy(models, "10.0.0.9", options);
 
-    // Heterogeneous legacy service.
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    switch (c) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp:
-            slpService.emplace(network, slp::ServiceAgent::Config{});
-            break;
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour:
-            mdnsService.emplace(network, mdns::Responder::Config{});
-            break;
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp:
-            upnpService.emplace(network, ssdp::Device::Config{});
-            break;
-    }
-
-    // Legacy client, driven for kRepetitions sequential lookups.
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
-    auto runOnce = [&] {
-        switch (c) {
-            case Case::SlpToUpnp:
-            case Case::SlpToBonjour:
-                if (!slpClient) slpClient.emplace(network, slp::UserAgent::Config{});
-                slpClient->lookup("service:printer", [](const slp::UserAgent::Result&) {});
-                break;
-            case Case::UpnpToSlp:
-            case Case::UpnpToBonjour:
-                if (!upnpClient) upnpClient.emplace(network, ssdp::ControlPoint::Config{});
-                upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                                   [](const ssdp::ControlPoint::Result&) {});
-                break;
-            case Case::BonjourToUpnp:
-            case Case::BonjourToSlp:
-                if (!mdnsClient) mdnsClient.emplace(network, mdns::Resolver::Config{});
-                mdnsClient->browse("_printer._tcp.local", [](const mdns::Resolver::Result&) {});
-                break;
-        }
+    // Heterogeneous legacy service, then the legacy client driven for
+    // kRepetitions sequential lookups.
+    peers::Service service(network, c);
+    peers::Client client(network, c);
+    for (int i = 0; i < kRepetitions; ++i) {
+        client.lookup([](const peers::Client::Result&) {});
         scheduler.runUntilIdle();
-    };
-    for (int i = 0; i < kRepetitions; ++i) runOnce();
+    }
 
     std::vector<double> samples;
     for (const auto& session : deployed.engine().sessions()) {
@@ -188,18 +148,17 @@ int main(int argc, char** argv) {
     // percentage increase in response time, while in case 1 it is 5
     // percent" -- translation time relative to the CLIENT protocol's native
     // response time.
-    const auto nativeSlp = bench::benchNativeSlp(20);
-    const auto nativeBonjour = bench::benchNativeBonjour(20);
-    const auto nativeUpnp = bench::benchNativeUpnp(20);
-    const double nativeOfClient[6] = {nativeSlp.medianMs,     nativeSlp.medianMs,
-                                      nativeUpnp.medianMs,    nativeUpnp.medianMs,
-                                      nativeBonjour.medianMs, nativeBonjour.medianMs};
+    // Indexed by peers::Protocol.
+    const bench::Summary native[] = {bench::benchNative(peers::Protocol::Slp, 20),
+                                     bench::benchNative(peers::Protocol::Upnp, 20),
+                                     bench::benchNative(peers::Protocol::Bonjour, 20)};
     std::printf("\nTranslation cost relative to the client protocol's native response\n");
     std::printf("(paper: case 1 ~5%%, case 6 ~600%%):\n");
     i = 0;
     for (const Case c : bridge::models::kAllCases) {
         std::printf("  %-18s %6.0f%%\n", bridge::models::caseName(c),
-                    100.0 * results[i].overall.medianMs / nativeOfClient[i]);
+                    100.0 * results[i].overall.medianMs /
+                        native[static_cast<int>(peers::clientProtocol(c))].medianMs);
         ++i;
     }
 

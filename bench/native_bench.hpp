@@ -8,9 +8,7 @@
 #pragma once
 
 #include "net/sim_network.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 #include "stats.hpp"
 
 namespace starlink::bench {
@@ -19,63 +17,22 @@ namespace starlink::bench {
 /// well under a second, so hitting this means the round livelocked.
 inline const net::Duration kLookupBudget = net::ms(30000);
 
-inline Summary benchNativeSlp(int repetitions) {
+/// `repetitions` lookups from a `protocol` client to a `protocol` service,
+/// no bridge in between.
+inline Summary benchNative(peers::Protocol protocol, int repetitions) {
     net::VirtualClock clock;
     net::EventScheduler scheduler(clock);
     net::SimNetwork network(scheduler);
     net::Network& net = network;
-    slp::ServiceAgent service(net, {});
-    slp::UserAgent client(net, {});
+    peers::Service service(net, protocol);
+    peers::Client client(net, protocol);
     std::vector<double> samples;
     for (int i = 0; i < repetitions; ++i) {
         bool settled = false;
-        client.lookup("service:printer",
-                      [&samples, &settled](const slp::UserAgent::Result& result) {
-                          if (!result.urls.empty()) samples.push_back(toMs(result.elapsed));
-                          settled = true;
-                      });
-        net.runUntil([&settled] { return settled; }, kLookupBudget);
-        scheduler.runUntilIdle();  // drain stragglers so rounds stay independent
-    }
-    return summarize(std::move(samples));
-}
-
-inline Summary benchNativeBonjour(int repetitions) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    net::Network& net = network;
-    mdns::Responder responder(net, {});
-    mdns::Resolver client(net, {});
-    std::vector<double> samples;
-    for (int i = 0; i < repetitions; ++i) {
-        bool settled = false;
-        client.browse("_printer._tcp.local",
-                      [&samples, &settled](const mdns::Resolver::Result& result) {
-                          if (!result.urls.empty()) samples.push_back(toMs(result.elapsed));
-                          settled = true;
-                      });
-        net.runUntil([&settled] { return settled; }, kLookupBudget);
-        scheduler.runUntilIdle();  // drain stragglers so rounds stay independent
-    }
-    return summarize(std::move(samples));
-}
-
-inline Summary benchNativeUpnp(int repetitions) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    net::Network& net = network;
-    ssdp::Device device(net, {});
-    ssdp::ControlPoint client(net, {});
-    std::vector<double> samples;
-    for (int i = 0; i < repetitions; ++i) {
-        bool settled = false;
-        client.search(device.config().st,
-                      [&samples, &settled](const ssdp::ControlPoint::Result& result) {
-                          if (!result.urls.empty()) samples.push_back(toMs(result.elapsed));
-                          settled = true;
-                      });
+        client.lookup([&samples, &settled](const peers::Client::Result& result) {
+            if (!result.urls.empty()) samples.push_back(toMs(result.elapsed));
+            settled = true;
+        });
         net.runUntil([&settled] { return settled; }, kLookupBudget);
         scheduler.runUntilIdle();  // drain stragglers so rounds stay independent
     }

@@ -16,7 +16,6 @@
 // must still discover in >= 95% of lookups (and lossless runs in 100%).
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,9 +23,7 @@
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
 #include "core/telemetry/span.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 #include "stats.hpp"
 
 namespace {
@@ -85,33 +82,17 @@ Cell sweepCase(Case c, double loss) {
     auto& deployed =
         starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9", sweepEngineOptions());
 
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    switch (c) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp:
-            slpService.emplace(network, slp::ServiceAgent::Config{});
-            break;
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour:
-            mdnsService.emplace(network, mdns::Responder::Config{});
-            break;
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp:
-            upnpService.emplace(network, ssdp::Device::Config{});
-            break;
-    }
+    peers::Service service(network, c);
 
     // Clients re-send their pending request every 8 s (clear of the ~6.5 s
     // worst-case healthy conversation) and keep trying for up to two virtual
     // minutes before declaring the lookup failed.
-    const net::Duration clientResend = net::ms(8000);
-    const net::Duration clientTimeout = net::ms(120000);
-
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
+    peers::ClientConfigs clients;
+    clients.each([](auto& config) {
+        config.timeout = net::ms(120000);
+        config.retransmitInterval = net::ms(8000);
+    });
+    peers::Client client(network, c, clients);
 
     Cell cell;
     cell.caseName = bridge::models::caseName(c);
@@ -120,50 +101,9 @@ Cell sweepCase(Case c, double loss) {
 
     for (int i = 0; i < kLookups; ++i) {
         bool success = false;
-        switch (c) {
-            case Case::SlpToUpnp:
-            case Case::SlpToBonjour: {
-                if (!slpClient) {
-                    slp::UserAgent::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    slpClient.emplace(network, config);
-                }
-                slpClient->lookup("service:printer",
-                                  [&success](const slp::UserAgent::Result& result) {
-                                      success = !result.urls.empty();
-                                  });
-                break;
-            }
-            case Case::UpnpToSlp:
-            case Case::UpnpToBonjour: {
-                if (!upnpClient) {
-                    ssdp::ControlPoint::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    upnpClient.emplace(network, config);
-                }
-                upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                                   [&success](const ssdp::ControlPoint::Result& result) {
-                                       success = !result.urls.empty();
-                                   });
-                break;
-            }
-            case Case::BonjourToUpnp:
-            case Case::BonjourToSlp: {
-                if (!mdnsClient) {
-                    mdns::Resolver::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    mdnsClient.emplace(network, config);
-                }
-                mdnsClient->browse("_printer._tcp.local",
-                                   [&success](const mdns::Resolver::Result& result) {
-                                       success = !result.urls.empty();
-                                   });
-                break;
-            }
-        }
+        client.lookup([&success](const peers::Client::Result& result) {
+            success = !result.urls.empty();
+        });
         scheduler.runUntilIdle(2000000);
         if (success) ++cell.successes;
     }

@@ -10,8 +10,7 @@
 #include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
+#include "protocols/peers.hpp"
 #include "stats.hpp"
 
 namespace {
@@ -22,13 +21,6 @@ using bridge::models::ProtocolModel;
 using bridge::models::Role;
 
 constexpr int kRepetitions = 100;
-
-mdns::Responder::Config fastResponder() {
-    mdns::Responder::Config config;
-    config.responseDelayBase = net::ms(10);
-    config.responseDelayJitter = net::ms(2);
-    return config;
-}
 
 bench::Summary run(bool synthesized) {
     net::VirtualClock clock;
@@ -47,10 +39,13 @@ bench::Summary run(bool synthesized) {
             &starlink.deploy(bridge::models::forCase(Case::SlpToBonjour, "10.0.0.9"), "10.0.0.9");
     }
 
-    mdns::Responder responder(network, fastResponder());
-    slp::UserAgent client(network, {});
+    peers::ServiceConfigs fast;
+    fast.bonjour.responseDelayBase = net::ms(10);
+    fast.bonjour.responseDelayJitter = net::ms(2);
+    peers::Service service(network, Case::SlpToBonjour, fast);
+    peers::Client client(network, Case::SlpToBonjour);
     for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup("service:printer", [](const slp::UserAgent::Result&) {});
+        client.lookup([](const peers::Client::Result&) {});
         scheduler.runUntilIdle();
     }
     std::vector<double> samples;

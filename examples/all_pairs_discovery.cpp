@@ -3,14 +3,11 @@
 // heterogeneous legacy service through a freshly deployed Starlink bridge.
 #include <iomanip>
 #include <iostream>
-#include <optional>
 
 #include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace {
 
@@ -37,63 +34,14 @@ Outcome runCase(Case c) {
     bridge::Starlink starlink(network);
     auto& deployed = starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9");
 
-    // Service side.
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    switch (c) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp: {
-            slp::ServiceAgent::Config config;
-            slpService.emplace(network, config);
-            break;
-        }
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour:
-            mdnsService.emplace(network, mdns::Responder::Config{});
-            break;
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp:
-            upnpService.emplace(network, ssdp::Device::Config{});
-            break;
-    }
-
-    // Client side.
+    peers::Service service(network, c);
+    peers::Client client(network, c);
     Outcome outcome;
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
-    switch (c) {
-        case Case::SlpToUpnp:
-        case Case::SlpToBonjour:
-            slpClient.emplace(network, slp::UserAgent::Config{});
-            slpClient->lookup("service:printer", [&outcome](const slp::UserAgent::Result& r) {
-                outcome.success = !r.urls.empty();
-                if (outcome.success) outcome.url = r.urls[0];
-                outcome.clientMs = toMs(r.elapsed);
-            });
-            break;
-        case Case::UpnpToSlp:
-        case Case::UpnpToBonjour:
-            upnpClient.emplace(network, ssdp::ControlPoint::Config{});
-            upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                               [&outcome](const ssdp::ControlPoint::Result& r) {
-                                   outcome.success = !r.urls.empty();
-                                   if (outcome.success) outcome.url = r.urls[0];
-                                   outcome.clientMs = toMs(r.elapsed);
-                               });
-            break;
-        case Case::BonjourToUpnp:
-        case Case::BonjourToSlp:
-            mdnsClient.emplace(network, mdns::Resolver::Config{});
-            mdnsClient->browse("_printer._tcp.local",
-                               [&outcome](const mdns::Resolver::Result& r) {
-                                   outcome.success = !r.urls.empty();
-                                   if (outcome.success) outcome.url = r.urls[0];
-                                   outcome.clientMs = toMs(r.elapsed);
-                               });
-            break;
-    }
+    client.lookup([&outcome](const peers::Client::Result& r) {
+        outcome.success = !r.urls.empty();
+        if (outcome.success) outcome.url = r.urls[0];
+        outcome.clientMs = toMs(r.elapsed);
+    });
 
     scheduler.runUntilIdle();
     if (!deployed.engine().sessions().empty()) {

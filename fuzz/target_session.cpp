@@ -37,9 +37,7 @@
 #include "net/clock.hpp"
 #include "net/scheduler.hpp"
 #include "net/sim_network.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink::fuzz {
 namespace {
@@ -51,40 +49,6 @@ constexpr std::size_t kMaxSchedulerEvents = 200'000;
 
 /// The bridge's tcp HTTP description leg (models::forCase default port).
 const net::Address kBridgeHttp{"10.0.0.9", 8085};
-
-/// The client-facing multicast group the deployed bridge listens on: the
-/// served protocol's well-known discovery endpoint.
-net::Address clientMulticastFor(Case c) {
-    switch (c) {
-        case Case::SlpToUpnp:
-        case Case::SlpToBonjour: return net::Address{"239.255.255.253", 427};
-        case Case::UpnpToSlp:
-        case Case::UpnpToBonjour: return net::Address{"239.255.255.250", 1900};
-        case Case::BonjourToSlp:
-        case Case::BonjourToUpnp: return net::Address{"224.0.0.251", 5353};
-    }
-    return net::Address{"239.255.255.253", 427};
-}
-
-/// Stands up the legacy service answering the bridge's QUERIED side (mirrors
-/// the shard engine's per-direction switch), so inputs that happen to be
-/// valid requests exercise the COMPLETE translation path, not just aborts.
-struct ServiceSide {
-    std::optional<slp::ServiceAgent> slp;
-    std::optional<mdns::Responder> mdns;
-    std::optional<ssdp::Device> upnp;
-
-    ServiceSide(net::Network& network, Case c) {
-        switch (c) {
-            case Case::UpnpToSlp:
-            case Case::BonjourToSlp: slp.emplace(network, slp::ServiceAgent::Config{}); break;
-            case Case::SlpToBonjour:
-            case Case::UpnpToBonjour: mdns.emplace(network, mdns::Responder::Config{}); break;
-            case Case::SlpToUpnp:
-            case Case::BonjourToUpnp: upnp.emplace(network, ssdp::Device::Config{}); break;
-        }
-    }
-};
 
 }  // namespace
 
@@ -106,8 +70,10 @@ int fuzzSessionInput(const std::uint8_t* data, std::size_t size) {
         const Case caseId = static_cast<Case>(data[offset++] % 6);
         auto& deployed =
             starlink.deploy(bridge::models::forCase(caseId, "10.0.0.9"), "10.0.0.9");
-        ServiceSide service(network, caseId);
-        const net::Address group = clientMulticastFor(caseId);
+        // A legacy service behind the bridge lets valid requests run the
+        // COMPLETE translation path; datagrams go where the bridge listens.
+        const peers::Service service(network, caseId);
+        const net::Address group = peers::discoveryGroup(peers::clientProtocol(caseId));
 
         const std::size_t count = 1 + data[offset++] % kMaxDatagrams;
         auto client = network.openUdp("10.0.0.1", 0);

@@ -9,18 +9,14 @@
 #include "core/bridge/starlink.hpp"
 #include "net/scheduler.hpp"
 #include "net/sim_network.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink::engine {
-
-using bridge::models::Case;
 
 namespace {
 
 /// One private simulation island: clock, scheduler, network, framework and a
-/// deployed bridge for one direction, plus the per-session legacy agents.
+/// deployed bridge for one direction, plus the per-session legacy peers.
 /// Everything in here is owned by exactly one shard thread; nothing escapes.
 struct Island {
     net::VirtualClock clock;
@@ -29,14 +25,10 @@ struct Island {
     std::unique_ptr<bridge::Starlink> starlink;
     bridge::DeployedBridge* bridge = nullptr;
 
-    // Per-session agents; destroyed after every job so the next session
+    // Per-session peers; destroyed after every job so the next session
     // re-binds the same well-known ports from a clean slate.
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
+    std::optional<peers::Service> service;
+    std::optional<peers::Client> client;
 
     /// Monotone use stamp for the shard's island LRU (maxIslandsPerShard).
     std::uint64_t lastUsed = 0;
@@ -255,13 +247,9 @@ const telemetry::MetricsRegistry& ShardEngine::shardMetrics(int shard) const {
 
 namespace {
 
-void destroyAgents(Island& island) {
-    island.slpClient.reset();
-    island.mdnsClient.reset();
-    island.upnpClient.reset();
-    island.slpService.reset();
-    island.mdnsService.reset();
-    island.upnpService.reset();
+void destroyPeers(Island& island) {
+    island.client.reset();
+    island.service.reset();
 }
 
 }  // namespace
@@ -370,36 +358,16 @@ void ShardEngine::runShard(Shard& shard) {
 
             // Freshly seeded legacy endpoints per session: agent-internal
             // state (rngs, xid counters, caches) never crosses sessions.
-            destroyAgents(island);
-            switch (job.caseId) {
-                case Case::UpnpToSlp:
-                case Case::BonjourToSlp: {
-                    slp::ServiceAgent::Config config;
-                    config.host = options_.serviceHost;
-                    config.url = "service:printer://" + options_.serviceHost + ":515/queue1";
-                    config.seed = serviceSeed;
-                    island.slpService.emplace(network, config);
-                    break;
-                }
-                case Case::SlpToBonjour:
-                case Case::UpnpToBonjour: {
-                    mdns::Responder::Config config;
-                    config.host = options_.serviceHost;
-                    config.url = "http://" + options_.serviceHost + ":631/ipp";
-                    config.seed = serviceSeed;
-                    island.mdnsService.emplace(network, config);
-                    break;
-                }
-                case Case::SlpToUpnp:
-                case Case::BonjourToUpnp: {
-                    ssdp::Device::Config config;
-                    config.host = options_.serviceHost;
-                    config.serviceUrl = "http://" + options_.serviceHost + ":9090/print";
-                    config.seed = serviceSeed;
-                    island.upnpService.emplace(network, config);
-                    break;
-                }
-            }
+            destroyPeers(island);
+            peers::ServiceConfigs services;
+            services.each([&](auto& config) {
+                config.host = options_.serviceHost;
+                config.seed = serviceSeed;
+            });
+            services.slp.url = "service:printer://" + options_.serviceHost + ":515/queue1";
+            services.upnp.serviceUrl = "http://" + options_.serviceHost + ":9090/print";
+            services.bonjour.url = "http://" + options_.serviceHost + ":631/ipp";
+            island.service.emplace(network, job.caseId, services);
 
             // Collect outcomes through the completion callback: the engine's
             // history is a bounded ring now, so absolute indexing into
@@ -424,61 +392,26 @@ void ShardEngine::runShard(Shard& shard) {
                 ++shard.report.bridgeSessions;
                 if (record.completed) ++shard.report.completedSessions;
             };
+            peers::ClientConfigs clients;
+            clients.each([&](auto& config) {
+                config.host = options_.clientHost;
+                if (options_.chaos) {
+                    config.timeout = options_.chaosClientTimeout;
+                    config.retransmitInterval = options_.chaosClientRetransmit;
+                }
+            });
+            // The SLP user agent draws no randomness, so its config has no seed.
+            clients.upnp.seed = clientSeed;
+            clients.bonjour.seed = clientSeed;
+            island.client.emplace(network, job.caseId, clients);
             bool discovered = false;
-            switch (job.caseId) {
-                case Case::SlpToUpnp:
-                case Case::SlpToBonjour: {
-                    slp::UserAgent::Config config;
-                    config.host = options_.clientHost;
-                    if (options_.chaos) {
-                        config.timeout = options_.chaosClientTimeout;
-                        config.retransmitInterval = options_.chaosClientRetransmit;
-                    }
-                    island.slpClient.emplace(network, config);
-                    island.slpClient->lookup(
-                        "service:printer", [&discovered](const slp::UserAgent::Result& r) {
-                            discovered = !r.urls.empty();
-                        });
-                    break;
-                }
-                case Case::UpnpToSlp:
-                case Case::UpnpToBonjour: {
-                    ssdp::ControlPoint::Config config;
-                    config.host = options_.clientHost;
-                    config.seed = clientSeed;
-                    if (options_.chaos) {
-                        config.timeout = options_.chaosClientTimeout;
-                        config.retransmitInterval = options_.chaosClientRetransmit;
-                    }
-                    island.upnpClient.emplace(network, config);
-                    island.upnpClient->search(
-                        "urn:schemas-upnp-org:service:printer:1",
-                        [&discovered](const ssdp::ControlPoint::Result& r) {
-                            discovered = !r.urls.empty();
-                        });
-                    break;
-                }
-                case Case::BonjourToUpnp:
-                case Case::BonjourToSlp: {
-                    mdns::Resolver::Config config;
-                    config.host = options_.clientHost;
-                    config.seed = clientSeed;
-                    if (options_.chaos) {
-                        config.timeout = options_.chaosClientTimeout;
-                        config.retransmitInterval = options_.chaosClientRetransmit;
-                    }
-                    island.mdnsClient.emplace(network, config);
-                    island.mdnsClient->browse("_printer._tcp.local",
-                                              [&discovered](const mdns::Resolver::Result& r) {
-                                                  discovered = !r.urls.empty();
-                                              });
-                    break;
-                }
-            }
+            island.client->lookup([&discovered](const peers::Client::Result& r) {
+                discovered = !r.urls.empty();
+            });
 
             island.scheduler.runUntilIdle(options_.maxEventsPerSession);
             network.clearFaultSchedule();
-            destroyAgents(island);
+            destroyPeers(island);
             engine.onSessionComplete = nullptr;
 
             // Feed the canary judge. noteSession is mutex-guarded; ordering

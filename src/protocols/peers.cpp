@@ -1,0 +1,110 @@
+#include "protocols/peers.hpp"
+
+#include <stdexcept>
+#include <utility>
+
+namespace starlink::peers {
+
+using bridge::models::Case;
+
+namespace {
+
+struct ProtocolRow {
+    const char* slug;
+    const char* clientName;
+    const char* query;
+    const char* group;
+    std::uint16_t port;
+};
+
+// Indexed by Protocol.
+constexpr ProtocolRow kProtocols[] = {
+    {"slp", "SLP client", "service:printer", slp::kGroup, slp::kPort},
+    {"upnp", "UPnP control point", "urn:schemas-upnp-org:service:printer:1", ssdp::kGroup,
+     ssdp::kPort},
+    {"bonjour", "Bonjour browser", "_printer._tcp.local", mdns::kGroup, mdns::kPort},
+};
+
+struct PeerRow {
+    Case direction;
+    Protocol client;
+    Protocol service;
+};
+
+// One row per bridge direction: who asks, who answers.
+constexpr PeerRow kPeers[] = {
+    {Case::SlpToUpnp, Protocol::Slp, Protocol::Upnp},
+    {Case::SlpToBonjour, Protocol::Slp, Protocol::Bonjour},
+    {Case::UpnpToSlp, Protocol::Upnp, Protocol::Slp},
+    {Case::UpnpToBonjour, Protocol::Upnp, Protocol::Bonjour},
+    {Case::BonjourToUpnp, Protocol::Bonjour, Protocol::Upnp},
+    {Case::BonjourToSlp, Protocol::Bonjour, Protocol::Slp},
+};
+
+const ProtocolRow& row(Protocol p) { return kProtocols[static_cast<std::size_t>(p)]; }
+
+const PeerRow& row(Case c) {
+    for (const PeerRow& peer : kPeers) {
+        if (peer.direction == c) return peer;
+    }
+    throw std::logic_error("peers: no legacy peers for this direction");
+}
+
+// Builds the variant's alternative for `p` in place (each return is a
+// prvalue): agents register socket callbacks on `this` and must never move.
+template <class Agent, class Configs>
+Agent make(net::Network& network, Protocol p, const Configs& configs) {
+    switch (p) {
+        case Protocol::Slp: return Agent(std::in_place_index<0>, network, configs.slp);
+        case Protocol::Upnp: return Agent(std::in_place_index<1>, network, configs.upnp);
+        case Protocol::Bonjour: return Agent(std::in_place_index<2>, network, configs.bonjour);
+    }
+    throw std::logic_error("peers: unknown protocol");
+}
+
+}  // namespace
+
+std::optional<Protocol> protocolBySlug(const std::string& slug) {
+    for (std::size_t i = 0; i < std::size(kProtocols); ++i) {
+        if (slug == kProtocols[i].slug) return static_cast<Protocol>(i);
+    }
+    return std::nullopt;
+}
+
+const char* clientName(Protocol p) { return row(p).clientName; }
+
+const char* printerQuery(Protocol p) { return row(p).query; }
+
+net::Address discoveryGroup(Protocol p) { return net::Address{row(p).group, row(p).port}; }
+
+Protocol clientProtocol(Case c) { return row(c).client; }
+
+Protocol serviceProtocol(Case c) { return row(c).service; }
+
+Service::Service(net::Network& network, Protocol protocol, const ServiceConfigs& configs)
+    : agent_(make<decltype(agent_)>(network, protocol, configs)) {}
+
+const std::string& Service::url() const {
+    switch (agent_.index()) {
+        case 0: return std::get<0>(agent_).config().url;
+        case 1: return std::get<1>(agent_).config().serviceUrl;
+        default: return std::get<2>(agent_).config().url;
+    }
+}
+
+Client::Client(net::Network& network, Protocol protocol, const ClientConfigs& configs)
+    : agent_(make<decltype(agent_)>(network, protocol, configs)) {}
+
+void Client::lookup(Callback callback) {
+    auto forward = [callback = std::move(callback)](const auto& result) {
+        callback(Result{result.urls, result.elapsed});
+    };
+    const char* query = printerQuery(protocol());
+    switch (protocol()) {
+        case Protocol::Slp: std::get<0>(agent_).lookup(query, std::move(forward)); break;
+        case Protocol::Upnp: std::get<1>(agent_).search(query, std::move(forward)); break;
+        case Protocol::Bonjour: std::get<2>(agent_).browse(query, std::move(forward)); break;
+    }
+}
+
+}  // namespace starlink::peers

@@ -25,9 +25,10 @@
 #include "core/engine/shard_engine.hpp"
 #include "core/mdl/codec.hpp"
 #include "protocols/ldap/ldap_codec.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/mdns/dns_codec.hpp"
+#include "protocols/peers.hpp"
+#include "protocols/slp/slp_codec.hpp"
+#include "protocols/ssdp/ssdp_codec.hpp"
 #include "protocols/wsd/wsd_codec.hpp"
 #include "sim_fixture.hpp"
 #include "xml/parser.hpp"
@@ -320,67 +321,19 @@ TEST_P(CaseTransportProperty, RandomServiceUrlArrivesIntact) {
     bridge::Starlink starlink(network);
     starlink.deploy(bridge::models::forCase(interopCase, "10.0.0.9"), "10.0.0.9");
 
-    using bridge::models::Case;
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    switch (interopCase) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp: {
-            slp::ServiceAgent::Config config;
-            config.url = url;
-            config.responseDelayBase = net::ms(5);
-            slpService.emplace(network, config);
-            break;
-        }
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour: {
-            mdns::Responder::Config config;
-            config.url = url;
-            config.responseDelayBase = net::ms(5);
-            mdnsService.emplace(network, config);
-            break;
-        }
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp: {
-            ssdp::Device::Config config;
-            config.serviceUrl = url;
-            config.responseDelayBase = net::ms(5);
-            upnpService.emplace(network, config);
-            break;
-        }
-    }
+    peers::ServiceConfigs services;
+    services.slp.url = url;
+    services.upnp.serviceUrl = url;
+    services.bonjour.url = url;
+    services.each([](auto& config) { config.responseDelayBase = net::ms(5); });
+    const peers::Service service(network, interopCase, services);
 
+    peers::ClientConfigs clients;
+    clients.upnp.mxWindowBase = net::ms(30);
+    clients.bonjour.aggregationBase = net::ms(20);
+    peers::Client client(network, interopCase, clients);
     std::vector<std::string> urls;
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
-    switch (interopCase) {
-        case Case::SlpToUpnp:
-        case Case::SlpToBonjour:
-            slpClient.emplace(network, slp::UserAgent::Config{});
-            slpClient->lookup("service:printer",
-                              [&urls](const slp::UserAgent::Result& r) { urls = r.urls; });
-            break;
-        case Case::UpnpToSlp:
-        case Case::UpnpToBonjour: {
-            ssdp::ControlPoint::Config config;
-            config.mxWindowBase = net::ms(30);
-            upnpClient.emplace(network, config);
-            upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                               [&urls](const ssdp::ControlPoint::Result& r) { urls = r.urls; });
-            break;
-        }
-        case Case::BonjourToUpnp:
-        case Case::BonjourToSlp: {
-            mdns::Resolver::Config config;
-            config.aggregationBase = net::ms(20);
-            mdnsClient.emplace(network, config);
-            mdnsClient->browse("_printer._tcp.local",
-                               [&urls](const mdns::Resolver::Result& r) { urls = r.urls; });
-            break;
-        }
-    }
+    client.lookup([&urls](const peers::Client::Result& r) { urls = r.urls; });
     scheduler.runUntilIdle();
 
     ASSERT_EQ(urls.size(), 1u) << bridge::models::caseName(interopCase);

@@ -231,5 +231,50 @@ TEST(ShardStress, SoakPooledIslandsServeIdenticalSessionsForever) {
     EXPECT_EQ(first.size(), 6u);
 }
 
+/// FNV-1a 64 over every SessionResult field a session's behaviour decides,
+/// in submission order: discovered, shed, and each SessionOutcome field.
+std::uint64_t outcomeDigest(const std::vector<SessionResult>& results) {
+    std::uint64_t h = 14695981039346656037ULL;
+    const auto mix = [&h](std::uint64_t value) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (value >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    for (const SessionResult& result : results) {
+        mix(result.discovered);
+        mix(result.shed);
+        mix(result.outcomes.size());
+        for (const auto& outcome : result.outcomes) {
+            mix(outcome.completed);
+            mix(static_cast<std::uint64_t>(outcome.cause));
+            mix(static_cast<std::uint64_t>(outcome.code));
+            mix(outcome.messagesIn);
+            mix(outcome.messagesOut);
+            mix(outcome.retransmits);
+            mix(static_cast<std::uint64_t>(outcome.translationUs));
+            mix(static_cast<std::uint64_t>(outcome.sessionUs));
+            mix(outcome.modelVersion);
+        }
+    }
+    return h;
+}
+
+// The tests above compare N shards with 1 shard of the same build, so a
+// change that shifts every session alike passes them. This one pins the
+// absolute outcomes of a fixed 24-job mixed workload, fault-free and under
+// chaos. A deliberate behaviour change re-records both values.
+TEST(ShardStress, OutcomesMatchCommittedDigest) {
+    const auto digestOf = [](ShardEngineOptions options) {
+        ShardEngine engine(options);
+        for (const auto& job : mixedWorkload(24)) engine.submit(job);
+        return outcomeDigest(engine.run());
+    };
+    ShardEngineOptions faultFree;
+    faultFree.shards = 2;
+    EXPECT_EQ(digestOf(faultFree), 0xdcf78beefca16f0cULL);
+    EXPECT_EQ(digestOf(chaosOptions(2)), 0xab4850fd47710ad5ULL);
+}
+
 }  // namespace
 }  // namespace starlink

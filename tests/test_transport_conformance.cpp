@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,9 +21,7 @@
 #include "core/bridge/starlink.hpp"
 #include "core/net/os_network.hpp"
 #include "net/sim_network.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink {
 namespace {
@@ -48,35 +47,22 @@ struct Outcome {
 /// Fast agent configs (mirroring test_integration.cpp): latency realism is
 /// the benches' business; conformance only compares behaviour, and the OS
 /// rows pay these delays in real wall-clock time.
-slp::ServiceAgent::Config fastSlpService() {
-    slp::ServiceAgent::Config config;
-    config.responseDelayBase = net::ms(5);
-    config.responseDelayJitter = net::ms(1);
-    return config;
+peers::ServiceConfigs fastServices() {
+    peers::ServiceConfigs configs;
+    configs.each([](auto& config) {
+        config.responseDelayBase = net::ms(5);
+        config.responseDelayJitter = net::ms(1);
+    });
+    return configs;
 }
-mdns::Responder::Config fastResponder() {
-    mdns::Responder::Config config;
-    config.responseDelayBase = net::ms(5);
-    config.responseDelayJitter = net::ms(1);
-    return config;
-}
-ssdp::Device::Config fastDevice() {
-    ssdp::Device::Config config;
-    config.responseDelayBase = net::ms(5);
-    config.responseDelayJitter = net::ms(1);
-    return config;
-}
-mdns::Resolver::Config fastResolver() {
-    mdns::Resolver::Config config;
-    config.aggregationBase = net::ms(20);
-    config.aggregationJitter = net::ms(2);
-    return config;
-}
-ssdp::ControlPoint::Config fastControlPoint() {
-    ssdp::ControlPoint::Config config;
-    config.mxWindowBase = net::ms(30);
-    config.mxWindowJitter = net::ms(3);
-    return config;
+peers::ClientConfigs fastClients() {
+    peers::ClientConfigs configs;
+    configs.slp.timeout = net::ms(2000);
+    configs.upnp.mxWindowBase = net::ms(30);
+    configs.upnp.mxWindowJitter = net::ms(3);
+    configs.bonjour.aggregationBase = net::ms(20);
+    configs.bonjour.aggregationJitter = net::ms(2);
+    return configs;
 }
 
 /// Runs one bridged conversation of `direction` on `net` and captures the
@@ -93,66 +79,17 @@ Outcome runDirection(net::Network& net, Case direction, bool withService = true,
         starlink.deploy(bridge::models::forCase(direction, kBridgeHost), kBridgeHost, options);
 
     // The legacy service for the far side of the bridge.
-    std::unique_ptr<ssdp::Device> device;
-    std::unique_ptr<mdns::Responder> responder;
-    std::unique_ptr<slp::ServiceAgent> slpService;
-    std::string serviceUrl;
-    if (withService) {
-        switch (direction) {
-            case Case::SlpToUpnp:
-            case Case::BonjourToUpnp:
-                device = std::make_unique<ssdp::Device>(net, fastDevice());
-                serviceUrl = device->config().serviceUrl;
-                break;
-            case Case::SlpToBonjour:
-            case Case::UpnpToBonjour:
-                responder = std::make_unique<mdns::Responder>(net, fastResponder());
-                serviceUrl = responder->config().url;
-                break;
-            case Case::UpnpToSlp:
-            case Case::BonjourToSlp:
-                slpService = std::make_unique<slp::ServiceAgent>(net, fastSlpService());
-                serviceUrl = slpService->config().url;
-                break;
-        }
-    }
+    std::optional<peers::Service> service;
+    if (withService) service.emplace(net, direction, fastServices());
 
-    // The legacy client on the near side; all three deliver urls the same way.
+    // The legacy client on the near side.
     bool settled = false;
     std::vector<std::string> urls;
-    const auto capture = [&settled, &urls](std::vector<std::string> found) {
-        urls = std::move(found);
+    peers::Client client(net, direction, fastClients());
+    client.lookup([&settled, &urls](const peers::Client::Result& r) {
+        urls = r.urls;
         settled = true;
-    };
-    std::unique_ptr<slp::UserAgent> slpClient;
-    std::unique_ptr<ssdp::ControlPoint> controlPoint;
-    std::unique_ptr<mdns::Resolver> resolver;
-    switch (direction) {
-        case Case::SlpToUpnp:
-        case Case::SlpToBonjour: {
-            slp::UserAgent::Config config;
-            config.timeout = net::ms(2000);
-            slpClient = std::make_unique<slp::UserAgent>(net, config);
-            slpClient->lookup("service:printer", [capture](const slp::UserAgent::Result& r) {
-                capture(r.urls);
-            });
-            break;
-        }
-        case Case::UpnpToSlp:
-        case Case::UpnpToBonjour:
-            controlPoint = std::make_unique<ssdp::ControlPoint>(net, fastControlPoint());
-            controlPoint->search("urn:schemas-upnp-org:service:printer:1",
-                                 [capture](const ssdp::ControlPoint::Result& r) {
-                                     capture(r.urls);
-                                 });
-            break;
-        case Case::BonjourToUpnp:
-        case Case::BonjourToSlp:
-            resolver = std::make_unique<mdns::Resolver>(net, fastResolver());
-            resolver->browse("_printer._tcp.local",
-                             [capture](const mdns::Resolver::Result& r) { capture(r.urls); });
-            break;
-    }
+    });
 
     // Drive until the client settled AND the bridge recorded a terminal
     // session (post-reply legs, e.g. the UPnP description fetch, may still
@@ -173,8 +110,8 @@ Outcome runDirection(net::Network& net, Case direction, bool withService = true,
         outcome.messagesIn = record.messagesIn;
         outcome.messagesOut = record.messagesOut;
     }
-    if (withService) {
-        EXPECT_EQ(outcome.url, serviceUrl)
+    if (service) {
+        EXPECT_EQ(outcome.url, service->url())
             << net.backendName() << " resolved the wrong service url";
     }
     return outcome;
@@ -279,7 +216,7 @@ TEST_F(TransportConformance, ConsecutiveSessionTalliesMatch) {
         bridge::Starlink starlink{net};
         auto& deployed = starlink.deploy(
             bridge::models::forCase(Case::SlpToUpnp, kBridgeHost), kBridgeHost);
-        ssdp::Device device(net, fastDevice());
+        ssdp::Device device(net, fastServices().upnp);
         slp::UserAgent client(net, {});
 
         std::vector<std::pair<std::size_t, std::size_t>> tallies;
@@ -327,7 +264,7 @@ TEST_F(TransportConformance, OverlappingSlpClientsAllServed) {
         bridge::Starlink starlink{net};
         auto& deployed = starlink.deploy(
             bridge::models::forCase(Case::SlpToUpnp, kBridgeHost), kBridgeHost);
-        ssdp::Device::Config slowDevice = fastDevice();
+        ssdp::Device::Config slowDevice = fastServices().upnp;
         slowDevice.responseDelayBase = net::ms(100);  // keeps the sessions overlapping
         ssdp::Device device(net, slowDevice);
 

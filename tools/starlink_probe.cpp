@@ -21,16 +21,13 @@
 
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/net/os_network.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace {
 
@@ -60,53 +57,27 @@ int cmdLookup(const std::string& proto, const std::string& bindAddress, int port
 
     // One client agent reused across lookups, like a real legacy peer. The
     // windows are kept tight because this backend pays them in wall time.
-    std::unique_ptr<slp::UserAgent> slpClient;
-    std::unique_ptr<ssdp::ControlPoint> upnpClient;
-    std::unique_ptr<mdns::Resolver> mdnsClient;
-    if (proto == "slp") {
-        slp::UserAgent::Config config;
-        config.timeout = net::ms(timeoutMs);
-        // Real discovery clients re-ask until something answers; the reload
-        // smoke leans on this to ride out the daemon's swap rebind window.
-        if (retransmitMs > 0) config.retransmitInterval = net::ms(retransmitMs);
-        slpClient = std::make_unique<slp::UserAgent>(network, config);
-    } else if (proto == "upnp") {
-        ssdp::ControlPoint::Config config;
-        config.mxWindowBase = net::ms(30);
-        config.mxWindowJitter = net::ms(3);
-        upnpClient = std::make_unique<ssdp::ControlPoint>(network, config);
-    } else if (proto == "bonjour") {
-        mdns::Resolver::Config config;
-        config.aggregationBase = net::ms(20);
-        config.aggregationJitter = net::ms(2);
-        mdnsClient = std::make_unique<mdns::Resolver>(network, config);
-    } else {
-        return usage();
-    }
+    const auto protocol = peers::protocolBySlug(proto);
+    if (!protocol) return usage();
+    peers::ClientConfigs configs;
+    configs.slp.timeout = net::ms(timeoutMs);
+    // Real discovery clients re-ask until something answers; the reload
+    // smoke leans on this to ride out the daemon's swap rebind window.
+    if (retransmitMs > 0) configs.slp.retransmitInterval = net::ms(retransmitMs);
+    configs.upnp.mxWindowBase = net::ms(30);
+    configs.upnp.mxWindowJitter = net::ms(3);
+    configs.bonjour.aggregationBase = net::ms(20);
+    configs.bonjour.aggregationJitter = net::ms(2);
+    peers::Client client(network, *protocol, configs);
 
     int successes = 0;
     for (int i = 1; i <= sessions; ++i) {
         bool settled = false;
         std::vector<std::string> urls;
-        const auto capture = [&settled, &urls](std::vector<std::string> found) {
-            urls = std::move(found);
+        client.lookup([&settled, &urls](const peers::Client::Result& r) {
+            urls = r.urls;
             settled = true;
-        };
-        if (slpClient) {
-            slpClient->lookup("service:printer", [capture](const slp::UserAgent::Result& r) {
-                capture(r.urls);
-            });
-        } else if (upnpClient) {
-            upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                               [capture](const ssdp::ControlPoint::Result& r) {
-                                   capture(r.urls);
-                               });
-        } else {
-            mdnsClient->browse("_printer._tcp.local",
-                               [capture](const mdns::Resolver::Result& r) {
-                                   capture(r.urls);
-                               });
-        }
+        });
         network.runUntil([&settled] { return settled; },
                          net::ms(timeoutMs) + net::ms(2000));
         if (settled && !urls.empty()) {

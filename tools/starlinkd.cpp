@@ -120,9 +120,7 @@
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/recorder.hpp"
 #include "core/telemetry/trace_export.hpp"
-#include "protocols/mdns/mdns_agents.hpp"
-#include "protocols/slp/slp_agents.hpp"
-#include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/peers.hpp"
 
 namespace {
 
@@ -152,19 +150,10 @@ int usage() {
                  "[--postmortem-dir DIR] [--models-dir DIR] [--canary-percent P]\n"
                  "       starlinkd postmortem <bundle.slfr>\n"
                  "       starlinkd replay <bundle.slfr> [--models-dir DIR]\n"
-                 "cases: slp-to-upnp slp-to-bonjour upnp-to-slp upnp-to-bonjour "
-                 "bonjour-to-upnp bonjour-to-slp\n";
+                 "cases:";
+    for (const Case c : bridge::models::kAllCases) std::cerr << " " << bridge::models::caseSlug(c);
+    std::cerr << "\n";
     return 2;
-}
-
-std::optional<Case> parseCase(const std::string& name) {
-    if (name == "slp-to-upnp") return Case::SlpToUpnp;
-    if (name == "slp-to-bonjour") return Case::SlpToBonjour;
-    if (name == "upnp-to-slp") return Case::UpnpToSlp;
-    if (name == "upnp-to-bonjour") return Case::UpnpToBonjour;
-    if (name == "bonjour-to-upnp") return Case::BonjourToUpnp;
-    if (name == "bonjour-to-slp") return Case::BonjourToSlp;
-    return std::nullopt;
 }
 
 std::string slurp(const std::string& path) {
@@ -277,75 +266,65 @@ int cmdLint(const std::vector<std::string>& paths, bool json) {
     return lint::hasErrors(diagnostics) ? 1 : 0;
 }
 
-/// Runs the demo scenario for a deployment: which legacy endpoints to spawn
-/// is derived from the protocols the bridge serves/queries.
-int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
+/// One paper case on its own simulated network over virtual time: the bridge
+/// at 10.0.0.9, the direction's legacy service (10.0.0.3) and client
+/// (10.0.0.1). demo, chaos, trace and metrics each drive one.
+struct SimIsland {
     net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    auto& deployed = starlink.deploy(spec, "10.0.0.9");
-    std::cout << "deployed bridge '" << deployed.engine().merged().name() << "' at 10.0.0.9\n";
+    net::EventScheduler scheduler{clock};
+    net::SimNetwork network;
+    bridge::Starlink starlink{network};
+    bridge::DeployedBridge* deployed = nullptr;
+    std::optional<peers::Service> service;
+    std::optional<peers::Client> client;
 
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
+    SimIsland() : network(scheduler) {}
+    explicit SimIsland(std::uint64_t networkSeed) : network(scheduler, networkSeed) {}
 
-    bool ok = false;
-    auto report = [&ok](const std::string& who, const std::vector<std::string>& urls,
-                        net::Duration elapsed) {
-        ok = !urls.empty();
-        std::cout << who << ": "
-                  << (ok ? "discovered " + urls[0] : std::string("no reply")) << " after "
-                  << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
-                  << " ms (virtual)\n";
-    };
-
-    switch (c) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp:
-            slpService.emplace(network, slp::ServiceAgent::Config{});
-            break;
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour:
-            mdnsService.emplace(network, mdns::Responder::Config{});
-            break;
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp:
-            upnpService.emplace(network, ssdp::Device::Config{});
-            break;
+    /// Deploys `spec`, then spawns the case's service and then its client.
+    void deploy(const bridge::models::DeploymentSpec& spec, Case c,
+                const engine::EngineOptions& options = {},
+                const peers::ClientConfigs& clients = {}) {
+        deployed = &starlink.deploy(spec, "10.0.0.9", options);
+        service.emplace(network, c);
+        client.emplace(network, c, clients);
     }
-    switch (c) {
-        case Case::SlpToUpnp:
-        case Case::SlpToBonjour:
-            slpClient.emplace(network, slp::UserAgent::Config{});
-            slpClient->lookup("service:printer", [&report](const slp::UserAgent::Result& r) {
-                report("SLP client", r.urls, r.elapsed);
+
+    /// Sequential lookups from the one client, each run to quiescence (at
+    /// most `maxEvents` events); returns how many discovered the service.
+    int runLookups(int n, std::size_t maxEvents = 1'000'000,
+                   const peers::Client::Callback& onResult = {}) {
+        int successes = 0;
+        for (int i = 0; i < n; ++i) {
+            bool success = false;
+            client->lookup([&success, &onResult](const peers::Client::Result& r) {
+                success = !r.urls.empty();
+                if (onResult) onResult(r);
             });
-            break;
-        case Case::UpnpToSlp:
-        case Case::UpnpToBonjour:
-            upnpClient.emplace(network, ssdp::ControlPoint::Config{});
-            upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                               [&report](const ssdp::ControlPoint::Result& r) {
-                                   report("UPnP control point", r.urls, r.elapsed);
-                               });
-            break;
-        case Case::BonjourToUpnp:
-        case Case::BonjourToSlp:
-            mdnsClient.emplace(network, mdns::Resolver::Config{});
-            mdnsClient->browse("_printer._tcp.local",
-                               [&report](const mdns::Resolver::Result& r) {
-                                   report("Bonjour browser", r.urls, r.elapsed);
-                               });
-            break;
+            scheduler.runUntilIdle(maxEvents);
+            if (success) ++successes;
+        }
+        return successes;
     }
+};
 
-    scheduler.runUntilIdle();
-    for (const auto& session : deployed.engine().sessions()) {
+/// Runs one lookup of case `c`'s client through a bridge deployed from `spec`.
+int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
+    SimIsland island;
+    island.deploy(spec, c);
+    const engine::AutomataEngine& engine = island.deployed->engine();
+    std::cout << "deployed bridge '" << engine.merged().name() << "' at 10.0.0.9\n";
+
+    const char* who = peers::clientName(peers::clientProtocol(c));
+    const int discovered =
+        island.runLookups(1, 1'000'000, [who](const peers::Client::Result& r) {
+            std::cout << who << ": "
+                      << (r.urls.empty() ? std::string("no reply") : "discovered " + r.urls[0])
+                      << " after "
+                      << std::chrono::duration_cast<std::chrono::milliseconds>(r.elapsed).count()
+                      << " ms (virtual)\n";
+        });
+    for (const auto& session : engine.sessions()) {
         std::cout << "bridge session: " << session.messagesIn << " in / "
                   << session.messagesOut << " out, translation "
                   << std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -353,11 +332,11 @@ int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
                          .count()
                   << " ms\n";
     }
-    return ok ? 0 : 1;
+    return discovered == 1 ? 0 : 1;
 }
 
 int cmdDemo(const std::string& caseName) {
-    const auto c = parseCase(caseName);
+    const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     return runDemo(bridge::models::forCase(*c, "10.0.0.9"), *c);
 }
@@ -379,106 +358,37 @@ int cmdDemoFiles(char** argv) {
 /// one lookup discovers the service AND the connector never wedged (it is
 /// back at its initial state at the end).
 int cmdChaos(const std::string& caseName, double loss, std::uint64_t seed) {
-    const auto parsed = parseCase(caseName);
-    if (!parsed) return usage();
-    const Case c = *parsed;
+    const auto c = bridge::models::caseBySlug(caseName);
+    if (!c) return usage();
     constexpr int kLookups = 10;
     const net::Duration kHorizon = net::ms(60000);
 
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler, seed);
+    SimIsland island(seed);
+    net::SimNetwork& network = island.network;
     network.latency().lossProbability = loss;
     network.setFaultSchedule(net::FaultSchedule::chaos(
         seed, kHorizon, {"10.0.0.1", "10.0.0.3", "10.0.0.9"}));
 
-    bridge::Starlink starlink(network);
     engine::EngineOptions options;
     options.receiveTimeout = net::ms(7000);
     options.maxRetransmits = 5;
     options.retransmitBackoff = 1.5;
     options.retransmitJitter = net::ms(100);
     options.sessionTimeout = net::ms(30000);
-    auto& deployed = starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9", options);
-    std::cout << "deployed bridge '" << deployed.engine().merged().name()
+    peers::ClientConfigs clients;
+    clients.each([](auto& config) {
+        config.timeout = net::ms(120000);
+        config.retransmitInterval = net::ms(8000);
+    });
+    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c, options, clients);
+    const engine::AutomataEngine& engine = island.deployed->engine();
+    std::cout << "deployed bridge '" << engine.merged().name()
               << "' under chaos (loss " << loss << ", seed " << seed << ", "
               << network.faultSchedule().episodes().size() << " fault episodes)\n";
 
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    switch (c) {
-        case Case::UpnpToSlp:
-        case Case::BonjourToSlp:
-            slpService.emplace(network, slp::ServiceAgent::Config{});
-            break;
-        case Case::SlpToBonjour:
-        case Case::UpnpToBonjour:
-            mdnsService.emplace(network, mdns::Responder::Config{});
-            break;
-        case Case::SlpToUpnp:
-        case Case::BonjourToUpnp:
-            upnpService.emplace(network, ssdp::Device::Config{});
-            break;
-    }
+    const int successes = island.runLookups(kLookups, 2'000'000);
 
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
-    const net::Duration clientResend = net::ms(8000);
-    const net::Duration clientTimeout = net::ms(120000);
-    int successes = 0;
-    for (int i = 0; i < kLookups; ++i) {
-        bool success = false;
-        switch (c) {
-            case Case::SlpToUpnp:
-            case Case::SlpToBonjour: {
-                if (!slpClient) {
-                    slp::UserAgent::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    slpClient.emplace(network, config);
-                }
-                slpClient->lookup("service:printer",
-                                  [&success](const slp::UserAgent::Result& r) {
-                                      success = !r.urls.empty();
-                                  });
-                break;
-            }
-            case Case::UpnpToSlp:
-            case Case::UpnpToBonjour: {
-                if (!upnpClient) {
-                    ssdp::ControlPoint::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    upnpClient.emplace(network, config);
-                }
-                upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                                   [&success](const ssdp::ControlPoint::Result& r) {
-                                       success = !r.urls.empty();
-                                   });
-                break;
-            }
-            case Case::BonjourToUpnp:
-            case Case::BonjourToSlp: {
-                if (!mdnsClient) {
-                    mdns::Resolver::Config config;
-                    config.timeout = clientTimeout;
-                    config.retransmitInterval = clientResend;
-                    mdnsClient.emplace(network, config);
-                }
-                mdnsClient->browse("_printer._tcp.local",
-                                   [&success](const mdns::Resolver::Result& r) {
-                                       success = !r.urls.empty();
-                                   });
-                break;
-            }
-        }
-        scheduler.runUntilIdle(2000000);
-        if (success) ++successes;
-    }
-
-    for (const auto& session : deployed.engine().sessions()) {
+    for (const auto& session : engine.sessions()) {
         std::cout << "session: " << (session.completed ? "completed" : "ABORTED ") << " cause="
                   << engine::failureCauseName(session.cause) << " retransmits="
                   << session.retransmits << " in/out=" << session.messagesIn << "/"
@@ -492,7 +402,7 @@ int cmdChaos(const std::string& caseName, double loss, std::uint64_t seed) {
     std::cout << "network: " << network.datagramsSent() << " datagrams sent, "
               << network.datagramsLost() << " lost, " << network.partitionDrops()
               << " partition drops, " << network.connectsRefused() << " connects refused\n";
-    const bool connectorHealthy = deployed.engine().liveSessionCount() == 0;
+    const bool connectorHealthy = engine.liveSessionCount() == 0;
     std::cout << "connector: " << (connectorHealthy ? "re-armed at q0" : "WEDGED") << "\n";
     return successes > 0 && connectorHealthy ? 0 : 1;
 }
@@ -534,14 +444,9 @@ void printPlanField(const mdl::PlanField& field, int flatIndex) {
 /// plan with its dispatch rule, and the compose metadata the interpreters
 /// used to re-derive per message.
 int cmdPlan(const std::string& which) {
-    std::string mdlXml;
-    if (which == "slp") mdlXml = bridge::models::slpMdl();
-    else if (which == "dns") mdlXml = bridge::models::dnsMdl();
-    else if (which == "ssdp") mdlXml = bridge::models::ssdpMdl();
-    else if (which == "http") mdlXml = bridge::models::httpMdl();
-    else if (which == "ldap") mdlXml = bridge::models::ldapMdl();
-    else if (which == "wsd") mdlXml = bridge::models::wsdMdl();
-    else mdlXml = slurp(which);
+    const auto& builtins = bridge::models::embeddedDocuments();
+    const auto builtin = builtins.find(which + ".mdl.xml");
+    const std::string mdlXml = builtin != builtins.end() ? builtin->second : slurp(which);
 
     const auto codec = mdl::MessageCodec::fromXml(mdlXml);
     const mdl::CodecPlan& plan = codec->plan();
@@ -578,97 +483,20 @@ int cmdPlan(const std::string& which) {
     return 0;
 }
 
-/// One paper case on the simulated network, packaged for the observability
-/// commands: deploys the bridge at 10.0.0.9, spawns the matching legacy
-/// service, and drives N lookups from the matching legacy client.
-struct CaseHarness {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler{clock};
-    net::SimNetwork network{scheduler};
-    bridge::Starlink starlink{network};
-    bridge::DeployedBridge* deployed = nullptr;
-    Case c;
-
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
-    std::optional<slp::UserAgent> slpClient;
-    std::optional<mdns::Resolver> mdnsClient;
-    std::optional<ssdp::ControlPoint> upnpClient;
-
-    CaseHarness(Case whichCase, engine::EngineOptions options) : c(whichCase) {
-        deployed = &starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9",
-                                    options);
-        switch (c) {
-            case Case::UpnpToSlp:
-            case Case::BonjourToSlp:
-                slpService.emplace(network, slp::ServiceAgent::Config{});
-                break;
-            case Case::SlpToBonjour:
-            case Case::UpnpToBonjour:
-                mdnsService.emplace(network, mdns::Responder::Config{});
-                break;
-            case Case::SlpToUpnp:
-            case Case::BonjourToUpnp:
-                upnpService.emplace(network, ssdp::Device::Config{});
-                break;
-        }
-    }
-
-    /// Sequential lookups, each run to quiescence; returns how many
-    /// discovered the service.
-    int runLookups(int n) {
-        int successes = 0;
-        for (int i = 0; i < n; ++i) {
-            bool success = false;
-            switch (c) {
-                case Case::SlpToUpnp:
-                case Case::SlpToBonjour:
-                    if (!slpClient) slpClient.emplace(network, slp::UserAgent::Config{});
-                    slpClient->lookup("service:printer",
-                                      [&success](const slp::UserAgent::Result& r) {
-                                          success = !r.urls.empty();
-                                      });
-                    break;
-                case Case::UpnpToSlp:
-                case Case::UpnpToBonjour:
-                    if (!upnpClient) {
-                        upnpClient.emplace(network, ssdp::ControlPoint::Config{});
-                    }
-                    upnpClient->search("urn:schemas-upnp-org:service:printer:1",
-                                       [&success](const ssdp::ControlPoint::Result& r) {
-                                           success = !r.urls.empty();
-                                       });
-                    break;
-                case Case::BonjourToUpnp:
-                case Case::BonjourToSlp:
-                    if (!mdnsClient) mdnsClient.emplace(network, mdns::Resolver::Config{});
-                    mdnsClient->browse("_printer._tcp.local",
-                                       [&success](const mdns::Resolver::Result& r) {
-                                           success = !r.urls.empty();
-                                       });
-                    break;
-            }
-            scheduler.runUntilIdle();
-            if (success) ++successes;
-        }
-        return successes;
-    }
-};
-
 /// Runs a few bridged lookups with span collection on and exports the span
 /// trees as Chrome trace JSON (stdout, or --out <file>). The summary goes to
 /// stderr so a redirected stdout stays pure JSON.
 int cmdTrace(const std::string& caseName, const std::optional<std::string>& outPath) {
-    const auto c = parseCase(caseName);
+    const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     telemetry::setEnabled(true);
     engine::EngineOptions options;
     options.spanCapacity = 16384;
-    CaseHarness harness(*c, options);
-    const int successes = harness.runLookups(3);
+    SimIsland island;
+    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c, options);
+    const int successes = island.runLookups(3);
 
-    const auto& spans = harness.deployed->engine().spans();
+    const auto& spans = island.deployed->engine().spans();
     const std::string processName =
         "starlink-bridge " + std::string(bridge::models::caseName(*c));
     if (outPath) {
@@ -679,7 +507,7 @@ int cmdTrace(const std::string& caseName, const std::optional<std::string>& outP
     } else {
         telemetry::writeChromeTrace(spans, std::cout, processName);
     }
-    std::cerr << "traced " << harness.deployed->engine().sessions().size() << " sessions ("
+    std::cerr << "traced " << island.deployed->engine().sessions().size() << " sessions ("
               << spans.size() << " spans, " << spans.dropped() << " dropped); " << successes
               << "/3 lookups discovered\n";
     return successes > 0 && spans.size() > 0 ? 0 : 1;
@@ -688,14 +516,15 @@ int cmdTrace(const std::string& caseName, const std::optional<std::string>& outP
 /// Runs a few bridged lookups with metric recording on and prints the
 /// process-wide registry as Prometheus text exposition.
 int cmdMetrics(const std::string& caseName) {
-    const auto c = parseCase(caseName);
+    const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     telemetry::setEnabled(true);
-    CaseHarness harness(*c, engine::EngineOptions{});
-    const int successes = harness.runLookups(5);
+    SimIsland island;
+    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c);
+    const int successes = island.runLookups(5);
 
     const auto virtualUs = std::chrono::duration_cast<std::chrono::microseconds>(
-                               harness.network.now().time_since_epoch())
+                               island.network.now().time_since_epoch())
                                .count();
     std::cout << telemetry::MetricsRegistry::global().renderPrometheus(virtualUs);
     std::cerr << successes << "/5 lookups discovered\n";
@@ -735,7 +564,7 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
                int metricsPort, bool withPeers, int processingMs, int maxSeconds, bool record,
                const std::string& postmortemDir, const std::string& modelsDir,
                double canaryPercent) {
-    const auto c = parseCase(caseName);
+    const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     telemetry::setEnabled(true);
 
@@ -817,36 +646,14 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
     // --with-peers co-hosts the case's legacy service, making one daemon a
     // self-contained island a scripted client can complete sessions against.
     // The response delays stay small: on this backend they cost wall time.
-    std::optional<slp::ServiceAgent> slpService;
-    std::optional<mdns::Responder> mdnsService;
-    std::optional<ssdp::Device> upnpService;
+    std::optional<peers::Service> service;
     if (withPeers) {
-        switch (*c) {
-            case Case::UpnpToSlp:
-            case Case::BonjourToSlp: {
-                slp::ServiceAgent::Config config;
-                config.responseDelayBase = net::ms(5);
-                config.responseDelayJitter = net::ms(1);
-                slpService.emplace(network, config);
-                break;
-            }
-            case Case::SlpToBonjour:
-            case Case::UpnpToBonjour: {
-                mdns::Responder::Config config;
-                config.responseDelayBase = net::ms(5);
-                config.responseDelayJitter = net::ms(1);
-                mdnsService.emplace(network, config);
-                break;
-            }
-            case Case::SlpToUpnp:
-            case Case::BonjourToUpnp: {
-                ssdp::Device::Config config;
-                config.responseDelayBase = net::ms(5);
-                config.responseDelayJitter = net::ms(1);
-                upnpService.emplace(network, config);
-                break;
-            }
-        }
+        peers::ServiceConfigs configs;
+        configs.each([](auto& config) {
+            config.responseDelayBase = net::ms(5);
+            config.responseDelayJitter = net::ms(1);
+        });
+        service.emplace(network, *c, configs);
     }
 
     // /metrics: a raw-byte listener speaking just enough HTTP to satisfy a
@@ -1337,7 +1144,7 @@ int cmdReplay(const std::string& path, const std::string& modelsDir) {
 }
 
 int cmdDot(const std::string& caseName) {
-    const auto c = parseCase(caseName);
+    const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     const auto spec = bridge::models::forCase(*c, "10.0.0.9");
     automata::ColorRegistry colors;
