@@ -10,10 +10,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "net/sim_network.hpp"
 #include "baseline/static_bridges.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
 #include "protocols/peers.hpp"
 #include "stats.hpp"
 
@@ -25,20 +23,16 @@ using bridge::models::Case;
 constexpr int kRepetitions = 100;
 
 /// Drives kRepetitions lookups from case `c`'s legacy client to its service,
-/// through the bridge already deployed on `network`. The service is fast so
+/// through the bridge already deployed on `island`. The service is fast so
 /// the bridge's own cost dominates the comparison.
-void driveLookups(net::SimNetwork& network, net::EventScheduler& scheduler, Case c) {
+void driveLookups(peers::SimIsland& island, Case c) {
     peers::ServiceConfigs fast;
     fast.each([](auto& config) {
         config.responseDelayBase = net::ms(10);
         config.responseDelayJitter = net::ms(2);
     });
-    peers::Service service(network, c, fast);
-    peers::Client client(network, c);
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup([](const peers::Client::Result&) {});
-        scheduler.runUntilIdle();
-    }
+    island.spawn(c, fast);
+    island.runLookups(kRepetitions);
 }
 
 /// Translation times of the completed sessions in `sessions`.
@@ -52,23 +46,18 @@ bench::Summary translationTimes(const Sessions& sessions) {
 }
 
 bench::Summary starlinkCase(Case c) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    auto& deployed = starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9");
-    driveLookups(network, scheduler, c);
+    peers::SimIsland island;
+    const auto& deployed = island.deploy(c);
+    driveLookups(island, c);
     return translationTimes(deployed.engine().sessions());
 }
 
 /// The same case through the hand-coded `StaticBridge`.
 template <class StaticBridge>
 bench::Summary staticCase(Case c) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    StaticBridge bridge(network, "10.0.0.9");
-    driveLookups(network, scheduler, c);
+    peers::SimIsland island;
+    StaticBridge bridge(island.network, peers::SimIsland::kBridgeHost);
+    driveLookups(island, c);
     return translationTimes(bridge.sessions());
 }
 

@@ -12,7 +12,9 @@
 //
 // Wall-clock time (the virtual clock is irrelevant for CPU microbenches):
 // each sample times kItersPerSample operations, kSamples samples per row,
-// reported as min/median/max microseconds per operation.
+// reported as min/median/max microseconds per operation. The rows take
+// turns inside every sample round, so a stretch of slow host time lands on
+// all of them alike.
 //
 //   bench_codec_micro          print the table + speedup column
 //   bench_codec_micro --json   also write BENCH_codec.json (schema in
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,44 +44,31 @@ namespace {
 
 using namespace starlink;
 
-constexpr int kSamples = 25;
+constexpr int kSamples = 101;
 constexpr int kItersPerSample = 1000;
-
-/// Times `op` (one codec operation) and returns microseconds per call,
-/// median over kSamples batches of kItersPerSample calls.
-bench::Summary measure(const std::function<void()>& op) {
-    using Clock = std::chrono::steady_clock;
-    for (int i = 0; i < kItersPerSample / 10; ++i) op();  // warm-up
-    std::vector<double> usPerOp;
-    usPerOp.reserve(kSamples);
-    for (int s = 0; s < kSamples; ++s) {
-        const auto begin = Clock::now();
-        for (int i = 0; i < kItersPerSample; ++i) op();
-        const auto end = Clock::now();
-        const double us =
-            std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(end - begin)
-                .count();
-        usPerOp.push_back(us / kItersPerSample);
-    }
-    return bench::summarize(std::move(usPerOp));
-}
 
 struct CaseResult {
     std::string name;          // e.g. "text/ssdp"
+    const mdl::MessageCodec* codec = nullptr;
+    Bytes wire;
+    /// The plan parse of `wire`: compose exercises exactly the fields a real
+    /// bridged session carries. nullopt when the sample does not parse.
+    std::optional<AbstractMessage> message;
+    Bytes scratch;             // composeInto's reused buffer
     bench::Summary parsePlan, parseInterp, composePlan, composeInterp;
     bool identical = true;     // plan output byte-identical to interpreter
 };
 
-/// Benchmarks one codec on one wire sample. The message composed is the
-/// parse of the wire bytes, so compose exercises exactly the fields a real
-/// bridged session carries.
-CaseResult benchCodec(const std::string& name, const mdl::MessageCodec& codec,
-                      const Bytes& wire) {
+/// Checks one codec on one wire sample: the plan path must parse and compose
+/// byte-identically to the interpreter.
+CaseResult checkCodec(const std::string& name, const mdl::MessageCodec& codec, Bytes wire) {
     CaseResult out;
     out.name = name;
+    out.codec = &codec;
+    out.wire = std::move(wire);
 
-    const auto viaPlan = codec.parse(wire);
-    const auto viaInterp = codec.parseInterpreted(wire);
+    const auto viaPlan = codec.parse(out.wire);
+    const auto viaInterp = codec.parseInterpreted(out.wire);
     if (!viaPlan || !viaInterp) {
         std::fprintf(stderr, "%s: sample wire message does not parse\n", name.c_str());
         out.identical = false;
@@ -91,14 +81,50 @@ CaseResult benchCodec(const std::string& name, const mdl::MessageCodec& codec,
     if (!out.identical) {
         std::fprintf(stderr, "%s: plan compose differs from interpreter\n", name.c_str());
     }
-
-    const AbstractMessage message = *viaPlan;
-    Bytes scratch;
-    out.parsePlan = measure([&] { codec.parse(wire); });
-    out.parseInterp = measure([&] { codec.parseInterpreted(wire); });
-    out.composePlan = measure([&] { codec.composeInto(message, scratch); });
-    out.composeInterp = measure([&] { codec.composeInterpreted(message); });
+    out.message = *viaPlan;
     return out;
+}
+
+/// One timed codec operation and the summary it fills.
+struct Timed {
+    std::function<void()> op;
+    bench::Summary* summary;
+    std::vector<double> usPerOp;
+};
+
+/// Appends the case's four operations (parse and compose, plan and
+/// interpreter); a sample that does not parse is not timed.
+void addOperations(CaseResult& r, std::vector<Timed>& timed) {
+    if (!r.message) return;
+    timed.push_back({[&r] { r.codec->parse(r.wire); }, &r.parsePlan, {}});
+    timed.push_back({[&r] { r.codec->parseInterpreted(r.wire); }, &r.parseInterp, {}});
+    timed.push_back({[&r] { r.codec->composeInto(*r.message, r.scratch); }, &r.composePlan, {}});
+    timed.push_back({[&r] { r.codec->composeInterpreted(*r.message); }, &r.composeInterp, {}});
+}
+
+/// Fills every operation's summary with microseconds per call over kSamples
+/// batches of kItersPerSample calls. Each sample round times every operation
+/// once, so host-speed drift (other load, clock changes) hits the plan and
+/// interpreter rows alike and cancels in the gate's normalised medians.
+void measure(std::vector<Timed>& timed) {
+    using Clock = std::chrono::steady_clock;
+    for (Timed& t : timed) {
+        for (int i = 0; i < kItersPerSample / 10; ++i) t.op();  // warm-up
+        t.usPerOp.reserve(kSamples);
+    }
+    for (int s = 0; s < kSamples; ++s) {
+        for (Timed& t : timed) {
+            const auto begin = Clock::now();
+            for (int i = 0; i < kItersPerSample; ++i) t.op();
+            const auto end = Clock::now();
+            const double us =
+                std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(end -
+                                                                                      begin)
+                    .count();
+            t.usPerOp.push_back(us / kItersPerSample);
+        }
+    }
+    for (Timed& t : timed) *t.summary = bench::summarize(std::move(t.usPerOp));
 }
 
 void printCase(const CaseResult& r) {
@@ -155,13 +181,16 @@ int main(int argc, char** argv) {
     std::printf("(%d samples x %d ops, wall-clock microseconds per operation)\n\n", kSamples,
                 kItersPerSample);
 
-    const CaseResult results[] = {
-        benchCodec("binary/slp", *slpCodec, slpWire),
-        benchCodec("binary/dns", *dnsCodec, dnsWire),
-        benchCodec("text/ssdp", *ssdpCodec, ssdpWire),
-        benchCodec("text/http", *httpCodec, httpWire),
-        benchCodec("xml/wsd", *wsdCodec, wsdWire),
+    CaseResult results[] = {
+        checkCodec("binary/slp", *slpCodec, slpWire),
+        checkCodec("binary/dns", *dnsCodec, dnsWire),
+        checkCodec("text/ssdp", *ssdpCodec, ssdpWire),
+        checkCodec("text/http", *httpCodec, httpWire),
+        checkCodec("xml/wsd", *wsdCodec, wsdWire),
     };
+    std::vector<Timed> timed;
+    for (CaseResult& r : results) addOperations(r, timed);
+    measure(timed);
     for (const CaseResult& r : results) printCase(r);
 
     // The acceptance gate: text parse+compose, plan vs interpreter, summed

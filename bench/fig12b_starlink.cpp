@@ -13,9 +13,7 @@
 #include <map>
 #include <vector>
 
-#include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
 #include "core/telemetry/span.hpp"
 #include "native_bench.hpp"
 #include "protocols/peers.hpp"
@@ -41,26 +39,19 @@ struct CaseResult {
 };
 
 CaseResult benchCase(Case c, std::size_t* specLines) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    const auto models = bridge::models::forCase(c, "10.0.0.9");
+    peers::SimIsland island;
+    const auto models = bridge::models::forCase(c, peers::SimIsland::kBridgeHost);
     if (specLines != nullptr) *specLines = bridge::models::bridgeSpecLines(models);
     engine::EngineOptions options;
     // Span collection does not consume virtual time, so the translation
     // medians are identical with it on; size the buffer for every session.
     options.spanCapacity = 1 << 16;
-    auto& deployed = starlink.deploy(models, "10.0.0.9", options);
+    const auto& deployed = island.deploy(models, options);
 
     // Heterogeneous legacy service, then the legacy client driven for
     // kRepetitions sequential lookups.
-    peers::Service service(network, c);
-    peers::Client client(network, c);
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup([](const peers::Client::Result&) {});
-        scheduler.runUntilIdle();
-    }
+    island.spawn(c);
+    island.runLookups(kRepetitions);
 
     std::vector<double> samples;
     for (const auto& session : deployed.engine().sessions()) {

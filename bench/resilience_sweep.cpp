@@ -19,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
 #include "core/telemetry/span.hpp"
 #include "protocols/peers.hpp"
 #include "stats.hpp"
@@ -55,58 +53,23 @@ struct Cell {
     }
 };
 
-/// The resilient engine configuration for the sweep. The receive deadline
-/// must clear the slowest healthy legacy reply (the ~6.1 s SLP service), so
-/// one value serves every case; the watchdog bounds each conversation so an
-/// unlucky session frees the connector for the client's next re-send.
-engine::EngineOptions sweepEngineOptions() {
-    engine::EngineOptions options;
-    options.receiveTimeout = net::ms(7000);
-    options.maxRetransmits = 5;
-    options.retransmitBackoff = 1.5;
-    options.retransmitJitter = net::ms(100);
-    options.sessionTimeout = net::ms(30000);
-    // Span collection costs no virtual time; sized for every session the
-    // sweep can start (lookups x retransmission storms stay well under this).
-    options.spanCapacity = 1 << 16;
-    return options;
-}
-
 Cell sweepCase(Case c, double loss) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler, /*seed=*/1234);
-    network.latency().lossProbability = loss;
+    peers::SimIsland island(/*networkSeed=*/1234);
+    island.network.latency().lossProbability = loss;
 
-    bridge::Starlink starlink(network);
-    auto& deployed =
-        starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9", sweepEngineOptions());
-
-    peers::Service service(network, c);
-
-    // Clients re-send their pending request every 8 s (clear of the ~6.5 s
-    // worst-case healthy conversation) and keep trying for up to two virtual
-    // minutes before declaring the lookup failed.
-    peers::ClientConfigs clients;
-    clients.each([](auto& config) {
-        config.timeout = net::ms(120000);
-        config.retransmitInterval = net::ms(8000);
-    });
-    peers::Client client(network, c, clients);
+    // The resilient engine and chaos client profiles. Span collection costs
+    // no virtual time; sized for every session the sweep can start (lookups
+    // x retransmission storms stay well under this).
+    engine::EngineOptions options = peers::resilientEngineOptions();
+    options.spanCapacity = 1 << 16;
+    const auto& deployed = island.deploy(c, options);
+    island.spawn(c, {}, peers::chaosClientConfigs());
 
     Cell cell;
     cell.caseName = bridge::models::caseName(c);
     cell.loss = loss;
     cell.lookups = kLookups;
-
-    for (int i = 0; i < kLookups; ++i) {
-        bool success = false;
-        client.lookup([&success](const peers::Client::Result& result) {
-            success = !result.urls.empty();
-        });
-        scheduler.runUntilIdle(2000000);
-        if (success) ++cell.successes;
-    }
+    cell.successes = island.runLookups(kLookups);
 
     // Per-session leg totals from the span trees, restricted (like fig12b)
     // to spans ending at or before the client reply of a completed session.
@@ -142,7 +105,7 @@ Cell sweepCase(Case c, double loss) {
     cell.medianTranslationMs = bench::summarize(std::move(translationMs)).medianMs;
     cell.medianTranslateLegMs = bench::summarize(std::move(translateLegMs)).medianMs;
     cell.medianWaitLegMs = bench::summarize(std::move(waitLegMs)).medianMs;
-    cell.datagramsLost = network.datagramsLost();
+    cell.datagramsLost = island.network.datagramsLost();
     return cell;
 }
 

@@ -7,9 +7,7 @@
 // bench_automata_micro::SynthesizeMerge).
 #include <cstdio>
 
-#include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
 #include "protocols/peers.hpp"
 #include "stats.hpp"
 
@@ -23,33 +21,24 @@ using bridge::models::Role;
 constexpr int kRepetitions = 100;
 
 bench::Summary run(bool synthesized) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    bridge::DeployedBridge* deployed = nullptr;
-    if (synthesized) {
-        deployed = &starlink.deploySynthesized(
-            ProtocolModel{bridge::models::slpMdl(), bridge::models::slpAutomaton(Role::Server)},
-            ProtocolModel{bridge::models::dnsMdl(),
-                          bridge::models::mdnsAutomaton(Role::Client)},
-            merge::Ontology::discovery(), "10.0.0.9");
-    } else {
-        deployed =
-            &starlink.deploy(bridge::models::forCase(Case::SlpToBonjour, "10.0.0.9"), "10.0.0.9");
-    }
+    peers::SimIsland island;
+    const bridge::DeployedBridge& deployed =
+        synthesized
+            ? island.starlink.deploySynthesized(
+                  ProtocolModel{bridge::models::slpMdl(),
+                                bridge::models::slpAutomaton(Role::Server)},
+                  ProtocolModel{bridge::models::dnsMdl(),
+                                bridge::models::mdnsAutomaton(Role::Client)},
+                  merge::Ontology::discovery(), peers::SimIsland::kBridgeHost)
+            : island.deploy(Case::SlpToBonjour);
 
     peers::ServiceConfigs fast;
     fast.bonjour.responseDelayBase = net::ms(10);
     fast.bonjour.responseDelayJitter = net::ms(2);
-    peers::Service service(network, Case::SlpToBonjour, fast);
-    peers::Client client(network, Case::SlpToBonjour);
-    for (int i = 0; i < kRepetitions; ++i) {
-        client.lookup([](const peers::Client::Result&) {});
-        scheduler.runUntilIdle();
-    }
+    island.spawn(Case::SlpToBonjour, fast);
+    island.runLookups(kRepetitions);
     std::vector<double> samples;
-    for (const auto& session : deployed->engine().sessions()) {
+    for (const auto& session : deployed.engine().sessions()) {
         if (session.completed) samples.push_back(bench::toMs(session.translationTime()));
     }
     return bench::summarize(std::move(samples));

@@ -4,9 +4,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "net/sim_network.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
 #include "protocols/peers.hpp"
 
 namespace {
@@ -28,22 +26,15 @@ double toMs(net::Duration d) {
 /// One isolated simulation per case: client 10.0.0.1, service 10.0.0.3,
 /// bridge 10.0.0.9.
 Outcome runCase(Case c) {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    auto& deployed = starlink.deploy(bridge::models::forCase(c, "10.0.0.9"), "10.0.0.9");
-
-    peers::Service service(network, c);
-    peers::Client client(network, c);
+    peers::SimIsland island;
+    const auto& deployed = island.deploy(c);
+    island.spawn(c);
     Outcome outcome;
-    client.lookup([&outcome](const peers::Client::Result& r) {
+    island.runLookups(1, [&outcome](const peers::Client::Result& r) {
         outcome.success = !r.urls.empty();
         if (outcome.success) outcome.url = r.urls[0];
         outcome.clientMs = toMs(r.elapsed);
     });
-
-    scheduler.runUntilIdle();
     if (!deployed.engine().sessions().empty()) {
         outcome.bridgeMs = toMs(deployed.engine().sessions().front().translationTime());
     }

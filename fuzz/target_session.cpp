@@ -32,11 +32,6 @@
 #include "common/bytes.hpp"
 #include "common/log.hpp"
 #include "core/bridge/models.hpp"
-#include "core/bridge/starlink.hpp"
-#include "core/engine/automata_engine.hpp"
-#include "net/clock.hpp"
-#include "net/scheduler.hpp"
-#include "net/sim_network.hpp"
 #include "protocols/peers.hpp"
 
 namespace starlink::fuzz {
@@ -48,7 +43,7 @@ constexpr std::size_t kMaxDatagrams = 4;
 constexpr std::size_t kMaxSchedulerEvents = 200'000;
 
 /// The bridge's tcp HTTP description leg (models::forCase default port).
-const net::Address kBridgeHttp{"10.0.0.9", 8085};
+const net::Address kBridgeHttp{peers::SimIsland::kBridgeHost, 8085};
 
 }  // namespace
 
@@ -61,22 +56,21 @@ int fuzzSessionInput(const std::uint8_t* data, std::size_t size) {
         return true;
     }();
     try {
-        net::VirtualClock clock;
-        net::EventScheduler scheduler(clock);
-        net::SimNetwork network(scheduler);
-        bridge::Starlink starlink(network);
+        peers::SimIsland island;
+        net::SimNetwork& network = island.network;
+        net::EventScheduler& scheduler = island.scheduler;
 
         std::size_t offset = 0;
         const Case caseId = static_cast<Case>(data[offset++] % 6);
-        auto& deployed =
-            starlink.deploy(bridge::models::forCase(caseId, "10.0.0.9"), "10.0.0.9");
+        const auto& deployed = island.deploy(caseId);
         // A legacy service behind the bridge lets valid requests run the
-        // COMPLETE translation path; datagrams go where the bridge listens.
-        const peers::Service service(network, caseId);
+        // COMPLETE translation path; datagrams go where the bridge listens,
+        // from a raw socket in place of the legacy client.
+        island.service.emplace(network, caseId);
         const net::Address group = peers::discoveryGroup(peers::clientProtocol(caseId));
 
         const std::size_t count = 1 + data[offset++] % kMaxDatagrams;
-        auto client = network.openUdp("10.0.0.1", 0);
+        auto client = network.openUdp(peers::SimIsland::kClientHost, 0);
         for (std::size_t i = 0; i < count && offset < size; ++i) {
             const bool viaTcp = (data[offset++] & 1) != 0;
             std::size_t length = 0;
@@ -91,7 +85,7 @@ int fuzzSessionInput(const std::uint8_t* data, std::size_t size) {
             if (viaTcp) {
                 scheduler.schedule(at, [&network, payload] {
                     network.connectTcp(
-                        "10.0.0.1", kBridgeHttp,
+                        peers::SimIsland::kClientHost, kBridgeHttp,
                         [payload](std::shared_ptr<net::TcpConnection> connection) {
                             if (!connection) return;  // no HTTP leg: refused, absorbed
                             try {

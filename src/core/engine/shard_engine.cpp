@@ -1,35 +1,19 @@
 #include "core/engine/shard_engine.hpp"
 
-#include <optional>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
-#include "common/log.hpp"
 #include "core/bridge/registry.hpp"
-#include "core/bridge/starlink.hpp"
-#include "net/scheduler.hpp"
-#include "net/sim_network.hpp"
 #include "protocols/peers.hpp"
 
 namespace starlink::engine {
 
 namespace {
 
-/// One private simulation island: clock, scheduler, network, framework and a
-/// deployed bridge for one direction, plus the per-session legacy peers.
-/// Everything in here is owned by exactly one shard thread; nothing escapes.
-struct Island {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler{clock};
-    std::unique_ptr<net::SimNetwork> network;
-    std::unique_ptr<bridge::Starlink> starlink;
-    bridge::DeployedBridge* bridge = nullptr;
-
-    // Per-session peers; destroyed after every job so the next session
-    // re-binds the same well-known ports from a clean slate.
-    std::optional<peers::Service> service;
-    std::optional<peers::Client> client;
-
+/// One pooled island of a shard: the paper's testbed for one direction plus
+/// its LRU stamp. Owned by exactly one shard thread; nothing escapes.
+struct Island : peers::SimIsland {
     /// Monotone use stamp for the shard's island LRU (maxIslandsPerShard).
     std::uint64_t lastUsed = 0;
 };
@@ -245,15 +229,6 @@ const telemetry::MetricsRegistry& ShardEngine::shardMetrics(int shard) const {
     return shards_.at(static_cast<std::size_t>(shard))->registry;
 }
 
-namespace {
-
-void destroyPeers(Island& island) {
-    island.client.reset();
-    island.service.reset();
-}
-
-}  // namespace
-
 void ShardEngine::runShard(Shard& shard) {
     // Folds a retiring island's accounting into the shard report: virtual
     // time its clock consumed, and its engine's span snapshot. Used both by
@@ -261,8 +236,8 @@ void ShardEngine::runShard(Shard& shard) {
     const auto harvest = [&shard](Island& island) {
         shard.report.busyVirtual += std::chrono::duration_cast<net::Duration>(
             island.clock.now() - net::TimePoint{});
-        if (island.bridge != nullptr) {
-            auto snapshot = island.bridge->engine().spans().snapshot();
+        if (island.deployed != nullptr) {
+            auto snapshot = island.deployed->engine().spans().snapshot();
             std::uint64_t maxId = 0;
             std::uint64_t maxSession = 0;
             for (telemetry::Span& span : snapshot) {
@@ -315,23 +290,20 @@ void ShardEngine::runShard(Shard& shard) {
                     }
                 }
                 slot = std::make_unique<Island>();
-                slot->network = std::make_unique<net::SimNetwork>(slot->scheduler);
-                slot->starlink = std::make_unique<bridge::Starlink>(*slot->network);
                 EngineOptions engineOptions = options_.engine;
                 engineOptions.metrics = &shard.registry;
                 engineOptions.shardId = shard.index;
                 engineOptions.recorderCase = bridge::models::caseSlug(job.caseId);
                 engineOptions.modelVersion = pinnedVersion;
-                slot->bridge = &slot->starlink->deploy(
-                    pending.pinned
-                        ? pending.pinned->specFor(job.caseId)
-                        : bridge::models::forCase(job.caseId, options_.bridgeHost),
-                    options_.bridgeHost, engineOptions);
+                if (pending.pinned) {
+                    slot->deploy(pending.pinned->specFor(job.caseId), engineOptions);
+                } else {
+                    slot->deploy(job.caseId, engineOptions);
+                }
             }
             Island& island = *slot;
             island.lastUsed = ++shard.useTick;
-            net::SimNetwork& network = *island.network;
-            AutomataEngine& engine = island.bridge->engine();
+            AutomataEngine& engine = island.deployed->engine();
 
             // Derandomise the island: every stochastic stream the session
             // touches is rewound to a value derived from the session seed
@@ -339,35 +311,13 @@ void ShardEngine::runShard(Shard& shard) {
             const std::uint64_t seed =
                 job.seed != 0 ? job.seed : deriveSeed(job.key, options_.baseSeed);
             Rng seeds(seed);
-            network.reseed(seeds.next());
+            island.network.reseed(seeds.next());
             engine.reseedRetry(seeds.next());
             engine.noteSessionSeed(seed);
             const std::uint64_t chaosSeed = seeds.next();
             const std::uint64_t serviceSeed = seeds.next();
             const std::uint64_t clientSeed = seeds.next();
-            if (options_.chaos) {
-                network.latency().lossProbability = options_.chaosLoss;
-                // Episodes are generated over [0, horizon) and anchored at
-                // the island's current virtual time.
-                network.setFaultSchedule(
-                    net::FaultSchedule::chaos(
-                        chaosSeed, options_.chaosHorizon,
-                        {options_.clientHost, options_.serviceHost, options_.bridgeHost})
-                        .shiftedBy(network.now() - net::TimePoint{}));
-            }
-
-            // Freshly seeded legacy endpoints per session: agent-internal
-            // state (rngs, xid counters, caches) never crosses sessions.
-            destroyPeers(island);
-            peers::ServiceConfigs services;
-            services.each([&](auto& config) {
-                config.host = options_.serviceHost;
-                config.seed = serviceSeed;
-            });
-            services.slp.url = "service:printer://" + options_.serviceHost + ":515/queue1";
-            services.upnp.serviceUrl = "http://" + options_.serviceHost + ":9090/print";
-            services.bonjour.url = "http://" + options_.serviceHost + ":631/ipp";
-            island.service.emplace(network, job.caseId, services);
+            if (options_.chaos) island.chaos(chaosSeed, options_.chaosLoss);
 
             // Collect outcomes through the completion callback: the engine's
             // history is a bounded ring now, so absolute indexing into
@@ -392,26 +342,22 @@ void ShardEngine::runShard(Shard& shard) {
                 ++shard.report.bridgeSessions;
                 if (record.completed) ++shard.report.completedSessions;
             };
-            peers::ClientConfigs clients;
-            clients.each([&](auto& config) {
-                config.host = options_.clientHost;
-                if (options_.chaos) {
-                    config.timeout = options_.chaosClientTimeout;
-                    config.retransmitInterval = options_.chaosClientRetransmit;
-                }
-            });
+            // Freshly seeded legacy endpoints per session: agent-internal
+            // state (rngs, xid counters, caches) never crosses sessions.
+            peers::ServiceConfigs services;
+            services.each([&](auto& config) { config.seed = serviceSeed; });
+            peers::ClientConfigs clients =
+                options_.chaos ? peers::chaosClientConfigs() : peers::ClientConfigs{};
             // The SLP user agent draws no randomness, so its config has no seed.
             clients.upnp.seed = clientSeed;
             clients.bonjour.seed = clientSeed;
-            island.client.emplace(network, job.caseId, clients);
-            bool discovered = false;
-            island.client->lookup([&discovered](const peers::Client::Result& r) {
-                discovered = !r.urls.empty();
-            });
-
-            island.scheduler.runUntilIdle(options_.maxEventsPerSession);
-            network.clearFaultSchedule();
-            destroyPeers(island);
+            island.spawn(job.caseId, services, clients);
+            const bool discovered = island.runLookups(1) == 1;
+            // Tear down before the next session reseeds the network: closing
+            // a peer's open connection samples a latency from it.
+            island.network.clearFaultSchedule();
+            island.client.reset();
+            island.service.reset();
             engine.onSessionComplete = nullptr;
 
             // Feed the canary judge. noteSession is mutex-guarded; ordering

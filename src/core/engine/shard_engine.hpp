@@ -62,6 +62,9 @@ struct SessionJob {
     std::uint64_t seed = 0;
 };
 
+/// Every island is a peers::SimIsland, so its topology (client 10.0.0.1,
+/// service 10.0.0.3, bridge 10.0.0.9) and chaos profile mirror the demo
+/// harnesses by construction.
 struct ShardEngineOptions {
     /// Number of worker threads / island pools. Sessions are partitioned by
     /// key hash; 1 reproduces the classic sequential harnesses.
@@ -75,17 +78,11 @@ struct ShardEngineOptions {
 
     /// Chaos mode: every session runs under a seed-derived FaultSchedule
     /// (loss bursts, latency spikes, partition flaps, connect blackholes)
-    /// plus this steady per-hop loss, and the legacy clients are configured
-    /// to retransmit and eventually give up (like `starlinkd chaos`).
+    /// plus this steady per-hop loss (peers::SimIsland::chaos), and the
+    /// legacy clients get peers::chaosClientConfigs(): they re-send and
+    /// eventually give up, as in `starlinkd chaos`.
     bool chaos = false;
     double chaosLoss = 0.05;
-    net::Duration chaosHorizon = net::ms(60000);
-    net::Duration chaosClientTimeout = net::ms(120000);
-    net::Duration chaosClientRetransmit = net::ms(8000);
-
-    /// Event budget per session; a livelocked island fails loudly instead of
-    /// hanging the shard.
-    std::size_t maxEventsPerSession = 2'000'000;
 
     /// Admission control: cap on jobs queued per shard at submit() time
     /// (0 = unbounded). Past the cap submit() SHEDS the job -- it returns
@@ -104,11 +101,6 @@ struct ShardEngineOptions {
     /// island-history-independent (per-session reseeding), so eviction never
     /// changes results.
     std::size_t maxIslandsPerShard = 0;
-
-    /// Simulated topology of every island (mirrors the demo harnesses).
-    std::string clientHost = "10.0.0.1";
-    std::string serviceHost = "10.0.0.3";
-    std::string bridgeHost = "10.0.0.9";
 
     /// Hot-swap deployment: when set, every job pins a model-set generation
     /// AT SUBMIT TIME (registry->pin(job.key), canary cohort by key hash)

@@ -104,7 +104,9 @@ std::string Value::toText() const {
 std::optional<Value> Value::fromText(ValueType type, std::string_view text) {
     switch (type) {
         case ValueType::Empty:
-            return Value();
+            // Built in place: moving an empty Value into the optional makes
+            // GCC warn about the variant's other alternatives.
+            return std::make_optional<Value>();
         case ValueType::Int: {
             const auto v = parseInt(text);
             if (!v) return std::nullopt;
@@ -169,7 +171,7 @@ std::optional<Value> Value::coerceTo(ValueType target) const {
             return std::nullopt;
         }
         case ValueType::Empty:
-            return Value();
+            return std::make_optional<Value>();
     }
     return std::nullopt;
 }

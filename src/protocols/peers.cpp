@@ -62,6 +62,12 @@ Agent make(net::Network& network, Protocol p, const Configs& configs) {
     throw std::logic_error("peers: unknown protocol");
 }
 
+// Chaos episodes are drawn over this window from the moment they are anchored.
+const net::Duration kChaosHorizon = net::ms(60000);
+
+// Events one lookup may run before runLookups gives up on it.
+constexpr std::size_t kLookupEventBudget = 2'000'000;
+
 }  // namespace
 
 std::optional<Protocol> protocolBySlug(const std::string& slug) {
@@ -105,6 +111,64 @@ void Client::lookup(Callback callback) {
         case Protocol::Upnp: std::get<1>(agent_).search(query, std::move(forward)); break;
         case Protocol::Bonjour: std::get<2>(agent_).browse(query, std::move(forward)); break;
     }
+}
+
+engine::EngineOptions resilientEngineOptions() {
+    engine::EngineOptions options;
+    options.receiveTimeout = net::ms(7000);
+    options.maxRetransmits = 5;
+    options.retransmitBackoff = 1.5;
+    options.retransmitJitter = net::ms(100);
+    options.sessionTimeout = net::ms(30000);
+    return options;
+}
+
+ClientConfigs chaosClientConfigs() {
+    ClientConfigs configs;
+    configs.each([](auto& config) {
+        config.timeout = net::ms(120000);
+        config.retransmitInterval = net::ms(8000);
+    });
+    return configs;
+}
+
+bridge::DeployedBridge& SimIsland::deploy(Case c, const engine::EngineOptions& options) {
+    return deploy(bridge::models::forCase(c, kBridgeHost), options);
+}
+
+bridge::DeployedBridge& SimIsland::deploy(const bridge::models::DeploymentSpec& spec,
+                                          const engine::EngineOptions& options) {
+    deployed = &starlink.deploy(spec, kBridgeHost, options);
+    return *deployed;
+}
+
+void SimIsland::spawn(Case c, const ServiceConfigs& services, const ClientConfigs& clients) {
+    // The old peers unbind first: the new ones reuse their well-known ports.
+    client.reset();
+    service.reset();
+    service.emplace(network, c, services);
+    client.emplace(network, c, clients);
+}
+
+void SimIsland::chaos(std::uint64_t seed, double loss) {
+    network.latency().lossProbability = loss;
+    network.setFaultSchedule(
+        net::FaultSchedule::chaos(seed, kChaosHorizon, {kClientHost, kServiceHost, kBridgeHost})
+            .shiftedBy(network.now() - net::TimePoint{}));
+}
+
+int SimIsland::runLookups(int n, const Client::Callback& onResult) {
+    int successes = 0;
+    for (int i = 0; i < n; ++i) {
+        bool success = false;
+        client->lookup([&success, &onResult](const Client::Result& r) {
+            success = !r.urls.empty();
+            if (onResult) onResult(r);
+        });
+        scheduler.runUntilIdle(kLookupEventBudget);
+        if (success) ++successes;
+    }
+    return successes;
 }
 
 }  // namespace starlink::peers

@@ -28,9 +28,9 @@ namespace starlink::slp {
 class ServiceAgent {
 public:
     struct Config {
-        std::string host = "10.0.0.2";
+        std::string host = "10.0.0.3";
         std::string serviceType = "service:printer";
-        std::string url = "service:printer://10.0.0.2:515/queue1";
+        std::string url = "service:printer://10.0.0.3:515/queue1";
         /// Service attributes, matched against request predicates (RFC 2608
         /// section 8.1; this subset evaluates single "(key=value)" terms).
         std::map<std::string, std::string> attributes;

@@ -17,6 +17,7 @@
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/span.hpp"
 #include "core/telemetry/trace_export.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink {
 namespace {
@@ -64,17 +65,13 @@ RunSummary runWorkload(int shards, std::size_t maxPending, bool chaos, int idleT
     options.shards = shards;
     options.baseSeed = 77;
     options.maxPendingPerShard = maxPending;
-    options.engine.spanCapacity = 16384;
-    if (idleTimeoutMs > 0) options.engine.idleTimeout = net::ms(idleTimeoutMs);
     if (chaos) {
         options.chaos = true;
         options.chaosLoss = 0.25;
-        options.engine.receiveTimeout = net::ms(7000);
-        options.engine.maxRetransmits = 5;
-        options.engine.retransmitBackoff = 1.5;
-        options.engine.retransmitJitter = net::ms(100);
-        options.engine.sessionTimeout = net::ms(30000);
+        options.engine = peers::resilientEngineOptions();
     }
+    options.engine.spanCapacity = 16384;
+    if (idleTimeoutMs > 0) options.engine.idleTimeout = net::ms(idleTimeoutMs);
     engine::ShardEngine shardEngine(options);
     for (int i = 0; i < jobs; ++i) {
         engine::SessionJob job;

@@ -28,6 +28,7 @@
 #include "core/engine/network_engine.hpp"
 #include "core/engine/shard_engine.hpp"
 #include "core/telemetry/metrics.hpp"
+#include "protocols/peers.hpp"
 #include "protocols/slp/slp_agents.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
 #include "protocols/ssdp/ssdp_codec.hpp"
@@ -463,11 +464,7 @@ ShardEngineOptions cappedChaosOptions(int shards) {
     options.shards = shards;
     options.chaos = true;
     options.chaosLoss = 0.05;
-    options.engine.receiveTimeout = net::ms(7000);
-    options.engine.maxRetransmits = 5;
-    options.engine.retransmitBackoff = 1.5;
-    options.engine.retransmitJitter = net::ms(100);
-    options.engine.sessionTimeout = net::ms(30000);
+    options.engine = peers::resilientEngineOptions();
     // The capacity knobs under test: every island pool holds at most two
     // directions (the 6-direction workload forces constant LRU churn) and
     // every engine's history ring is far smaller than its session count.

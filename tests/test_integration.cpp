@@ -10,12 +10,15 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 
+#include "common/error.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "protocols/ldap/ldap_agents.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
+#include "protocols/peers.hpp"
 #include "protocols/slp/slp_agents.hpp"
 #include "protocols/slp/slp_codec.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
@@ -703,6 +706,65 @@ TEST_F(InteropTest, JitteryNetworkStillCompletes) {
     ASSERT_EQ(urls.size(), 1u);
     EXPECT_EQ(urls[0], device.config().serviceUrl);
     EXPECT_TRUE(bridge.engine().sessions()[0].completed);
+}
+
+// --- the shared testbed (peers::SimIsland) ------------------------------------
+
+using peers::SimIsland;
+
+TEST(SimIslandTest, EveryCaseBindsServiceAndClientAtIslandHosts) {
+    for (const Case c : bridge::models::kAllCases) {
+        // A partition of either peer host leaves nothing to discover, so the
+        // peers bind there and nowhere else.
+        for (const char* host : {SimIsland::kClientHost, SimIsland::kServiceHost}) {
+            SimIsland island;
+            island.deploy(c);
+            island.spawn(c);
+            EXPECT_THROW(island.network.openUdp(
+                             SimIsland::kServiceHost,
+                             peers::discoveryGroup(peers::serviceProtocol(c)).port),
+                         NetError)
+                << bridge::models::caseName(c);
+            island.network.partitionHost(host);
+            EXPECT_EQ(island.runLookups(1), 0) << bridge::models::caseName(c) << " " << host;
+        }
+    }
+}
+
+TEST(SimIslandTest, ChaosEpisodesTargetEachIslandHost) {
+    std::set<std::string> targeted;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SimIsland island;
+        island.scheduler.runFor(net::ms(5000));
+        island.chaos(seed, 0.1);
+        EXPECT_EQ(island.network.latency().lossProbability, 0.1);
+        ASSERT_FALSE(island.network.faultSchedule().empty());
+        for (const net::FaultEpisode& episode : island.network.faultSchedule().episodes()) {
+            EXPECT_GE(episode.start, island.network.now()) << "anchored at the current time";
+            targeted.insert(episode.host);
+        }
+    }
+    EXPECT_EQ(targeted, (std::set<std::string>{SimIsland::kClientHost, SimIsland::kServiceHost,
+                                               SimIsland::kBridgeHost}));
+}
+
+TEST(SimIslandTest, RunLookupsCountsDiscoveries) {
+    int results = 0;
+    const auto count = [&results](const peers::Client::Result&) { ++results; };
+
+    SimIsland island;
+    island.deploy(Case::SlpToBonjour);
+    island.spawn(Case::SlpToBonjour);
+    EXPECT_EQ(island.runLookups(3, count), 3);
+    EXPECT_EQ(results, 3);
+
+    // No bridge: the SLP client meets no SLP service, so every lookup
+    // reports back empty.
+    results = 0;
+    SimIsland bare;
+    bare.spawn(Case::SlpToBonjour);
+    EXPECT_EQ(bare.runLookups(2, count), 0);
+    EXPECT_EQ(results, 2);
 }
 
 }  // namespace

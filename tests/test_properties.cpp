@@ -315,26 +315,20 @@ TEST_P(CaseTransportProperty, RandomServiceUrlArrivesIntact) {
     const std::string url = "http://10.0.0.3:" + std::to_string(rng.range(1024, 65535)) + "/" +
                             randomToken(rng, 16, "abcdefghijklmnop0123456789");
 
-    net::VirtualClock clock;
-    net::EventScheduler scheduler(clock);
-    net::SimNetwork network(scheduler);
-    bridge::Starlink starlink(network);
-    starlink.deploy(bridge::models::forCase(interopCase, "10.0.0.9"), "10.0.0.9");
+    peers::SimIsland island;
+    island.deploy(interopCase);
 
     peers::ServiceConfigs services;
     services.slp.url = url;
     services.upnp.serviceUrl = url;
     services.bonjour.url = url;
     services.each([](auto& config) { config.responseDelayBase = net::ms(5); });
-    const peers::Service service(network, interopCase, services);
-
     peers::ClientConfigs clients;
     clients.upnp.mxWindowBase = net::ms(30);
     clients.bonjour.aggregationBase = net::ms(20);
-    peers::Client client(network, interopCase, clients);
+    island.spawn(interopCase, services, clients);
     std::vector<std::string> urls;
-    client.lookup([&urls](const peers::Client::Result& r) { urls = r.urls; });
-    scheduler.runUntilIdle();
+    island.runLookups(1, [&urls](const peers::Client::Result& r) { urls = r.urls; });
 
     ASSERT_EQ(urls.size(), 1u) << bridge::models::caseName(interopCase);
     EXPECT_EQ(urls[0], url) << bridge::models::caseName(interopCase);

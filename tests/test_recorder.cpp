@@ -18,6 +18,7 @@
 #include "core/engine/shard_engine.hpp"
 #include "core/telemetry/recorder.hpp"
 #include "core/telemetry/span.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink {
 namespace {
@@ -438,11 +439,7 @@ engine::ShardEngineOptions chaosOptions(std::uint64_t seed) {
     options.baseSeed = seed;
     options.chaos = true;
     options.chaosLoss = 0.25;
-    options.engine.receiveTimeout = net::ms(7000);
-    options.engine.maxRetransmits = 5;
-    options.engine.retransmitBackoff = 1.5;
-    options.engine.retransmitJitter = net::ms(100);
-    options.engine.sessionTimeout = net::ms(30000);
+    options.engine = peers::resilientEngineOptions();
     return options;
 }
 

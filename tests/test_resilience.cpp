@@ -381,7 +381,7 @@ TEST_F(ResilienceTest, SlpClientRetransmitKnobRecoversLostRequest) {
     // The first request dies in a burst; the client's periodic re-send lands
     // after the window.
     net::FaultSchedule schedule;
-    schedule.lossBurst(net::TimePoint{}, net::ms(150), 1.0, "10.0.0.2");
+    schedule.lossBurst(net::TimePoint{}, net::ms(150), 1.0, service.config().host);
     network.setFaultSchedule(schedule);
 
     slp::UserAgent::Config uaConfig;

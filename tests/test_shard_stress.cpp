@@ -16,6 +16,7 @@
 
 #include "core/engine/shard_engine.hpp"
 #include "core/telemetry/metrics.hpp"
+#include "protocols/peers.hpp"
 
 namespace starlink {
 namespace {
@@ -46,13 +47,9 @@ ShardEngineOptions chaosOptions(int shards) {
     options.shards = shards;
     options.chaos = true;
     options.chaosLoss = 0.05;
-    // The resilient-client profile of `starlinkd chaos`; retransmit jitter
-    // deliberately ON so the per-session reseedRetry path is exercised.
-    options.engine.receiveTimeout = net::ms(7000);
-    options.engine.maxRetransmits = 5;
-    options.engine.retransmitBackoff = 1.5;
-    options.engine.retransmitJitter = net::ms(100);
-    options.engine.sessionTimeout = net::ms(30000);
+    // The resilient engine profile of `starlinkd chaos`; its retransmit
+    // jitter exercises the per-session reseedRetry path.
+    options.engine = peers::resilientEngineOptions();
     return options;
 }
 

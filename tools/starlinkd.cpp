@@ -92,8 +92,10 @@
 //                                       replay against models that did not
 //                                       produce the capture
 //
-// The demo topology is always: legacy client at 10.0.0.1, legacy service at
-// 10.0.0.3, bridge at 10.0.0.9, on the simulated network over virtual time.
+// demo, demo-files, chaos, trace and metrics each drive one peers::SimIsland:
+// legacy client at 10.0.0.1, legacy service at 10.0.0.3 (every direction,
+// SLP included), bridge at 10.0.0.9, on the simulated network over virtual
+// time.
 #include <algorithm>
 #include <csignal>
 #include <filesystem>
@@ -266,64 +268,22 @@ int cmdLint(const std::vector<std::string>& paths, bool json) {
     return lint::hasErrors(diagnostics) ? 1 : 0;
 }
 
-/// One paper case on its own simulated network over virtual time: the bridge
-/// at 10.0.0.9, the direction's legacy service (10.0.0.3) and client
-/// (10.0.0.1). demo, chaos, trace and metrics each drive one.
-struct SimIsland {
-    net::VirtualClock clock;
-    net::EventScheduler scheduler{clock};
-    net::SimNetwork network;
-    bridge::Starlink starlink{network};
-    bridge::DeployedBridge* deployed = nullptr;
-    std::optional<peers::Service> service;
-    std::optional<peers::Client> client;
-
-    SimIsland() : network(scheduler) {}
-    explicit SimIsland(std::uint64_t networkSeed) : network(scheduler, networkSeed) {}
-
-    /// Deploys `spec`, then spawns the case's service and then its client.
-    void deploy(const bridge::models::DeploymentSpec& spec, Case c,
-                const engine::EngineOptions& options = {},
-                const peers::ClientConfigs& clients = {}) {
-        deployed = &starlink.deploy(spec, "10.0.0.9", options);
-        service.emplace(network, c);
-        client.emplace(network, c, clients);
-    }
-
-    /// Sequential lookups from the one client, each run to quiescence (at
-    /// most `maxEvents` events); returns how many discovered the service.
-    int runLookups(int n, std::size_t maxEvents = 1'000'000,
-                   const peers::Client::Callback& onResult = {}) {
-        int successes = 0;
-        for (int i = 0; i < n; ++i) {
-            bool success = false;
-            client->lookup([&success, &onResult](const peers::Client::Result& r) {
-                success = !r.urls.empty();
-                if (onResult) onResult(r);
-            });
-            scheduler.runUntilIdle(maxEvents);
-            if (success) ++successes;
-        }
-        return successes;
-    }
-};
-
 /// Runs one lookup of case `c`'s client through a bridge deployed from `spec`.
 int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
-    SimIsland island;
-    island.deploy(spec, c);
-    const engine::AutomataEngine& engine = island.deployed->engine();
-    std::cout << "deployed bridge '" << engine.merged().name() << "' at 10.0.0.9\n";
+    peers::SimIsland island;
+    const engine::AutomataEngine& engine = island.deploy(spec).engine();
+    island.spawn(c);
+    std::cout << "deployed bridge '" << engine.merged().name() << "' at "
+              << peers::SimIsland::kBridgeHost << "\n";
 
     const char* who = peers::clientName(peers::clientProtocol(c));
-    const int discovered =
-        island.runLookups(1, 1'000'000, [who](const peers::Client::Result& r) {
-            std::cout << who << ": "
-                      << (r.urls.empty() ? std::string("no reply") : "discovered " + r.urls[0])
-                      << " after "
-                      << std::chrono::duration_cast<std::chrono::milliseconds>(r.elapsed).count()
-                      << " ms (virtual)\n";
-        });
+    const int discovered = island.runLookups(1, [who](const peers::Client::Result& r) {
+        std::cout << who << ": "
+                  << (r.urls.empty() ? std::string("no reply") : "discovered " + r.urls[0])
+                  << " after "
+                  << std::chrono::duration_cast<std::chrono::milliseconds>(r.elapsed).count()
+                  << " ms (virtual)\n";
+    });
     for (const auto& session : engine.sessions()) {
         std::cout << "bridge session: " << session.messagesIn << " in / "
                   << session.messagesOut << " out, translation "
@@ -338,7 +298,7 @@ int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
 int cmdDemo(const std::string& caseName) {
     const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
-    return runDemo(bridge::models::forCase(*c, "10.0.0.9"), *c);
+    return runDemo(bridge::models::forCase(*c, peers::SimIsland::kBridgeHost), *c);
 }
 
 int cmdDemoFiles(char** argv) {
@@ -361,32 +321,18 @@ int cmdChaos(const std::string& caseName, double loss, std::uint64_t seed) {
     const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     constexpr int kLookups = 10;
-    const net::Duration kHorizon = net::ms(60000);
 
-    SimIsland island(seed);
-    net::SimNetwork& network = island.network;
-    network.latency().lossProbability = loss;
-    network.setFaultSchedule(net::FaultSchedule::chaos(
-        seed, kHorizon, {"10.0.0.1", "10.0.0.3", "10.0.0.9"}));
-
-    engine::EngineOptions options;
-    options.receiveTimeout = net::ms(7000);
-    options.maxRetransmits = 5;
-    options.retransmitBackoff = 1.5;
-    options.retransmitJitter = net::ms(100);
-    options.sessionTimeout = net::ms(30000);
-    peers::ClientConfigs clients;
-    clients.each([](auto& config) {
-        config.timeout = net::ms(120000);
-        config.retransmitInterval = net::ms(8000);
-    });
-    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c, options, clients);
-    const engine::AutomataEngine& engine = island.deployed->engine();
+    peers::SimIsland island(seed);
+    island.chaos(seed, loss);
+    const engine::AutomataEngine& engine =
+        island.deploy(*c, peers::resilientEngineOptions()).engine();
+    island.spawn(*c, {}, peers::chaosClientConfigs());
+    const net::SimNetwork& network = island.network;
     std::cout << "deployed bridge '" << engine.merged().name()
               << "' under chaos (loss " << loss << ", seed " << seed << ", "
               << network.faultSchedule().episodes().size() << " fault episodes)\n";
 
-    const int successes = island.runLookups(kLookups, 2'000'000);
+    const int successes = island.runLookups(kLookups);
 
     for (const auto& session : engine.sessions()) {
         std::cout << "session: " << (session.completed ? "completed" : "ABORTED ") << " cause="
@@ -492,8 +438,9 @@ int cmdTrace(const std::string& caseName, const std::optional<std::string>& outP
     telemetry::setEnabled(true);
     engine::EngineOptions options;
     options.spanCapacity = 16384;
-    SimIsland island;
-    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c, options);
+    peers::SimIsland island;
+    island.deploy(*c, options);
+    island.spawn(*c);
     const int successes = island.runLookups(3);
 
     const auto& spans = island.deployed->engine().spans();
@@ -519,8 +466,9 @@ int cmdMetrics(const std::string& caseName) {
     const auto c = bridge::models::caseBySlug(caseName);
     if (!c) return usage();
     telemetry::setEnabled(true);
-    SimIsland island;
-    island.deploy(bridge::models::forCase(*c, "10.0.0.9"), *c);
+    peers::SimIsland island;
+    island.deploy(*c);
+    island.spawn(*c);
     const int successes = island.runLookups(5);
 
     const auto virtualUs = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -839,6 +787,7 @@ int cmdServe(int shards, int sessions, bool chaos, double loss, std::uint64_t se
     options.chaos = chaos;
     options.chaosLoss = loss;
     options.maxPendingPerShard = maxSessions;
+    if (chaos) options.engine = peers::resilientEngineOptions();
     if (idleTimeoutMs > 0) options.engine.idleTimeout = net::ms(idleTimeoutMs);
     std::optional<telemetry::PostmortemSpool> spool;
     if (record || !postmortemDir.empty()) {
@@ -847,13 +796,6 @@ int cmdServe(int shards, int sessions, bool chaos, double loss, std::uint64_t se
     if (!postmortemDir.empty()) {
         spool.emplace(telemetry::PostmortemSpool::Options{postmortemDir, 64});
         options.engine.postmortemSpool = &*spool;
-    }
-    if (chaos) {
-        options.engine.receiveTimeout = net::ms(7000);
-        options.engine.maxRetransmits = 5;
-        options.engine.retransmitBackoff = 1.5;
-        options.engine.retransmitJitter = net::ms(100);
-        options.engine.sessionTimeout = net::ms(30000);
     }
     // --models-dir routes every deploy through the versioned registry (lint
     // gate, per-session version pinning); --canary-percent alone exercises
@@ -991,23 +933,18 @@ int cmdPostmortem(const std::string& path) {
     }
 
     // Throwaway deployment for the codecs and the color registry.
-    std::optional<net::VirtualClock> clock;
-    std::optional<net::EventScheduler> scheduler;
-    std::optional<net::SimNetwork> network;
-    std::optional<bridge::Starlink> starlink;
+    std::optional<peers::SimIsland> island;
     engine::AutomataEngine* engine = nullptr;
     if (const auto c = bridge::models::caseBySlug(bundle.caseSlug)) {
-        const std::string host = bundle.bridgeHost.empty() ? "10.0.0.9" : bundle.bridgeHost;
-        clock.emplace();
-        scheduler.emplace(*clock);
-        network.emplace(*scheduler);
-        starlink.emplace(*network);
-        engine = &starlink->deploy(bridge::models::forCase(*c, host), host).engine();
+        const std::string host =
+            bundle.bridgeHost.empty() ? peers::SimIsland::kBridgeHost : bundle.bridgeHost;
+        island.emplace();
+        engine = &island->starlink.deploy(bridge::models::forCase(*c, host), host).engine();
     }
     auto colorTag = [&](std::uint64_t k) {
         std::ostringstream out;
-        if (starlink) {
-            if (const automata::Color* color = starlink->colors().lookup(k)) {
+        if (island) {
+            if (const automata::Color* color = island->starlink.colors().lookup(k)) {
                 out << color->transport();
                 if (const auto port = color->port()) out << ":" << *port;
                 return out.str();
