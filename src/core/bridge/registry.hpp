@@ -18,13 +18,13 @@
 //   publish   -- an accepted set is stamped with a monotonic version. The
 //                FIRST set becomes active outright; later sets either swap
 //                immediately (canaryPercent == 0) or enter canary.
-//   pin       -- sessions pin the generation they start on: pin(sessionKey)
-//                returns a shared_ptr<const ModelSet> chosen by session-key
-//                hash (canary cohort = hash % 10000 < canaryPercent * 100,
-//                deterministic and shard-count-invariant), and the caller
-//                keeps the pointer for the session's lifetime, so in-flight
-//                sessions always finish on the version they started with --
-//                no global pause, per-shard swap for free.
+//   pin       -- pin(sessionKey) returns the set a session starts on, by
+//                session-key hash (canary cohort = hash % 10000 <
+//                canaryPercent * 100, deterministic, shard-count-invariant).
+//                A bridge runs a set by publishing it (DeployedBridge::
+//                publish); each session keeps the generation it opened on,
+//                so in-flight sessions finish on their version -- no pause,
+//                no socket rebind.
 //   judge     -- noteSession() feeds per-cohort sliding windows of terminal
 //                outcomes. When any abort code's rate in the canary window
 //                regresses beyond rollbackRatio x the stable window's rate
@@ -110,9 +110,9 @@ struct ModelRegistryOptions {
     std::string bridgeHost = "10.0.0.9";
     int bridgeHttpPort = 8085;
     /// Share of new sessions pinned to a freshly loaded set, in percent.
-    /// 0 = no canary, every load swaps immediately; 100 = every NEW session
-    /// runs the candidate while the stable cohort is whatever finished
-    /// before (time-based canary, the live daemon's mode).
+    /// 0 = no canary, every load swaps immediately. The live daemon treats
+    /// any other value as a time-based canary: every session opened after
+    /// the publish runs the candidate, live ones finish on the stable set.
     double canaryPercent = 0.0;
     /// Roll back when any abort code's canary-window rate exceeds the stable
     /// window's rate for that code times this factor. With a clean stable

@@ -137,7 +137,6 @@ ReplayComparison replayBundle(const telemetry::PostmortemBundle& bundle,
     // Record the replay too -- its Tx events ARE the wire comparison. The cap
     // comfortably exceeds the original log (same traffic, never truncates).
     options.recorderSessionBytes = bundle.events.size() + 64 * 1024;
-    options.recorderCase = bundle.caseSlug;
     options.shardId = bundle.shard;
 
     DeployedBridge& deployed = starlink.deploy(spec, host, options);

@@ -4,6 +4,7 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "core/merge/spec_loader.hpp"
+#include "core/merge/spec_writer.hpp"
 #include "core/merge/synthesizer.hpp"
 
 namespace starlink::bridge {
@@ -21,8 +22,12 @@ Starlink::Starlink(net::Network& network)
 
 Starlink::~Starlink() { setLogTimeSource(nullptr); }
 
-DeployedBridge& Starlink::deploy(const models::DeploymentSpec& spec, const std::string& host,
-                                 engine::EngineOptions options) {
+void DeployedBridge::publish(const models::DeploymentSpec& spec, std::uint64_t version) {
+    engine_->publish(starlink_->compile(spec, version));
+}
+
+std::shared_ptr<engine::ModelGeneration> Starlink::compile(const models::DeploymentSpec& spec,
+                                                           std::uint64_t version) {
     // 1. Specialise a parser/composer pair per protocol and load its
     //    colored automaton; pairing is positional within the bundle.
     std::vector<std::shared_ptr<automata::ColoredAutomaton>> automata;
@@ -70,13 +75,15 @@ DeployedBridge& Starlink::deploy(const models::DeploymentSpec& spec, const std::
                         "': semantic equivalence does not hold; mandatory fields without a "
                         "translation: " + join(uncovered, ", "));
     }
+    return std::make_shared<engine::ModelGeneration>(std::move(merged), std::move(codecs),
+                                                     version, models::modelSetIdentity(spec));
+}
 
-    // 4. Wire the engines and go live. Postmortem provenance defaults: the
-    //    deployment's model fingerprint and host, unless the caller stamped
-    //    its own.
-    if (options.modelIdentity == 0) options.modelIdentity = models::modelSetIdentity(spec);
-    if (options.bridgeHost.empty()) options.bridgeHost = host;
+DeployedBridge& Starlink::deploy(const models::DeploymentSpec& spec, const std::string& host,
+                                 engine::EngineOptions options, std::uint64_t version) {
+    auto generation = compile(spec, version);
     auto bridge = std::unique_ptr<DeployedBridge>(new DeployedBridge());
+    bridge->starlink_ = this;
     bridge->network_ = std::make_unique<engine::NetworkEngine>(
         network_, host,
         engine::NetworkEngine::Options{options.tcpConnectAttempts,
@@ -84,8 +91,7 @@ DeployedBridge& Starlink::deploy(const models::DeploymentSpec& spec, const std::
                                        options.tcpConnectRetryMaxDelay,
                                        options.tcpMaxBacklogBytes});
     bridge->engine_ = std::make_unique<engine::AutomataEngine>(
-        std::move(merged), std::move(codecs), translations_, *bridge->network_, colors_,
-        options);
+        std::move(generation), translations_, *bridge->network_, colors_, options);
     bridge->engine_->start();
 
     bridges_.push_back(std::move(bridge));
@@ -99,48 +105,20 @@ DeployedBridge& Starlink::deploySynthesized(const models::ProtocolModel& served,
                                             const std::string& host,
                                             engine::EngineOptions options,
                                             std::vector<std::string>* report) {
-    auto servedCodec = mdl::MessageCodec::fromXml(served.mdlXml, marshallers_);
-    auto queriedCodec = mdl::MessageCodec::fromXml(queried.mdlXml, marshallers_);
-    auto servedAutomaton = merge::loadAutomaton(served.automatonXml, colors_);
-    auto queriedAutomaton = merge::loadAutomaton(queried.automatonXml, colors_);
-
+    const mdl::MdlDocument servedMdl = mdl::MdlDocument::fromXml(served.mdlXml);
+    const mdl::MdlDocument queriedMdl = mdl::MdlDocument::fromXml(queried.mdlXml);
     merge::SynthesisInput input;
-    input.servedAutomaton = servedAutomaton;
-    input.servedMdl = &servedCodec->document();
-    input.queriedAutomaton = queriedAutomaton;
-    input.queriedMdl = &queriedCodec->document();
+    input.servedAutomaton = merge::loadAutomaton(served.automatonXml, colors_);
+    input.servedMdl = &servedMdl;
+    input.queriedAutomaton = merge::loadAutomaton(queried.automatonXml, colors_);
+    input.queriedMdl = &queriedMdl;
     input.ontology = &ontology;
     input.translations = translations_;
     merge::SynthesisResult synthesis = merge::synthesizeMerge(input);
     if (report != nullptr) *report = synthesis.report;
-    const std::vector<std::string> unknown =
-        synthesis.merged->unknownTransforms(*translations_);
-    if (!unknown.empty()) {
-        throw SpecError(errc::ErrorCode::BridgeTransformUnknown,
-                        "deploy synthesized '" + synthesis.merged->name() +
-                        "': ontology names unknown translation function " + join(unknown, ", "));
-    }
-
-    std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs;
-    codecs.emplace(servedAutomaton->name(), std::move(servedCodec));
-    codecs.emplace(queriedAutomaton->name(), std::move(queriedCodec));
-
-    if (options.bridgeHost.empty()) options.bridgeHost = host;
-    auto bridge = std::unique_ptr<DeployedBridge>(new DeployedBridge());
-    bridge->network_ = std::make_unique<engine::NetworkEngine>(
-        network_, host,
-        engine::NetworkEngine::Options{options.tcpConnectAttempts,
-                                       options.tcpConnectRetryDelay, options.metrics,
-                                       options.tcpConnectRetryMaxDelay,
-                                       options.tcpMaxBacklogBytes});
-    bridge->engine_ = std::make_unique<engine::AutomataEngine>(
-        std::move(synthesis.merged), std::move(codecs), translations_, *bridge->network_,
-        colors_, options);
-    bridge->engine_->start();
-
-    bridges_.push_back(std::move(bridge));
-    STARLINK_LOG(Info, "starlink") << "deployed SYNTHESIZED bridge at " << host;
-    return *bridges_.back();
+    // The synthesized merge is written out as a bridge document and deployed
+    // through the same compile path as any hand-written one.
+    return deploy({{served, queried}, merge::writeBridge(*synthesis.merged)}, host, options);
 }
 
 }  // namespace starlink::bridge

@@ -34,6 +34,8 @@
 
 namespace starlink::bridge {
 
+class Starlink;
+
 /// A live connector: its network endpoints plus the executing engine.
 class DeployedBridge {
 public:
@@ -41,10 +43,15 @@ public:
     const engine::AutomataEngine& engine() const { return *engine_; }
     const std::string& host() const { return network_->host(); }
 
+    /// Compiles `spec` as model generation `version` and publishes it: new
+    /// sessions run it, live ones finish on theirs (AutomataEngine::publish).
+    void publish(const models::DeploymentSpec& spec, std::uint64_t version);
+
 private:
     friend class Starlink;
     DeployedBridge() = default;
 
+    Starlink* starlink_ = nullptr;
     std::unique_ptr<engine::NetworkEngine> network_;
     std::unique_ptr<engine::AutomataEngine> engine_;
 };
@@ -67,7 +74,12 @@ public:
     /// coverage of mandatory fields), starts the engine. Throws SpecError on
     /// any model defect.
     DeployedBridge& deploy(const models::DeploymentSpec& spec, const std::string& host,
-                           engine::EngineOptions options = {});
+                           engine::EngineOptions options = {}, std::uint64_t version = 0);
+
+    /// Loads and validates `spec` into generation `version` (0 = no registry):
+    /// the one path of deploy, deploySynthesized and DeployedBridge::publish.
+    std::shared_ptr<engine::ModelGeneration> compile(const models::DeploymentSpec& spec,
+                                                     std::uint64_t version = 0);
 
     /// Synthesizes the merged automaton AUTOMATICALLY from the two protocol
     /// models and a field ontology (paper section VII, future work), then

@@ -1,5 +1,7 @@
 #include "core/engine/automata_engine.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -10,81 +12,111 @@ using automata::ColoredAutomaton;
 using automata::State;
 using automata::Transition;
 
-AutomataEngine::AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
-                               std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs,
-                               std::shared_ptr<merge::TranslationRegistry> translations,
-                               NetworkEngine& network, automata::ColorRegistry& colors,
-                               EngineOptions options)
-    : merged_(std::move(merged)),
-      codecs_(std::move(codecs)),
-      translations_(std::move(translations)),
-      network_(network),
-      colors_(colors),
-      options_(options),
-      retryRng_(options.retrySeed),
-      sessions_(options.sessionHistoryCapacity),
-      spans_(options.spanCapacity),
-      recorder_(options.recorderSessionBytes) {
-    retrySeedInEffect_ = options_.retrySeed;
-    for (const auto& component : merged_->components()) {
-        if (!codecs_.contains(component->name())) {
+ModelGeneration::ModelGeneration(std::shared_ptr<const merge::MergedAutomaton> merged,
+                                 std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs,
+                                 std::uint64_t version, std::uint64_t identity)
+    : merged(std::move(merged)), codecs(std::move(codecs)), version(version), identity(identity) {
+    for (const auto& component : this->merged->components()) {
+        if (!this->codecs.contains(component->name())) {
             throw SpecError(errc::ErrorCode::EngineNoCodec,
                             "automata engine: no codec supplied for component '" +
                                 component->name() + "'");
         }
         for (const State* state : component->states()) {
-            stateIndex_.emplace(state->id(), stateIndex_.size());
+            stateIndex.emplace(state->id(), stateIndex.size());
         }
     }
-    traffic_.resize(merged_->components().size());
+    openingColor = this->merged->automatonOf(this->merged->initialState())->color();
+}
 
-    // Resolve every engine metric once; hot-path sites record through these
-    // pointers behind the telemetry::enabled() flag.
-    registry_ = options_.metrics != nullptr ? options_.metrics
-                                            : &telemetry::MetricsRegistry::global();
-    auto& registry = *registry_;
-    const auto named = [&](std::string_view name) {
-        // Engines deployed through the model registry carry their version in
-        // every metric, so canary and stable cohorts separate in /metrics.
-        if (options_.modelVersion != 0) {
-            return telemetry::labeled(
-                name, {{"bridge", merged_->name()},
-                       {"model_version", std::to_string(options_.modelVersion)}});
-        }
-        return telemetry::labeled(name, {{"bridge", merged_->name()}});
-    };
-    metrics_.sessionsCompleted =
-        &registry.counter(named("starlink_engine_sessions_completed_total"));
-    metrics_.messagesIn = &registry.counter(named("starlink_engine_messages_in_total"));
-    metrics_.messagesOut = &registry.counter(named("starlink_engine_messages_out_total"));
-    metrics_.retransmits = &registry.counter(named("starlink_engine_retransmits_total"));
+std::string ModelGeneration::label(std::string_view name,
+                                   std::initializer_list<telemetry::Label> extra) const {
+    // Versioned generations carry their version in every metric, so canary
+    // and stable cohorts separate in /metrics.
+    const std::string versionText = std::to_string(version);
+    std::vector<telemetry::Label> labels{{"bridge", merged->name()}};
+    labels.insert(labels.end(), extra);
+    if (version != 0) labels.emplace_back("model_version", versionText);
+    return telemetry::labeled(name, labels);
+}
+
+void ModelGeneration::bindMetrics(telemetry::MetricsRegistry& registry) {
+    if (registry_ != nullptr) return;
+    registry_ = &registry;
+    metrics.sessionsCompleted =
+        &registry.counter(label("starlink_engine_sessions_completed_total"));
+    metrics.messagesIn = &registry.counter(label("starlink_engine_messages_in_total"));
+    metrics.messagesOut = &registry.counter(label("starlink_engine_messages_out_total"));
+    metrics.retransmits = &registry.counter(label("starlink_engine_retransmits_total"));
     for (std::size_t r = 0; r < kDropReasonCount; ++r) {
-        const char* reason = dropReasonName(static_cast<DropReason>(r));
-        metrics_.dropped[r] = &registry.counter(
-            options_.modelVersion != 0
-                ? telemetry::labeled(
-                      "starlink_engine_datagrams_dropped_total",
-                      {{"bridge", merged_->name()},
-                       {"reason", reason},
-                       {"model_version", std::to_string(options_.modelVersion)}})
-                : telemetry::labeled("starlink_engine_datagrams_dropped_total",
-                                     {{"bridge", merged_->name()}, {"reason", reason}}));
+        metrics.dropped[r] =
+            &registry.counter(label("starlink_engine_datagrams_dropped_total",
+                                    {{"reason", dropReasonName(static_cast<DropReason>(r))}}));
     }
-    metrics_.translationMs = &registry.histogram(
-        named("starlink_engine_translation_ms"),
+    metrics.translationMs = &registry.histogram(
+        label("starlink_engine_translation_ms"),
         {50, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600});
     // Bookkeeping previously invisible from the outside, refreshed at every
     // session boundary (gauges, not counters: they report current state).
-    metrics_.spansDropped = &registry.gauge(named("starlink_telemetry_spans_dropped"));
-    metrics_.historyEvicted =
-        &registry.gauge(named("starlink_engine_session_history_evicted"));
-    metrics_.arenaBytes = &registry.gauge(named("starlink_mdl_rx_arena_reserved_bytes"));
-    metrics_.arenaChunks = &registry.gauge(named("starlink_mdl_rx_arena_chunks"));
-    metrics_.recorderBytes =
-        &registry.gauge(named("starlink_telemetry_recorder_reserved_bytes"));
+    metrics.spansDropped = &registry.gauge(label("starlink_telemetry_spans_dropped"));
+    metrics.historyEvicted = &registry.gauge(label("starlink_engine_session_history_evicted"));
+    metrics.arenaBytes = &registry.gauge(label("starlink_mdl_rx_arena_reserved_bytes"));
+    metrics.arenaChunks = &registry.gauge(label("starlink_mdl_rx_arena_chunks"));
+    metrics.recorderBytes = &registry.gauge(label("starlink_telemetry_recorder_reserved_bytes"));
+}
+
+telemetry::Counter* ModelGeneration::abortedCounter(errc::ErrorCode code) {
+    const auto it = abortedByCode_.find(code);
+    if (it != abortedByCode_.end()) return it->second;
+    // The `code` label is the numeric taxonomy value, `cause` its stable
+    // dotted name -- one counter per exact abort code.
+    const std::string codeValue = std::to_string(errc::to_error_code(code));
+    telemetry::Counter* counter = &registry_->counter(
+        label("starlink_engine_sessions_aborted_total",
+              {{"code", codeValue}, {"cause", errc::to_string(code)}}));
+    abortedByCode_.emplace(code, counter);
+    return counter;
+}
+
+telemetry::Histogram* ModelGeneration::dwellHistogram(const std::string& state) {
+    const auto it = dwellByState_.find(state);
+    if (it != dwellByState_.end()) return it->second;
+    telemetry::Histogram* h = &registry_->histogram(
+        telemetry::labeled("starlink_engine_state_dwell_ms",
+                           {{"bridge", merged->name()}, {"state", state}}),
+        {1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000});
+    dwellByState_.emplace(state, h);
+    return h;
+}
+
+std::size_t ModelGeneration::componentIndex(std::uint64_t k) const {
+    const auto& components = merged->components();
+    for (std::size_t i = 0; i < components.size(); ++i) {
+        if (components[i]->color() == k) return i;
+    }
+    return kNoComponent;
+}
+
+AutomataEngine::AutomataEngine(std::shared_ptr<ModelGeneration> generation,
+                               std::shared_ptr<merge::TranslationRegistry> translations,
+                               NetworkEngine& network, automata::ColorRegistry& colors,
+                               EngineOptions options)
+    : translations_(std::move(translations)),
+      network_(network),
+      colors_(colors),
+      options_(options),
+      newest_(std::move(generation)),
+      retryRng_(options.retrySeed),
+      sessions_(options.sessionHistoryCapacity),
+      spans_(options.spanCapacity),
+      recorder_(options.recorderSessionBytes) {
+    retrySeedInEffect_ = options_.retrySeed;
+    registry_ = options_.metrics != nullptr ? options_.metrics
+                                            : &telemetry::MetricsRegistry::global();
 }
 
 AutomataEngine::~AutomataEngine() {
+    if (retireEvent_) network_.network().scheduler().cancel(*retireEvent_);
     for (const auto& session : pool_) network_.bindSession(session->slot, nullptr, nullptr);
 }
 
@@ -112,93 +144,51 @@ errc::ErrorCode dropReasonCode(DropReason reason) {
     return errc::ErrorCode::Unclassified;
 }
 
-telemetry::Counter* AutomataEngine::abortedCounter(errc::ErrorCode code) {
-    const auto it = abortedByCode_.find(code);
-    if (it != abortedByCode_.end()) return it->second;
-    // The `code` label is the numeric taxonomy value, `cause` its stable
-    // dotted name -- one counter per exact abort code, replacing the old
-    // 5-bucket FailureCause array.
-    const std::string codeValue = std::to_string(errc::to_error_code(code));
-    const std::string name =
-        options_.modelVersion != 0
-            ? telemetry::labeled(
-                  "starlink_engine_sessions_aborted_total",
-                  {{"bridge", merged_->name()},
-                   {"code", codeValue},
-                   {"cause", errc::to_string(code)},
-                   {"model_version", std::to_string(options_.modelVersion)}})
-            : telemetry::labeled("starlink_engine_sessions_aborted_total",
-                                 {{"bridge", merged_->name()},
-                                  {"code", codeValue},
-                                  {"cause", errc::to_string(code)}});
-    telemetry::Counter* counter = &registry_->counter(name);
-    abortedByCode_.emplace(code, counter);
-    return counter;
-}
-
-telemetry::Histogram* AutomataEngine::dwellHistogram(const std::string& state) {
-    const auto it = dwellByState_.find(state);
-    if (it != dwellByState_.end()) return it->second;
-    telemetry::Histogram* h = &registry_->histogram(
-        telemetry::labeled("starlink_engine_state_dwell_ms",
-                           {{"bridge", merged_->name()}, {"state", state}}),
-        {1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000});
-    dwellByState_.emplace(state, h);
-    return h;
-}
-
 void AutomataEngine::enterState(Session& session, const std::string& next) {
     if (telemetry::enabled() && session.live) {
         const net::TimePoint now = network_.network().now();
         const auto dwell =
             std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
                 now - session.stateEnteredAt);
-        dwellHistogram(session.current)->observe(dwell.count());
+        session.model->dwellHistogram(session.current)->observe(dwell.count());
         session.stateEnteredAt = now;
     }
     session.current = next;
 }
 
 const std::string& AutomataEngine::currentState() const {
-    return live_.empty() ? merged_->initialState() : live_.front()->current;
+    return live_.empty() ? newest_->merged->initialState() : live_.front()->current;
 }
 
 const ColorTraffic* AutomataEngine::traffic(std::uint64_t k) const {
-    const std::size_t index = componentIndex(k);
-    return index == kNoComponent ? nullptr : &traffic_[index];
-}
-
-std::size_t AutomataEngine::componentIndex(std::uint64_t k) const {
-    const auto& components = merged_->components();
-    for (std::size_t i = 0; i < components.size(); ++i) {
-        if (components[i]->color() == k) return i;
-    }
-    return kNoComponent;
-}
-
-const ColoredAutomaton* AutomataEngine::componentByColor(std::uint64_t k) const {
-    const std::size_t index = componentIndex(k);
-    return index == kNoComponent ? nullptr : merged_->components()[index].get();
+    const auto it = traffic_.find(k);
+    return it == traffic_.end() ? nullptr : &it->second;
 }
 
 automata::InstanceQueue& AutomataEngine::queueAt(Session& session, const std::string& stateId) {
-    return session.queues[stateIndex_.at(stateId)];
-}
-
-std::shared_ptr<mdl::MessageCodec> AutomataEngine::codecFor(const ColoredAutomaton& a) const {
-    return codecs_.at(a.name());
+    return session.queues[session.model->stateIndex.at(stateId)];
 }
 
 void AutomataEngine::start() {
-    merged_->validate();
-    for (const auto& component : merged_->components()) {
+    publish(newest_);
+    network_.setHandler([this](std::uint64_t k, const Bytes& payload, const net::Address& from,
+                               std::size_t slot) { onNetworkMessage(k, payload, from, slot); });
+    network_.setFaultHandler(
+        [this](const NetworkEngine::Fault& fault) { onNetworkFault(fault); });
+    running_ = true;
+    STARLINK_LOG(Info, "engine") << "bridge '" << merged().name() << "' listening at "
+                                 << merged().initialState();
+}
+
+void AutomataEngine::publish(std::shared_ptr<ModelGeneration> generation) {
+    generation->bindMetrics(*registry_);
+    for (const auto& component : generation->merged->components()) {
         const std::uint64_t k = component->color();
         const automata::Color* color = colors_.lookup(k);
         if (color == nullptr) {
             throw SpecError(errc::ErrorCode::EngineColorUnknown,
-                            "automata engine: color " + std::to_string(k) +
-                                " of component '" + component->name() +
-                                "' is not in the color registry");
+                            "automata engine: color " + std::to_string(k) + " of component '" +
+                                component->name() + "' is not in the color registry");
         }
         // Server role when the component's protocol conversation opens with
         // a receive (the bridge impersonates that protocol's service side).
@@ -207,23 +197,38 @@ void AutomataEngine::start() {
              component->transitionsFrom(component->initialState())) {
             if (t->action == Action::Receive) serverRole = true;
         }
-        network_.attach(k, *color, serverRole);
+        network_.attach(k, *color, serverRole);  // idempotent per color
+        traffic_.try_emplace(k);
     }
-    network_.setHandler([this](std::uint64_t k, const Bytes& payload, const net::Address& from,
-                               std::size_t slot) { onNetworkMessage(k, payload, from, slot); });
-    network_.setFaultHandler(
-        [this](const NetworkEngine::Fault& fault) { onNetworkFault(fault); });
-    openingColor_ = merged_->automatonOf(merged_->initialState())->color();
-    running_ = true;
-    STARLINK_LOG(Info, "engine") << "bridge '" << merged_->name() << "' listening at "
-                                 << merged_->initialState();
+    if (std::find(held_.begin(), held_.end(), generation) == held_.end()) {
+        held_.push_back(generation);
+    }
+    newest_ = std::move(generation);
+    retireGenerations();
+}
+
+void AutomataEngine::retireGenerations() {
+    for (std::size_t i = held_.size(); i-- > 0;) {
+        const std::shared_ptr<ModelGeneration> generation = held_[i];
+        const auto runsOn = [&generation](const Session* s) { return s->model == generation; };
+        if (generation == newest_ || std::any_of(live_.begin(), live_.end(), runsOn)) continue;
+        held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
+        for (const auto& component : generation->merged->components()) {
+            const std::uint64_t k = component->color();
+            const auto names = [k](const auto& held) {
+                return held->componentIndex(k) != ModelGeneration::kNoComponent;
+            };
+            if (std::none_of(held_.begin(), held_.end(), names)) network_.detach(k);
+        }
+    }
 }
 
 void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload,
                                       const net::Address& from, std::size_t slot) {
     if (!running_) return;
-    const std::size_t component = componentIndex(colorK);
-    if (component == kNoComponent) return;
+    const auto tally = traffic_.find(colorK);
+    if (tally == traffic_.end()) return;
+    ColorTraffic& traffic = tally->second;
     Session* session = nullptr;
     if (slot != NetworkEngine::kUnowned) {
         // A reply on a session's own socket or connection.
@@ -231,17 +236,17 @@ void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload
             STARLINK_LOG(Debug, "engine") << "ignoring " << payload.size()
                                           << "-byte message from " << from.toString()
                                           << ": no live session in slot " << slot;
-            drop(component, DropReason::InactiveAutomaton);
+            drop(*newest_, traffic, DropReason::InactiveAutomaton);
             return;
         }
         session = pool_[slot].get();
     } else {
         session = sessionFor(colorK, from);
         if (session == nullptr) {
-            if (colorK != openingColor_) {
+            if (colorK != newest_->openingColor) {
                 STARLINK_LOG(Debug, "engine") << "no single live session for " << payload.size()
                                               << "-byte message from " << from.toString();
-                drop(component, DropReason::NoSession);
+                drop(*newest_, traffic, DropReason::NoSession);
                 return;
             }
             session = acquireSession();
@@ -250,12 +255,18 @@ void AutomataEngine::onNetworkMessage(std::uint64_t colorK, const Bytes& payload
                     << errc::to_string(errc::ErrorCode::EngineOverload) << ": "
                     << kMaxLiveSessions << " sessions live; shedding request from "
                     << from.toString();
-                drop(component, DropReason::SessionCap);
+                drop(*newest_, traffic, DropReason::SessionCap);
                 return;
             }
         }
     }
-    deliver(*session, component, colorK, payload, from);
+    const std::size_t component = session->model->componentIndex(colorK);
+    if (component == ModelGeneration::kNoComponent) {
+        // A color only another generation speaks.
+        drop(*session->model, traffic, DropReason::InactiveAutomaton);
+        return;
+    }
+    deliver(*session, component, colorK, traffic, payload, from);
 }
 
 AutomataEngine::Session* AutomataEngine::sessionFor(std::uint64_t colorK,
@@ -263,12 +274,14 @@ AutomataEngine::Session* AutomataEngine::sessionFor(std::uint64_t colorK,
     for (Session* session : live_) {
         if (session->keyColor == colorK && session->keyPeer == from) return session;
     }
-    if (colorK == openingColor_) return nullptr;
+    if (colorK == newest_->openingColor) return nullptr;
     // Another server-role color: the one session from that host on it.
     Session* match = nullptr;
     for (Session* session : live_) {
+        const ModelGeneration& model = *session->model;
+        if (model.openingColor == colorK) continue;  // opening messages never join by host
         if (session->keyPeer.host != from.host) continue;
-        if (merged_->automatonOf(session->current)->color() != colorK) continue;
+        if (model.merged->automatonOf(session->current)->color() != colorK) continue;
         if (match != nullptr) return nullptr;  // ambiguous
         match = session;
     }
@@ -276,18 +289,22 @@ AutomataEngine::Session* AutomataEngine::sessionFor(std::uint64_t colorK,
 }
 
 AutomataEngine::Session* AutomataEngine::acquireSession() {
+    Session* session = nullptr;
     if (!idle_.empty()) {
-        Session* session = idle_.back();
+        session = idle_.back();
         idle_.pop_back();
-        return session;
+    } else {
+        if (pool_.size() >= kMaxLiveSessions) return nullptr;
+        pool_.push_back(std::make_unique<Session>(pool_.size(), spans_, recorder_));
+        session = pool_.back().get();
+        network_.bindSession(session->slot, &session->tracer, &session->log);
     }
-    if (pool_.size() >= kMaxLiveSessions) return nullptr;
-    pool_.push_back(
-        std::make_unique<Session>(pool_.size(), stateIndex_.size(), spans_, recorder_));
-    Session& session = *pool_.back();
-    session.current = merged_->initialState();
-    network_.bindSession(session.slot, &session.tracer, &session.log);
-    return &session;
+    if (session->model != newest_) {
+        session->model = newest_;
+        session->queues.resize(std::max(session->queues.size(), newest_->stateIndex.size()));
+        session->current = newest_->merged->initialState();
+    }
+    return session;
 }
 
 void AutomataEngine::releaseUnopened(Session& session) {
@@ -297,10 +314,10 @@ void AutomataEngine::releaseUnopened(Session& session) {
     idle_.push_back(&session);
 }
 
-void AutomataEngine::drop(std::size_t componentIdx, DropReason reason) {
+void AutomataEngine::drop(ModelGeneration& generation, ColorTraffic& traffic, DropReason reason) {
     const auto r = static_cast<std::size_t>(reason);
-    ++traffic_[componentIdx].dropped[r];
-    if (telemetry::enabled()) metrics_.dropped[r]->add();
+    ++traffic.dropped[r];
+    if (telemetry::enabled()) generation.metrics.dropped[r]->add();
 }
 
 void AutomataEngine::openSession(Session& session, std::uint64_t colorK,
@@ -322,7 +339,7 @@ void AutomataEngine::openSession(Session& session, std::uint64_t colorK,
                              session.record.firstReceive.time_since_epoch().count());
     if (session.tracer.enabled()) {
         const telemetry::SpanId root = session.tracer.beginSession(session.record.firstReceive);
-        session.tracer.attr(root, "bridge", merged_->name());
+        session.tracer.attr(root, "bridge", session.model->merged->name());
     }
     if (options_.sessionTimeout.count() > 0) {
         session.timeoutEvent = network_.network().scheduler().schedule(
@@ -338,20 +355,22 @@ void AutomataEngine::openSession(Session& session, std::uint64_t colorK,
 }
 
 void AutomataEngine::deliver(Session& session, std::size_t componentIdx, std::uint64_t colorK,
-                             const Bytes& payload, const net::Address& from) {
-    const ColoredAutomaton& component = *merged_->components()[componentIdx];
+                             ColorTraffic& traffic, const Bytes& payload,
+                             const net::Address& from) {
+    ModelGeneration& model = *session.model;
+    const ColoredAutomaton& component = *model.merged->components()[componentIdx];
     if (component.state(session.current) == nullptr) {
         STARLINK_LOG(Debug, "engine") << "ignoring " << payload.size()
                                       << "-byte message from " << from.toString()
                                       << ": automaton '" << component.name()
                                       << "' is not active";
-        drop(componentIdx, DropReason::InactiveAutomaton);
+        drop(model, traffic, DropReason::InactiveAutomaton);
         if (!session.live) releaseUnopened(session);
         return;
     }
     if (session.sendPending) {
         STARLINK_LOG(Debug, "engine") << "ignoring message while a send is in progress";
-        drop(componentIdx, DropReason::SendPending);
+        drop(model, traffic, DropReason::SendPending);
         return;
     }
 
@@ -360,14 +379,14 @@ void AutomataEngine::deliver(Session& session, std::size_t componentIdx, std::ui
     // Zero-copy path: field values borrow from the arena's datagram copy.
     // Everything parsed here dies before the session boundary (stored
     // instances, this frame).
-    auto message = codecFor(component)->parse(payload, &session.rxArena, &parseError);
+    auto message = model.codecs.at(component.name())->parse(payload, &session.rxArena, &parseError);
     const std::uint64_t parseWallNs =
         parseWall0 != 0 ? telemetry::wallSinceNs(parseWall0) : 0;
     if (!message) {
         STARLINK_LOG(Warn, "engine") << "unparseable " << component.name()
                                      << " message from " << from.toString() << ": "
                                      << parseError;
-        drop(componentIdx, DropReason::Unparseable);
+        drop(model, traffic, DropReason::Unparseable);
         if (!session.live) releaseUnopened(session);
         return;
     }
@@ -377,15 +396,15 @@ void AutomataEngine::deliver(Session& session, std::size_t componentIdx, std::ui
     if (transition == nullptr) {
         STARLINK_LOG(Debug, "engine") << "no receive-transition from " << session.current
                                       << " on ?" << message->type() << "; dropping";
-        drop(componentIdx, DropReason::NoTransition);
+        drop(model, traffic, DropReason::NoTransition);
         if (!session.live) releaseUnopened(session);
         return;
     }
 
     if (!session.live) openSession(session, colorK, from);
     ++session.record.messagesIn;
-    ++traffic_[componentIdx].accepted;
-    if (telemetry::enabled()) metrics_.messagesIn->add();
+    ++traffic.accepted;
+    if (telemetry::enabled()) model.metrics.messagesIn->add();
     // The wait is over: an accepted message stands down the pending
     // retransmission deadline, and the idle deadline re-arms from now.
     cancelRetransmit(session);
@@ -464,8 +483,10 @@ void AutomataEngine::onNetworkFault(const NetworkEngine::Fault& fault) {
     // Only fatal when the session is currently engaged with the faulting
     // color: a peer closing a connection the conversation has moved past
     // (e.g. an HTTP client hanging up after its fetch) is routine.
-    const ColoredAutomaton* component = componentByColor(fault.color);
-    if (component == nullptr || component->state(session->current) == nullptr) {
+    const ModelGeneration& model = *session->model;
+    const std::size_t index = model.componentIndex(fault.color);
+    if (index == ModelGeneration::kNoComponent ||
+        model.merged->components()[index]->state(session->current) == nullptr) {
         STARLINK_LOG(Debug, "engine") << "ignoring off-session network fault: " << fault.detail;
         return;
     }
@@ -482,12 +503,13 @@ void AutomataEngine::onNetworkFault(const NetworkEngine::Fault& fault) {
 }
 
 void AutomataEngine::proceed(Session& session) {
+    const merge::MergedAutomaton& merged = *session.model->merged;
     while (running_ && session.live) {
-        const ColoredAutomaton* component = merged_->automatonOf(session.current);
+        const ColoredAutomaton* component = merged.automatonOf(session.current);
 
         // 1. Delta-transition, unless we just arrived through one.
         if (!session.lastWasDelta) {
-            if (const merge::DeltaTransition* delta = merged_->deltaFrom(session.current)) {
+            if (const merge::DeltaTransition* delta = merged.deltaFrom(session.current)) {
                 takeDelta(session, *delta);
                 continue;
             }
@@ -516,8 +538,8 @@ void AutomataEngine::proceed(Session& session) {
 
         // 3. Wait or finish.
         session.lastWasDelta = false;
-        const bool canMoveOn = hasReceive || merged_->deltaFrom(session.current) != nullptr;
-        if (!canMoveOn && merged_->acceptingStates().contains(session.current)) {
+        const bool canMoveOn = hasReceive || merged.deltaFrom(session.current) != nullptr;
+        if (!canMoveOn && merged.acceptingStates().contains(session.current)) {
             completeSession(session, true);
             return;
         }
@@ -537,6 +559,7 @@ void AutomataEngine::proceed(Session& session) {
 }
 
 void AutomataEngine::takeDelta(Session& session, const merge::DeltaTransition& delta) {
+    const merge::MergedAutomaton& merged = *session.model->merged;
     for (const merge::NetworkAction& action : delta.actions) {
         if (action.name == "set_host") {
             if (action.args.size() != 2) {
@@ -554,7 +577,7 @@ void AutomataEngine::takeDelta(Session& session, const merge::DeltaTransition& d
                                 "automata engine: set_host arguments do not resolve to "
                                 "host text and numeric port");
             }
-            const ColoredAutomaton* target = merged_->automatonOf(delta.to);
+            const ColoredAutomaton* target = merged.automatonOf(delta.to);
             network_.setHost(target->color(), *hostText->asString(),
                              static_cast<int>(*portInt->asInt()), session.slot);
         } else {
@@ -564,7 +587,7 @@ void AutomataEngine::takeDelta(Session& session, const merge::DeltaTransition& d
     }
     if (session.log.inSession()) {
         session.log.recordTransition(network_.network().now().time_since_epoch().count(),
-                                     merged_->automatonOf(delta.from)->name(), delta.from,
+                                     merged.automatonOf(delta.from)->name(), delta.from,
                                      delta.to, telemetry::WireEvent::kActionDelta, "");
     }
     STARLINK_LOG(Debug, "engine") << "delta " << delta.from << " -> " << delta.to;
@@ -582,7 +605,7 @@ void AutomataEngine::scheduleSend(Session& session, const Transition& transition
         session.tracer.attr(translateSpan, "state", transition.from);
         session.tracer.attr(translateSpan, "message_type", transition.messageType);
         session.tracer.attr(translateSpan, "automaton",
-                            merged_->automatonOf(transition.from)->name());
+                            session.model->merged->automatonOf(transition.from)->name());
     }
     // The interpretation cost of translating + composing, charged in virtual
     // time so Fig 12(b)-style measures include it. The ordinal guards against
@@ -603,7 +626,9 @@ void AutomataEngine::scheduleSend(Session& session, const Transition& transition
 
 void AutomataEngine::performSend(Session& session, const Transition& transition,
                                  telemetry::SpanId translateSpan) {
-    const ColoredAutomaton* component = merged_->automatonOf(transition.from);
+    ModelGeneration& model = *session.model;
+    const merge::MergedAutomaton& merged = *model.merged;
+    const ColoredAutomaton* component = merged.automatonOf(transition.from);
     telemetry::SessionTracer& tracer = session.tracer;
     const bool tracing = tracer.inSession() && translateSpan != 0;
     const net::TimePoint now = network_.network().now();
@@ -620,7 +645,7 @@ void AutomataEngine::performSend(Session& session, const Transition& transition,
     }
     // Compose into the engine-lifetime scratch buffer: steady-state sessions
     // reuse one allocation instead of growing a fresh Bytes per message.
-    codecFor(*component)->composeInto(outgoing, composeScratch_);
+    model.codecs.at(component->name())->composeInto(outgoing, composeScratch_);
     if (tracing) {
         const telemetry::SpanId composeSpan =
             tracer.instant("compose", now, telemetry::wallSinceNs(wall0), translateSpan);
@@ -653,11 +678,11 @@ void AutomataEngine::performSend(Session& session, const Transition& transition,
     queueAt(session, transition.from).push(std::move(outgoing));
     SessionRecord& record = session.record;
     record.lastSend = now;
-    if (!record.clientReply && component == merged_->automatonOf(merged_->initialState())) {
+    if (!record.clientReply && component == merged.automatonOf(merged.initialState())) {
         record.clientReply = record.lastSend;
     }
     ++record.messagesOut;
-    if (telemetry::enabled()) metrics_.messagesOut->add();
+    if (telemetry::enabled()) model.metrics.messagesOut->add();
     armIdleTimeout(session);
     if (tracing) tracer.end(translateSpan, now);
     STARLINK_LOG(Debug, "engine") << "sent !" << transition.messageType << " from "
@@ -673,7 +698,7 @@ AbstractMessage AutomataEngine::buildOutgoing(const Session& session, const std:
                                               const std::string& messageType) {
     AbstractMessage message(messageType);
     for (const merge::Assignment* assignment :
-         merged_->assignmentsTargeting(stateId, messageType)) {
+         session.model->merged->assignmentsTargeting(stateId, messageType)) {
         Value value;
         if (assignment->source) {
             value = resolveRef(session, *assignment->source, assignment->transform);
@@ -707,8 +732,9 @@ AbstractMessage AutomataEngine::buildOutgoing(const Session& session, const std:
 
 Value AutomataEngine::resolveRef(const Session& session, const merge::FieldRef& ref,
                                  const std::string& transform) const {
-    const auto slot = stateIndex_.find(ref.state);
-    if (slot == stateIndex_.end()) {
+    const auto& stateIndex = session.model->stateIndex;
+    const auto slot = stateIndex.find(ref.state);
+    if (slot == stateIndex.end()) {
         throw SpecError(errc::ErrorCode::EngineFieldUnresolved,
                         "automata engine: field reference " + ref.toString() +
                             " names an unknown state");
@@ -788,7 +814,7 @@ void AutomataEngine::onReceiveDeadline(Session& session) {
     }
     ++session.retransmitsUsed;
     ++session.record.retransmits;
-    if (telemetry::enabled()) metrics_.retransmits->add();
+    if (telemetry::enabled()) session.model->metrics.retransmits->add();
     STARLINK_LOG(Debug, "engine") << "reply deadline lapsed in state " << session.current
                                   << "; retransmission " << session.retransmitsUsed << "/"
                                   << options_.maxRetransmits;
@@ -803,7 +829,7 @@ void AutomataEngine::onReceiveDeadline(Session& session) {
     // The re-sent request is a real datagram on the wire: count it, so the
     // session record agrees with the network engine's per-color counters.
     ++session.record.messagesOut;
-    if (telemetry::enabled()) metrics_.messagesOut->add();
+    if (telemetry::enabled()) session.model->metrics.messagesOut->add();
     if (session.tracer.inSession()) {
         const telemetry::SpanId id = session.tracer.instant(
             "retransmit", network_.network().now(), 0, session.waitSpan);
@@ -816,6 +842,7 @@ void AutomataEngine::onReceiveDeadline(Session& session) {
 
 void AutomataEngine::completeSession(Session& session, bool completed, FailureCause cause,
                                      errc::ErrorCode code) {
+    ModelGeneration& model = *session.model;
     SessionRecord& record = session.record;
     record.completed = completed;
     record.cause = completed ? FailureCause::None : cause;
@@ -825,15 +852,15 @@ void AutomataEngine::completeSession(Session& session, bool completed, FailureCa
     record.code = completed ? errc::ErrorCode::Ok
                   : code != errc::ErrorCode::Ok ? code
                                                 : to_error_code(record.cause);
-    record.modelVersion = options_.modelVersion;
+    record.modelVersion = model.version;
     sessions_.record(record);
     if (telemetry::enabled()) {
         if (completed) {
-            metrics_.sessionsCompleted->add();
+            model.metrics.sessionsCompleted->add();
         } else {
-            abortedCounter(record.code)->add();
+            model.abortedCounter(record.code)->add();
         }
-        metrics_.translationMs->observe(
+        model.metrics.translationMs->observe(
             std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
                 record.translationTime())
                 .count());
@@ -866,20 +893,22 @@ void AutomataEngine::completeSession(Session& session, bool completed, FailureCa
                                static_cast<std::uint8_t>(record.cause), record.completed,
                                record.messagesIn, record.messagesOut, record.retransmits);
         // Any non-zero terminal code ships a postmortem bundle to the spool:
-        // the captured events plus everything replay needs to re-run them.
+        // the captured events plus everything replay needs to re-run them,
+        // stamped with the session's own generation.
         if (!record.completed && options_.postmortemSpool != nullptr &&
             recorder_.last() != nullptr) {
             const telemetry::FlightRecorder::SessionLog& log = *recorder_.last();
             telemetry::PostmortemBundle bundle;
-            bundle.bridge = merged_->name();
-            bundle.caseSlug = options_.recorderCase;
-            bundle.bridgeHost = options_.bridgeHost;
+            bundle.bridge = model.merged->name();
+            // Built-in bridges are named by their case slug, which replay resolves.
+            bundle.caseSlug = model.merged->name();
+            bundle.bridgeHost = network_.host();
             bundle.shard = options_.shardId;
             bundle.sessionOrdinal = session.ordinal;
             bundle.sessionSeed = session.seed;
             bundle.retrySeed = session.retrySeed;
             bundle.retryDraws = session.startRetryDraws;
-            bundle.modelIdentity = options_.modelIdentity;
+            bundle.modelIdentity = model.identity;
             bundle.abortCode = errc::to_error_code(record.code);
             bundle.cause = static_cast<std::uint8_t>(record.cause);
             bundle.processingDelayUs = options_.processingDelay.count();
@@ -912,11 +941,12 @@ void AutomataEngine::completeSession(Session& session, bool completed, FailureCa
             arenaBytes += pooled->rxArena.bytesReserved();
             arenaChunks += pooled->rxArena.chunkCount();
         }
-        metrics_.spansDropped->set(static_cast<std::int64_t>(spans_.dropped()));
-        metrics_.historyEvicted->set(static_cast<std::int64_t>(sessions_.evicted()));
-        metrics_.arenaBytes->set(static_cast<std::int64_t>(arenaBytes));
-        metrics_.arenaChunks->set(static_cast<std::int64_t>(arenaChunks));
-        metrics_.recorderBytes->set(static_cast<std::int64_t>(recorder_.bytesReserved()));
+        model.metrics.spansDropped->set(static_cast<std::int64_t>(spans_.dropped()));
+        model.metrics.historyEvicted->set(static_cast<std::int64_t>(sessions_.evicted()));
+        model.metrics.arenaBytes->set(static_cast<std::int64_t>(arenaBytes));
+        model.metrics.arenaChunks->set(static_cast<std::int64_t>(arenaChunks));
+        model.metrics.recorderBytes->set(
+            static_cast<std::int64_t>(recorder_.bytesReserved()));
     }
     if (session.timeoutEvent) {
         network_.network().scheduler().cancel(*session.timeoutEvent);
@@ -941,13 +971,23 @@ void AutomataEngine::completeSession(Session& session, bool completed, FailureCa
     session.lastWasDelta = false;
     for (automata::InstanceQueue& queue : session.queues) queue.clear();
     network_.resetSession(session.slot);
-    session.current = merged_->initialState();
+    session.current = model.merged->initialState();
     // Every holder of arena-backed views is gone (queues cleared above):
     // rewind the arena, keeping its chunks, so the next session parses into
     // warm memory.
     session.rxArena.reset();
     std::erase(live_, &session);
     idle_.push_back(&session);
+    if (session.model != newest_) {
+        // Perhaps the last session of a retired generation (see retireEvent_).
+        session.model.reset();
+        if (!retireEvent_) {
+            retireEvent_ = network_.network().scheduler().schedule(net::us(0), [this] {
+                retireEvent_.reset();
+                retireGenerations();
+            });
+        }
+    }
 }
 
 void AutomataEngine::armIdleTimeout(Session& session) {

@@ -44,14 +44,21 @@
 // At most kMaxLiveSessions run at once; past that an opening message is
 // shed with engine.overload. Every datagram the engine does not accept is
 // counted under a DropReason.
+//
+// Model swap: publish() makes a new ModelGeneration the one new sessions open
+// on; a live session keeps the generation it opened with until it ends, so a
+// swap never pauses the engine or moves a conversation. Colors only retired
+// generations name are detached when their last session ends.
 #pragma once
 
 #include <array>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -128,20 +135,8 @@ struct EngineOptions {
     /// Where abort postmortem bundles go. nullptr = don't spool (the recorder
     /// ring is still queryable in-process). Must outlive the engine.
     telemetry::PostmortemSpool* postmortemSpool = nullptr;
-    /// Provenance stamped into postmortem bundles: the models::caseSlug when
-    /// deployed via forCase (else ""), the owning shard, and the model-set
-    /// fingerprint (filled by Starlink::deploy when left 0).
-    std::string recorderCase;
+    /// The owning shard, stamped into postmortem bundles.
     std::int32_t shardId = 0;
-    std::uint64_t modelIdentity = 0;
-    /// Registry version of the model set this engine deploys (0 = no
-    /// registry in play). Stamped into every SessionRecord and, when
-    /// non-zero, baked into the engine's metric labels as `model_version`
-    /// so per-version session/abort counters separate canary from stable.
-    std::uint64_t modelVersion = 0;
-    /// Host the bridge is deployed at (filled by Starlink::deploy when left
-    /// empty); bundles carry it so replay rebuilds the same topology.
-    std::string bridgeHost;
 };
 
 // FailureCause, SessionRecord and the SessionHistory ring moved to
@@ -178,17 +173,76 @@ struct ColorTraffic {
     }
 };
 
+/// One compiled model generation: a merged automaton, its codecs, the state
+/// index and opening color derived from them, the registry version and model
+/// identity it came from, and metric handles labelled with both.
+struct ModelGeneration {
+    /// Throws SpecError(engine.no-codec) when a component has no codec.
+    ModelGeneration(std::shared_ptr<const merge::MergedAutomaton> merged,
+                    std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs,
+                    std::uint64_t version = 0, std::uint64_t identity = 0);
+
+    /// Position of color k's component, or kNoComponent.
+    std::size_t componentIndex(std::uint64_t k) const;
+    static constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
+    /// Resolves every metric handle in the first registry it is bound to, so
+    /// the hot path never touches the registry mutex.
+    void bindMetrics(telemetry::MetricsRegistry& registry);
+    /// Resolved on first use: the code space is too wide to pre-register.
+    telemetry::Counter* abortedCounter(errc::ErrorCode code);
+    telemetry::Histogram* dwellHistogram(const std::string& state);
+
+    const std::shared_ptr<const merge::MergedAutomaton> merged;
+    const std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs;
+    /// Registry version (0 = no registry in play), stamped into every
+    /// SessionRecord and, when non-zero, into every metric as model_version.
+    const std::uint64_t version;
+    /// models::modelSetIdentity of the compiled spec (0 when synthesized).
+    const std::uint64_t identity;
+    std::unordered_map<std::string, std::size_t> stateIndex;  ///< -> Session::queues
+    std::uint64_t openingColor = 0;  ///< color of the initial state
+
+    struct Metrics {
+        telemetry::Counter* sessionsCompleted = nullptr;
+        telemetry::Counter* messagesIn = nullptr;
+        telemetry::Counter* messagesOut = nullptr;
+        telemetry::Counter* retransmits = nullptr;
+        std::array<telemetry::Counter*, kDropReasonCount> dropped{};
+        telemetry::Histogram* translationMs = nullptr;
+        // Previously-invisible accounting, refreshed at session boundaries:
+        // span-ring drops, history evictions, arena/recorder memory held.
+        telemetry::Gauge* spansDropped = nullptr;
+        telemetry::Gauge* historyEvicted = nullptr;
+        telemetry::Gauge* arenaBytes = nullptr;
+        telemetry::Gauge* arenaChunks = nullptr;
+        telemetry::Gauge* recorderBytes = nullptr;
+    } metrics;
+
+private:
+    /// `name` labelled {bridge, extra..., model_version when versioned}.
+    std::string label(std::string_view name,
+                      std::initializer_list<telemetry::Label> extra = {}) const;
+
+    telemetry::MetricsRegistry* registry_ = nullptr;
+    std::map<errc::ErrorCode, telemetry::Counter*> abortedByCode_;
+    std::map<std::string, telemetry::Histogram*> dwellByState_;
+};
+
 class AutomataEngine {
 public:
-    AutomataEngine(std::shared_ptr<merge::MergedAutomaton> merged,
-                   std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs,
+    AutomataEngine(std::shared_ptr<ModelGeneration> generation,
                    std::shared_ptr<merge::TranslationRegistry> translations,
                    NetworkEngine& network, automata::ColorRegistry& colors,
                    EngineOptions options = {});
     ~AutomataEngine();
 
-    /// Attaches every component color and starts listening at q0.
+    /// Publishes the constructor's generation and starts listening at q0.
     void start();
+
+    /// Makes `generation` the one new sessions open on and attaches its
+    /// colors; live sessions finish on the generation they opened with.
+    /// Throws SpecError for a color the registry does not know.
+    void publish(std::shared_ptr<ModelGeneration> generation);
 
     /// Stops serving (the engine ignores traffic afterwards).
     void stop() { running_ = false; }
@@ -201,17 +255,20 @@ public:
 
     std::size_t liveSessionCount() const { return live_.size(); }
 
-    /// The state of the oldest live session; the initial state when none is
-    /// live (the connector is re-armed at q0).
+    /// The state of the oldest live session; the newest generation's initial
+    /// state when none is live (the connector is re-armed at q0).
     const std::string& currentState() const;
 
-    /// Inbound accounting for a component color; nullptr for unknown colors.
+    /// Inbound accounting for a color any published generation named (kept
+    /// after a detach); nullptr for other colors.
     const ColorTraffic* traffic(std::uint64_t k) const;
 
     /// Recent session records (bounded ring) plus eviction-proof lifetime
     /// aggregates; see EngineOptions::sessionHistoryCapacity.
     const SessionHistory& sessions() const { return sessions_; }
-    const merge::MergedAutomaton& merged() const { return *merged_; }
+    /// The generation new sessions open on.
+    const std::shared_ptr<ModelGeneration>& generation() const { return newest_; }
+    const merge::MergedAutomaton& merged() const { return *newest_->merged; }
 
     /// Completed spans of recent sessions (empty unless
     /// EngineOptions::spanCapacity > 0). Span::session ordinals are 1-based
@@ -247,11 +304,13 @@ public:
     /// EngineOptions::recorderSessionBytes > 0).
     const telemetry::FlightRecorder& recorder() const { return recorder_; }
 
-    /// Codec serving a component color; nullptr for unknown colors. Lets the
-    /// postmortem printer decode captured payloads per leg.
+    /// Codec serving a component color of the newest generation; nullptr
+    /// for other colors. Lets the postmortem printer decode captured
+    /// payloads per leg.
     std::shared_ptr<mdl::MessageCodec> codecForColor(std::uint64_t k) const {
-        const automata::ColoredAutomaton* component = componentByColor(k);
-        return component ? codecFor(*component) : nullptr;
+        const std::size_t index = newest_->componentIndex(k);
+        if (index == ModelGeneration::kNoComponent) return nullptr;
+        return newest_->codecs.at(newest_->merged->components()[index]->name());
     }
 
 private:
@@ -259,12 +318,13 @@ private:
     /// object -- with its arena chunks, instance queues and open log, and the
     /// network engine's sockets for its slot -- serves a later one.
     struct Session {
-        Session(std::size_t slot, std::size_t states, telemetry::SpanBuffer& spans,
+        Session(std::size_t slot, telemetry::SpanBuffer& spans,
                 telemetry::FlightRecorder& recorder)
-            : slot(slot), queues(states), tracer(spans), log(recorder) {}
+            : slot(slot), tracer(spans), log(recorder) {}
 
         const std::size_t slot;  ///< NetworkEngine session slot == index in pool_
         bool live = false;
+        std::shared_ptr<ModelGeneration> model;  ///< the newest when acquired, until the end
         std::uint64_t keyColor = 0;  ///< opening message's color ...
         net::Address keyPeer;        ///< ... and sender
         std::string current;
@@ -288,7 +348,7 @@ private:
         /// single datagram copy stored here. Reset (chunks retained) when the
         /// session ends, after the queues holding those views are cleared.
         mdl::RxArena rxArena;
-        /// Per-state instance queues, indexed like stateIndex_.
+        /// Per-state instance queues, indexed by ModelGeneration::stateIndex.
         std::vector<automata::InstanceQueue> queues;
         telemetry::SessionTracer tracer;
         telemetry::SpanId waitSpan = 0;
@@ -302,15 +362,15 @@ private:
     /// The live session an unowned arrival belongs to (see header), nullptr
     /// when none does.
     Session* sessionFor(std::uint64_t colorK, const net::Address& from);
-    /// An idle pooled session (creating one below the cap), nullptr at the
-    /// cap.
+    /// An idle pooled session (creating one below the cap) set up on the
+    /// newest generation, nullptr at the cap.
     Session* acquireSession();
     /// Hands a session that never opened back to the pool.
     void releaseUnopened(Session& session);
     void openSession(Session& session, std::uint64_t colorK, const net::Address& from);
     void deliver(Session& session, std::size_t componentIdx, std::uint64_t colorK,
-                 const Bytes& payload, const net::Address& from);
-    void drop(std::size_t componentIdx, DropReason reason);
+                 ColorTraffic& traffic, const Bytes& payload, const net::Address& from);
+    void drop(ModelGeneration& generation, ColorTraffic& traffic, DropReason reason);
     void proceed(Session& session);
     /// proceed() with runtime translation failures contained: the session
     /// aborts, the connector survives.
@@ -338,29 +398,23 @@ private:
     /// State change with per-state dwell accounting (virtual ms spent in the
     /// state being left, while the session is live).
     void enterState(Session& session, const std::string& next);
-    telemetry::Histogram* dwellHistogram(const std::string& state);
 
-    const automata::ColoredAutomaton* componentByColor(std::uint64_t k) const;
-    /// Position of color k's component in merged_->components(), or
-    /// kNoComponent.
-    std::size_t componentIndex(std::uint64_t k) const;
-    static constexpr std::size_t kNoComponent = static_cast<std::size_t>(-1);
-    std::shared_ptr<mdl::MessageCodec> codecFor(const automata::ColoredAutomaton& a) const;
+    /// Drops every held generation but the newest that no live session runs
+    /// on, detaching the colors no held generation names any more.
+    void retireGenerations();
 
-    std::shared_ptr<const merge::MergedAutomaton> merged_;
-    std::map<std::string, std::shared_ptr<mdl::MessageCodec>> codecs_;
     std::shared_ptr<merge::TranslationRegistry> translations_;
     NetworkEngine& network_;
     automata::ColorRegistry& colors_;
     EngineOptions options_;
 
     bool running_ = false;
-    /// Color of the merged automaton's initial state: its messages open
-    /// sessions.
-    std::uint64_t openingColor_ = 0;
-    /// State id -> index into Session::queues.
-    std::unordered_map<std::string, std::size_t> stateIndex_;
-    std::vector<ColorTraffic> traffic_;  // per component
+    std::shared_ptr<ModelGeneration> newest_;
+    /// The newest generation and retired ones with live sessions.
+    std::vector<std::shared_ptr<ModelGeneration>> held_;
+    std::map<std::uint64_t, ColorTraffic> traffic_;  // per color ever attached
+    /// Retirement runs as its own event, never inside a socket callback.
+    std::optional<net::EventId> retireEvent_;
 
     // The retransmission-jitter generator is shared by every session (its
     // draws stay in event order); retrySeedInEffect_/retryDrawsSinceSeed_
@@ -379,36 +433,13 @@ private:
 
     // --- telemetry -------------------------------------------------------
     // Spans: one buffer per engine, one tracer per session (lent to the
-    // network engine for the tcp-connect leg). Metrics: pointers cached at
-    // construction so the hot path never touches the registry mutex; every
-    // metric site is gated on telemetry::enabled().
+    // network engine for the tcp-connect leg). Metrics: each generation
+    // holds its own handles (ModelGeneration::Metrics), resolved at publish
+    // in this registry -- EngineOptions::metrics or the process-global one;
+    // every metric site is gated on telemetry::enabled().
     telemetry::SpanBuffer spans_;
     telemetry::FlightRecorder recorder_;
-    struct EngineMetrics {
-        telemetry::Counter* sessionsCompleted = nullptr;
-        telemetry::Counter* messagesIn = nullptr;
-        telemetry::Counter* messagesOut = nullptr;
-        telemetry::Counter* retransmits = nullptr;
-        std::array<telemetry::Counter*, kDropReasonCount> dropped{};
-        telemetry::Histogram* translationMs = nullptr;
-        // Previously-invisible accounting, refreshed at session boundaries:
-        // span-ring drops, history evictions, arena/recorder memory held.
-        telemetry::Gauge* spansDropped = nullptr;
-        telemetry::Gauge* historyEvicted = nullptr;
-        telemetry::Gauge* arenaBytes = nullptr;
-        telemetry::Gauge* arenaChunks = nullptr;
-        telemetry::Gauge* recorderBytes = nullptr;
-    };
-    EngineMetrics metrics_;
-    /// Abort counters labeled by exact taxonomy code, resolved lazily on the
-    /// first abort with that code (the code space is too wide to pre-register
-    /// like the old 5-cause array; aborts are off the hot path anyway).
-    telemetry::Counter* abortedCounter(errc::ErrorCode code);
-    std::map<errc::ErrorCode, telemetry::Counter*> abortedByCode_;
-    /// Where this engine's metrics live: EngineOptions::metrics or the
-    /// process-global registry.
     telemetry::MetricsRegistry* registry_ = nullptr;
-    std::map<std::string, telemetry::Histogram*> dwellByState_;
 
     // --- sessions (declared last: a Session borrows spans_ and recorder_) ---
     std::vector<std::unique_ptr<Session>> pool_;  // index == slot

@@ -193,6 +193,18 @@ void NetworkEngine::attach(std::uint64_t k, const Color& color, bool serverRole)
                                       << endpoints_.at(k).color.canonicalKey() << ")";
 }
 
+void NetworkEngine::detach(std::uint64_t k) {
+    const auto it = endpoints_.find(k);
+    if (it == endpoints_.end()) return;
+    // resetSession already closed every session's connection on k.
+    for (Slot& s : slots_) {
+        const auto leg = s.legs.find(k);
+        if (leg != s.legs.end()) leg->second.udp.reset();
+    }
+    for (const auto& connection : it->second.unclaimed) connection->close();
+    endpoints_.erase(it);
+}
+
 /// True when `from` is one of color k's session sockets: a multicast query
 /// that slot >= 1 sent, looping back to the color's group-joined endpoint.
 /// Matched on the port alone, because the OS backend reports the socket's

@@ -122,6 +122,10 @@ public:
     /// automaton opens with a receive.)
     void attach(std::uint64_t k, const automata::Color& color, bool serverRole = false);
 
+    /// Closes color k's endpoint and sockets; a later attach(k) binds afresh.
+    /// Call only once no live session uses k, never from one of its callbacks.
+    void detach(std::uint64_t k);
+
     /// Installs the single upcall for every attached color.
     void setHandler(Handler handler) { handler_ = std::move(handler); }
 

@@ -82,8 +82,8 @@ struct SessionRecord {
     /// the precise failure of the throwing layer (e.g. merge.translation-
     /// rejected, engine.field-unresolved).
     errc::ErrorCode code = errc::ErrorCode::Ok;
-    /// Registry version of the model set that served this session
-    /// (EngineOptions::modelVersion; 0 = no registry in play). The terminal
+    /// Registry version of the model set that served this session (its
+    /// ModelGeneration::version; 0 = no registry in play). The terminal
     /// record carries it so a swap mid-run is auditable session by session.
     std::uint64_t modelVersion = 0;
 

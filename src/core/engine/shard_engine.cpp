@@ -9,17 +9,6 @@
 
 namespace starlink::engine {
 
-namespace {
-
-/// One pooled island of a shard: the paper's testbed for one direction plus
-/// its LRU stamp. Owned by exactly one shard thread; nothing escapes.
-struct Island : peers::SimIsland {
-    /// Monotone use stamp for the shard's island LRU (maxIslandsPerShard).
-    std::uint64_t lastUsed = 0;
-};
-
-}  // namespace
-
 /// Everything one worker thread owns. Jobs are placed here at submit() time
 /// (before any thread exists); results/reports/spans are read by the
 /// coordinator after join(). Thread creation and join order those accesses,
@@ -39,11 +28,10 @@ struct ShardEngine::Shard {
     std::vector<std::pair<std::size_t, SessionResult>> results;
     std::vector<telemetry::Span> spans;
     ShardReport report;
-    /// Pooled islands keyed by ((int)Case, model version): a swap deploys
-    /// fresh islands for the new generation while sessions pinned to the old
-    /// one keep their fully warmed islands -- per-shard swap, no pause.
-    std::map<std::pair<int, std::uint64_t>, std::unique_ptr<Island>> islands;
-    std::uint64_t useTick = 0;  // LRU clock for island eviction
+    /// One pooled island per direction, keyed by (int)Case, and every
+    /// generation compiled for one, keyed by ((int)Case, version).
+    std::map<int, std::unique_ptr<peers::SimIsland>> islands;
+    std::map<std::pair<int, std::uint64_t>, std::shared_ptr<ModelGeneration>> generations;
     std::string error;  // first fatal error; empty == clean run
     // Island span snapshots are rebased into a shard-local id/session space
     // at harvest time (each island's tracer counts from 1), and shards are
@@ -230,29 +218,6 @@ const telemetry::MetricsRegistry& ShardEngine::shardMetrics(int shard) const {
 }
 
 void ShardEngine::runShard(Shard& shard) {
-    // Folds a retiring island's accounting into the shard report: virtual
-    // time its clock consumed, and its engine's span snapshot. Used both by
-    // the LRU eviction below and the end-of-run teardown.
-    const auto harvest = [&shard](Island& island) {
-        shard.report.busyVirtual += std::chrono::duration_cast<net::Duration>(
-            island.clock.now() - net::TimePoint{});
-        if (island.deployed != nullptr) {
-            auto snapshot = island.deployed->engine().spans().snapshot();
-            std::uint64_t maxId = 0;
-            std::uint64_t maxSession = 0;
-            for (telemetry::Span& span : snapshot) {
-                maxId = std::max(maxId, span.id);
-                maxSession = std::max(maxSession, span.session);
-                span.id += shard.spanIdBase;
-                if (span.parent != 0) span.parent += shard.spanIdBase;
-                if (span.session != 0) span.session += shard.sessionBase;
-            }
-            shard.spanIdBase += maxId;
-            shard.sessionBase += maxSession;
-            shard.spans.insert(shard.spans.end(), snapshot.begin(), snapshot.end());
-        }
-    };
-
     try {
         for (const Shard::Pending& pending : shard.queue) {
             const SessionJob& job = pending.job;
@@ -260,50 +225,37 @@ void ShardEngine::runShard(Shard& shard) {
             // Lazily deploy this direction's island. Deployment parses the
             // MDL/automata/bridge models and compiles codec plans once per
             // (shard, direction); sessions then reuse the island -- including
-            // the engine's compose scratch buffer and codec plans -- until
-            // the LRU cap (if any) retires it.
+            // the engine's compose scratch buffer and codec plans.
             const std::uint64_t pinnedVersion =
                 pending.pinned ? pending.pinned->version() : 0;
-            const std::pair<int, std::uint64_t> islandKey{static_cast<int>(job.caseId),
-                                                          pinnedVersion};
-            std::unique_ptr<Island>& slot = shard.islands[islandKey];
+            const std::pair<int, std::uint64_t> pin{static_cast<int>(job.caseId), pinnedVersion};
+            std::unique_ptr<peers::SimIsland>& slot = shard.islands[pin.first];
             if (!slot) {
-                // Island LRU: past the cap, retire the stalest OTHER
-                // (direction, version) pool (harvesting its accounting)
-                // before deploying. Outcomes are island-history-independent,
-                // so eviction is invisible to results -- and retired-version
-                // islands age out of memory through exactly this path.
-                if (options_.maxIslandsPerShard != 0 &&
-                    shard.islands.size() > options_.maxIslandsPerShard) {
-                    auto victim = shard.islands.end();
-                    for (auto it = shard.islands.begin(); it != shard.islands.end(); ++it) {
-                        if (it->second == nullptr || it->first == islandKey) continue;
-                        if (victim == shard.islands.end() ||
-                            it->second->lastUsed < victim->second->lastUsed) {
-                            victim = it;
-                        }
-                    }
-                    if (victim != shard.islands.end()) {
-                        harvest(*victim->second);
-                        shard.islands.erase(victim);
-                        ++shard.report.islandsEvicted;
-                    }
-                }
-                slot = std::make_unique<Island>();
+                slot = std::make_unique<peers::SimIsland>();
                 EngineOptions engineOptions = options_.engine;
                 engineOptions.metrics = &shard.registry;
                 engineOptions.shardId = shard.index;
-                engineOptions.recorderCase = bridge::models::caseSlug(job.caseId);
-                engineOptions.modelVersion = pinnedVersion;
-                if (pending.pinned) {
-                    slot->deploy(pending.pinned->specFor(job.caseId), engineOptions);
-                } else {
-                    slot->deploy(job.caseId, engineOptions);
-                }
+                const char* host = peers::SimIsland::kBridgeHost;
+                slot->deployed = &slot->starlink.deploy(
+                    pending.pinned ? pending.pinned->specFor(job.caseId)
+                                   : bridge::models::forCase(job.caseId, host),
+                    host, engineOptions, pinnedVersion);
+                shard.generations.emplace(pin, slot->deployed->engine().generation());
             }
-            Island& island = *slot;
-            island.lastUsed = ++shard.useTick;
+            peers::SimIsland& island = *slot;
             AutomataEngine& engine = island.deployed->engine();
+            // A job pinned to another version than the island serves: publish
+            // that generation (compiled once per version) first, the same swap
+            // the live daemon makes. No session is live between jobs, so the
+            // old generation retires at once.
+            if (engine.generation()->version != pinnedVersion) {
+                std::shared_ptr<ModelGeneration>& generation = shard.generations[pin];
+                if (!generation) {
+                    generation =
+                        island.starlink.compile(pending.pinned->specFor(job.caseId), pinnedVersion);
+                }
+                engine.publish(generation);
+            }
 
             // Derandomise the island: every stochastic stream the session
             // touches is rewound to a value derived from the session seed
@@ -381,9 +333,26 @@ void ShardEngine::runShard(Shard& shard) {
     }
 
     // Post-run accounting, then island teardown ON THIS THREAD (each
-    // framework uninstalls the thread-local log time source it installed).
+    // framework uninstalls the thread-local log time source it installed):
+    // the virtual time each island's clock consumed, and its engine's span
+    // snapshot.
     for (auto& [caseKey, island] : shard.islands) {
-        if (island) harvest(*island);
+        shard.report.busyVirtual += std::chrono::duration_cast<net::Duration>(
+            island->clock.now() - net::TimePoint{});
+        if (island->deployed == nullptr) continue;  // its deploy threw
+        auto snapshot = island->deployed->engine().spans().snapshot();
+        std::uint64_t maxId = 0;
+        std::uint64_t maxSession = 0;
+        for (telemetry::Span& span : snapshot) {
+            maxId = std::max(maxId, span.id);
+            maxSession = std::max(maxSession, span.session);
+            span.id += shard.spanIdBase;
+            if (span.parent != 0) span.parent += shard.spanIdBase;
+            if (span.session != 0) span.session += shard.sessionBase;
+        }
+        shard.spanIdBase += maxId;
+        shard.sessionBase += maxSession;
+        shard.spans.insert(shard.spans.end(), snapshot.begin(), snapshot.end());
     }
     shard.islands.clear();
 }

@@ -6,8 +6,8 @@
 // built from single-threaded simulation islands -- a VirtualClock, an
 // EventScheduler, a SimNetwork and the engines driving them share no state
 // across islands -- so the scaling unit here is the SHARD: one OS thread
-// owning a pool of private islands (one per bridge direction), serving every
-// session whose key hashes to it.
+// owning one private island per bridge direction, serving every session
+// whose key hashes to it. A model swap publishes into the island.
 //
 // Shard-confinement rules (docs/CONCURRENCY.md has the full audit):
 //   - dispatch is hash-by-session-key, decided at submit() time; there is no
@@ -93,20 +93,13 @@ struct ShardEngineOptions {
     /// unbounded admission (the default), and per-shard-count runs remain
     /// individually deterministic either way.
     std::size_t maxPendingPerShard = 0;
-    /// Cap on pooled islands per shard (0 = unbounded). Past the cap the
-    /// least-recently-used island is torn down before a new direction
-    /// deploys, its virtual-time and span accounting harvested first. Only
-    /// six directions exist, so caps >= 6 never evict; smaller caps bound
-    /// island residency for memory-tight deployments. Session outcomes are
-    /// island-history-independent (per-session reseeding), so eviction never
-    /// changes results.
-    std::size_t maxIslandsPerShard = 0;
 
     /// Hot-swap deployment: when set, every job pins a model-set generation
-    /// AT SUBMIT TIME (registry->pin(job.key), canary cohort by key hash)
-    /// and is served by an island deployed from that exact generation --
-    /// islands are pooled per (direction, version), so a swap mid-workload
-    /// never pauses a shard or disturbs sessions pinned to the old version.
+    /// AT SUBMIT TIME (registry->pin(job.key), canary cohort by key hash).
+    /// Before a job whose pinned version differs from the one its island
+    /// serves, the island publishes the pinned generation (compiled once per
+    /// shard, direction and version) -- the engine's one swap mechanism, so
+    /// a swap mid-workload never pauses a shard or moves a session.
     /// Terminal outcomes are fed back (noteSession) so canary regression
     /// rolls the candidate back automatically. The registry must outlive
     /// the engine and have an active set before the first submit. nullptr =
@@ -164,10 +157,8 @@ struct ShardReport {
     /// maxPendingPerShard); also exported as
     /// starlink_engine_sessions_shed_total in the shard's registry.
     std::size_t shed = 0;
-    /// Pooled islands evicted by the LRU cap (maxIslandsPerShard).
-    std::size_t islandsEvicted = 0;
     /// Virtual time this shard's islands consumed, summed across its
-    /// per-direction pools. The aggregate throughput denominator is the MAX
+    /// per-direction islands. The aggregate throughput denominator is the MAX
     /// over shards (the virtual makespan): shards are independent islands,
     /// so a real deployment runs them wall-parallel.
     net::Duration busyVirtual = net::us(0);

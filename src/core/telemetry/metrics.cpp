@@ -35,10 +35,9 @@ std::string formatDouble(double v) {
 
 void setEnabled(bool on) { detail::gEnabled.store(on, std::memory_order_relaxed); }
 
-std::string labeled(std::string_view name,
-                    std::initializer_list<std::pair<std::string_view, std::string_view>> labels) {
+std::string labeled(std::string_view name, std::span<const Label> labels) {
     std::string out(name);
-    if (labels.size() == 0) return out;
+    if (labels.empty()) return out;
     out += '{';
     bool first = true;
     for (const auto& [key, value] : labels) {

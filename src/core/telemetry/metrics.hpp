@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,8 +53,11 @@ void setEnabled(bool on);
 
 /// Builds "name{k1=\"v1\",k2=\"v2\"}". Label values are escaped for the
 /// Prometheus exposition (backslash, quote, newline).
-std::string labeled(std::string_view name,
-                    std::initializer_list<std::pair<std::string_view, std::string_view>> labels);
+using Label = std::pair<std::string_view, std::string_view>;
+std::string labeled(std::string_view name, std::span<const Label> labels);
+inline std::string labeled(std::string_view name, std::initializer_list<Label> labels) {
+    return labeled(name, std::span<const Label>(labels.begin(), labels.size()));
+}
 
 class Counter {
 public:

@@ -8,20 +8,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "core/bridge/models.hpp"
 #include "core/bridge/starlink.hpp"
 #include "core/telemetry/metrics.hpp"
+#include "core/telemetry/recorder.hpp"
 #include "protocols/ldap/ldap_agents.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
 #include "protocols/peers.hpp"
 #include "protocols/slp/slp_agents.hpp"
 #include "protocols/slp/slp_codec.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/ssdp/ssdp_codec.hpp"
 #include "protocols/wsd/wsd_agents.hpp"
 #include "sim_fixture.hpp"
 
@@ -765,6 +770,199 @@ TEST(SimIslandTest, RunLookupsCountsDiscoveries) {
     bare.spawn(Case::SlpToBonjour);
     EXPECT_EQ(bare.runLookups(2, count), 0);
     EXPECT_EQ(results, 2);
+}
+
+// --- model swap: each session keeps the generation it opened on ------------
+
+/// UPnP control points in closed loop on an upnp-to-slp island: control point
+/// i starts i seconds in, at host 10.0.0.(11+i), and re-asks as soon as its
+/// previous lookup settles, `lookups` times in all.
+struct ClosedLoopControlPoints {
+    ClosedLoopControlPoints(SimIsland& island, int count, int lookups) : island(island) {
+        for (int i = 0; i < count; ++i) {
+            peers::ClientConfigs configs;
+            configs.upnp.host = "10.0.0." + std::to_string(11 + i);
+            clients.push_back(
+                std::make_unique<peers::Client>(island.network, Case::UpnpToSlp, configs));
+            island.scheduler.schedule(net::ms(1000 * i), [this, i, lookups] { ask(i, lookups); });
+        }
+    }
+
+    void ask(int i, int remaining) {
+        clients[i]->lookup([this, i, remaining](const peers::Client::Result& result) {
+            ++settled;
+            if (!result.urls.empty()) ++discovered;
+            if (remaining == 1) return;
+            island.scheduler.schedule(net::ms(0), [this, i, remaining] { ask(i, remaining - 1); });
+        });
+    }
+
+    SimIsland& island;
+    std::vector<std::unique_ptr<peers::Client>> clients;
+    int settled = 0;
+    int discovered = 0;
+};
+
+/// One ended session: its record and the virtual time it ended at.
+struct Ended {
+    engine::SessionRecord record;
+    net::TimePoint at;
+};
+
+/// Publishes v2 eight seconds into three closed-loop control points (three
+/// lookups each) on a upnp-to-slp island deployed as v1, and returns every
+/// ended session. By then control point 2's first session and the other two's
+/// second sessions are live.
+std::vector<Ended> publishUnderLoad(SimIsland& island, bridge::DeployedBridge& bridge,
+                                    const bridge::models::DeploymentSpec& v2,
+                                    std::size_t* liveAtPublish,
+                                    const std::function<void()>& afterPublish = {}) {
+    std::vector<Ended> ended;
+    bridge.engine().onSessionComplete = [&ended, &island](const engine::SessionRecord& record) {
+        ended.push_back({record, island.network.now()});
+    };
+    island.service.emplace(island.network, Case::UpnpToSlp);
+    ClosedLoopControlPoints loop(island, 3, 3);
+    island.scheduler.schedule(net::ms(8000), [&] {
+        *liveAtPublish = bridge.engine().liveSessionCount();
+        bridge.publish(v2, 2);
+        if (afterPublish) afterPublish();
+    });
+    island.scheduler.runUntilIdle(2'000'000);
+    bridge.engine().onSessionComplete = nullptr;
+    EXPECT_EQ(loop.settled, 9);
+    EXPECT_EQ(loop.discovered, 9) << "every lookup discovers across the publish";
+    return ended;
+}
+
+void expectPinnedToOpeningGeneration(const std::vector<Ended>& ended) {
+    const net::TimePoint publishAt{net::ms(8000)};
+    const Ended* firstAfter = nullptr;
+    std::size_t v1EndedAfter = 0;
+    for (const Ended& e : ended) {
+        const bool openedBefore = e.record.firstReceive < publishAt;
+        EXPECT_EQ(e.record.modelVersion, openedBefore ? 1u : 2u)
+            << "a session ends on the generation it opened with";
+        if (!openedBefore &&
+            (firstAfter == nullptr || e.record.firstReceive < firstAfter->record.firstReceive)) {
+            firstAfter = &e;
+        }
+        if (openedBefore && e.at > publishAt) ++v1EndedAfter;
+    }
+    ASSERT_NE(firstAfter, nullptr);
+    EXPECT_EQ(firstAfter->record.modelVersion, 2u);
+    EXPECT_GE(v1EndedAfter, 2u) << "v1 sessions must outlive the publish";
+}
+
+void expectNoDrops(const engine::AutomataEngine& engine,
+                   const std::vector<std::uint64_t>& colors) {
+    for (const std::uint64_t k : colors) {
+        const engine::ColorTraffic* traffic = engine.traffic(k);
+        ASSERT_NE(traffic, nullptr) << k;
+        EXPECT_EQ(traffic->droppedTotal(), 0u) << "color " << k;
+    }
+}
+
+std::vector<std::uint64_t> colorsOf(const engine::ModelGeneration& generation) {
+    std::vector<std::uint64_t> colors;
+    for (const auto& component : generation.merged->components()) {
+        colors.push_back(component->color());
+    }
+    return colors;
+}
+
+TEST(GenerationPin, PublishMidRunKeepsEverySessionOnItsGeneration) {
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) / "starlink-generation-pin").string();
+    std::filesystem::remove_all(dir);
+    telemetry::PostmortemSpool spool(telemetry::PostmortemSpool::Options{dir, 8});
+    engine::EngineOptions options;
+    options.recorderSessionBytes = 64 * 1024;
+    options.postmortemSpool = &spool;
+
+    const auto v1 = bridge::models::forCase(Case::UpnpToSlp, SimIsland::kBridgeHost);
+    auto v2 = v1;
+    v2.bridgeXml += "\n<!-- v2: the same bridge under another identity -->\n";
+    ASSERT_NE(bridge::models::modelSetIdentity(v1), bridge::models::modelSetIdentity(v2));
+
+    SimIsland island;
+    bridge::DeployedBridge& bridge = island.starlink.deploy(v1, SimIsland::kBridgeHost, options, 1);
+    const std::vector<std::uint64_t> colors = colorsOf(*bridge.engine().generation());
+    // A control point that never fetches the description: its v1 session
+    // waits out the 30 s watchdog, long after v2 is published, and aborts.
+    auto stray = island.network.openUdp("10.0.0.7", 40000);
+    island.scheduler.schedule(net::ms(500), [&stray] {
+        ssdp::MSearch search;
+        search.st = peers::printerQuery(peers::Protocol::Upnp);
+        search.mx = 1;
+        stray->sendTo(peers::discoveryGroup(peers::Protocol::Upnp), ssdp::encode(search));
+    });
+    std::size_t liveAtPublish = 0;
+    const std::vector<Ended> ended = publishUnderLoad(island, bridge, v2, &liveAtPublish);
+
+    EXPECT_GE(liveAtPublish, 3u);
+    ASSERT_EQ(ended.size(), 10u);
+    expectPinnedToOpeningGeneration(ended);
+    expectNoDrops(bridge.engine(), colors);
+    EXPECT_EQ(colorsOf(*bridge.engine().generation()), colors);
+
+    std::vector<telemetry::PostmortemBundle> bundles;
+    for (const std::string& path : spool.files()) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream content;
+        content << in.rdbuf();
+        const std::string text = content.str();
+        bundles.push_back(telemetry::decodeBundle(Bytes(text.begin(), text.end())));
+    }
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(bundles.size(), 1u) << "only the stray session aborts";
+    EXPECT_EQ(bundles[0].abortCode, errc::to_error_code(errc::ErrorCode::EngineSessionTimeout));
+    EXPECT_EQ(bundles[0].caseSlug, "upnp-to-slp");
+    EXPECT_EQ(bundles[0].modelIdentity, bridge::models::modelSetIdentity(v1))
+        << "the bundle names the generation its session ran on, not the newest";
+}
+
+TEST(GenerationPin, ColorChangeKeepsOldEndpointUntilItsLastSessionEnds) {
+    const auto v1 = bridge::models::forCase(Case::UpnpToSlp, SimIsland::kBridgeHost, 8085);
+    const auto v2 = bridge::models::forCase(Case::UpnpToSlp, SimIsland::kBridgeHost, 8090);
+    SimIsland island;
+    bridge::DeployedBridge& bridge = island.starlink.deploy(v1, SimIsland::kBridgeHost, {}, 1);
+    const std::vector<std::uint64_t> v1Colors = colorsOf(*bridge.engine().generation());
+
+    std::size_t liveAtPublish = 0;
+    std::vector<std::uint64_t> v2Colors;
+    const std::vector<Ended> ended =
+        publishUnderLoad(island, bridge, v2, &liveAtPublish, [&] {
+            v2Colors = colorsOf(*bridge.engine().generation());
+            // The live v1 sessions still fetch from 8085; v2's 8090 is bound.
+            EXPECT_THROW(island.network.listenTcp(SimIsland::kBridgeHost, 8085), NetError);
+            EXPECT_THROW(island.network.listenTcp(SimIsland::kBridgeHost, 8090), NetError);
+        });
+
+    EXPECT_GE(liveAtPublish, 3u);
+    ASSERT_EQ(ended.size(), 9u);
+    expectPinnedToOpeningGeneration(ended);
+    expectNoDrops(bridge.engine(), v1Colors);
+    expectNoDrops(bridge.engine(), v2Colors);
+
+    // Each session fetched its description over its own generation's port.
+    const auto httpColor = [&island](const std::vector<std::uint64_t>& colors) {
+        for (const std::uint64_t k : colors) {
+            if (island.starlink.colors().lookup(k)->transport() == "tcp") return k;
+        }
+        return std::uint64_t{0};
+    };
+    const std::uint64_t http8085 = httpColor(v1Colors);
+    const std::uint64_t http8090 = httpColor(v2Colors);
+    ASSERT_NE(http8085, http8090);
+    std::size_t v1Sessions = 0;
+    for (const Ended& e : ended) v1Sessions += e.record.modelVersion == 1 ? 1 : 0;
+    EXPECT_EQ(bridge.engine().traffic(http8085)->accepted, v1Sessions);
+    EXPECT_EQ(bridge.engine().traffic(http8090)->accepted, ended.size() - v1Sessions);
+
+    // After the last v1 session, 8085 is detached and free; 8090 serves on.
+    EXPECT_NO_THROW(island.network.listenTcp(SimIsland::kBridgeHost, 8085));
+    EXPECT_THROW(island.network.listenTcp(SimIsland::kBridgeHost, 8090), NetError);
 }
 
 }  // namespace

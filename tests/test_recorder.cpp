@@ -489,6 +489,18 @@ TEST(RecorderInvariance, RecordingDoesNotChangeSessionOutcomes) {
     }
 }
 
+std::vector<PostmortemBundle> readBundles(const PostmortemSpool& spool) {
+    std::vector<PostmortemBundle> bundles;
+    for (const std::string& path : spool.files()) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream content;
+        content << in.rdbuf();
+        const std::string s = content.str();
+        bundles.push_back(telemetry::decodeBundle(Bytes(s.begin(), s.end())));
+    }
+    return bundles;
+}
+
 /// Runs `sessions` chaos jobs of one direction with the recorder + spool on;
 /// returns the spooled bundles (possibly none for a lucky seed).
 std::vector<PostmortemBundle> captureAborts(bridge::models::Case c, std::uint64_t seed,
@@ -508,14 +520,7 @@ std::vector<PostmortemBundle> captureAborts(bridge::models::Case c, std::uint64_
         shardEngine.submit(job);
     }
     shardEngine.run();
-    std::vector<PostmortemBundle> bundles;
-    for (const std::string& path : spool.files()) {
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream content;
-        content << in.rdbuf();
-        const std::string s = content.str();
-        bundles.push_back(telemetry::decodeBundle(Bytes(s.begin(), s.end())));
-    }
+    std::vector<PostmortemBundle> bundles = readBundles(spool);
     std::filesystem::remove_all(dir);
     return bundles;
 }
@@ -555,6 +560,35 @@ TEST(ReplayFidelity, SlpToBonjourRepliesBitIdentically) {
 
 TEST(ReplayFidelity, UpnpToBonjourRepliesBitIdentically) {
     expectDirectionReplays(bridge::models::Case::UpnpToBonjour, "upnp-to-bonjour");
+}
+
+// The live daemon deploys through Starlink::deploy with a spool and no case
+// label of its own; its bundles must still name a case replay can resolve.
+TEST(ReplayFidelity, DaemonDeployedBundleReplays) {
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) / "starlink-replay-daemon").string();
+    std::filesystem::remove_all(dir);
+    PostmortemSpool spool(PostmortemSpool::Options{dir, 8});
+    engine::EngineOptions options;
+    options.recorderSessionBytes = 1024 * 1024;
+    options.postmortemSpool = &spool;
+    const auto spec = bridge::models::forCase(bridge::models::Case::SlpToUpnp,
+                                              peers::SimIsland::kBridgeHost);
+    peers::SimIsland island;
+    island.starlink.deploy(spec, peers::SimIsland::kBridgeHost, options);
+    // No UPnP device answers, so the session waits out its watchdog.
+    island.client.emplace(island.network, bridge::models::Case::SlpToUpnp);
+    EXPECT_EQ(island.runLookups(1), 0);
+
+    const std::vector<PostmortemBundle> bundles = readBundles(spool);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(bundles.size(), 1u);
+    const PostmortemBundle& bundle = bundles.front();
+    EXPECT_EQ(bundle.caseSlug, "slp-to-upnp");
+    EXPECT_EQ(bundle.bridgeHost, peers::SimIsland::kBridgeHost);
+    EXPECT_EQ(bundle.modelIdentity, bridge::models::modelSetIdentity(spec));
+    const bridge::ReplayComparison result = bridge::replayBundle(bundle);
+    EXPECT_TRUE(result.ok()) << result.detail;
 }
 
 TEST(ReplayGuards, TruncatedBundleIsRefused) {

@@ -61,8 +61,8 @@ int cmdLookup(const std::string& proto, const std::string& bindAddress, int port
     if (!protocol) return usage();
     peers::ClientConfigs configs;
     configs.slp.timeout = net::ms(timeoutMs);
-    // Real discovery clients re-ask until something answers; the reload
-    // smoke leans on this to ride out the daemon's swap rebind window.
+    // Real discovery clients re-ask until something answers; 0 keeps the SLP
+    // default of no re-send (the reload smoke's hitless-swap batch).
     if (retransmitMs > 0) configs.slp.retransmitInterval = net::ms(retransmitMs);
     configs.upnp.mxWindowBase = net::ms(30);
     configs.upnp.mxWindowJitter = net::ms(3);

@@ -70,8 +70,9 @@
 //                                       POST /reload hot-swap endpoint); a
 //                                       SIGHUP (or /reload) re-reads
 //                                       --models-dir, lint-gates the
-//                                       candidate and swaps it in between
-//                                       sessions -- a rejected candidate
+//                                       candidate and publishes it to new
+//                                       sessions while live ones finish on
+//                                       theirs -- a rejected candidate
 //                                       leaves the old version serving;
 //                                       exit 0 iff every abort carried a
 //                                       taxonomy code
@@ -479,6 +480,16 @@ int cmdMetrics(const std::string& caseName) {
     return successes > 0 ? 0 : 1;
 }
 
+/// Publishes --models-dir through the registry's lint gate, or the built-in
+/// fleet without one.
+void loadModels(bridge::ModelRegistry& registry, const std::string& modelsDir) {
+    if (modelsDir.empty()) {
+        registry.loadBuiltins();
+    } else {
+        registry.loadDirectory(modelsDir);
+    }
+}
+
 // -- serve --transport=os ----------------------------------------------------
 
 // The live daemon's shutdown path: the handler may only touch
@@ -535,10 +546,9 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
     // RELOAD is not (the old version keeps serving, below).
     bridge::ModelRegistryOptions registryOptions;
     registryOptions.canaryPercent = canaryPercent;
-    // The live daemon deploys one model generation at a time (it swaps only
-    // when no session is live), so a canary generation serves every NEW
-    // session (time-based canary); after this many clean canary sessions it
-    // is promoted outright.
+    // A canary generation serves every NEW session while live sessions
+    // finish on theirs (time-based canary); after this many clean canary
+    // sessions it is promoted outright.
     registryOptions.promoteAfter = canaryPercent > 0.0 ? 64 : 0;
     bridge::ModelRegistry registry{registryOptions};
     registry.onEvent = [](const bridge::RegistryEvent& event) {
@@ -547,49 +557,19 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
         if (!event.detail.empty()) std::cout << " (" << event.detail << ")";
         std::cout << "\n" << std::flush;
     };
-    if (modelsDir.empty()) {
-        registry.loadBuiltins();
-    } else {
-        registry.loadDirectory(modelsDir);
-    }
+    loadModels(registry, modelsDir);
 
-    // The serving deployment is rebuilt on swap: destroying the old Starlink
-    // closes its sockets (RAII + SO_REUSEADDR), the new generation rebinds
-    // the same ports. Session aggregates are carried across retirements so
-    // the shutdown summary spans every generation served.
-    std::optional<bridge::Starlink> starlink;
-    engine::AutomataEngine* engineRef = nullptr;
-    std::shared_ptr<const bridge::ModelSet> serving;
-    std::uint64_t carriedEnded = 0;
-    std::uint64_t carriedCompleted = 0;
-    std::uint64_t carriedAborted = 0;
-    std::uint64_t carriedUncoded = 0;
-    std::uint64_t reported = 0;  // per-engine session-report cursor
-
-    const auto retireEngine = [&]() {
-        if (engineRef == nullptr) return;
-        const auto& history = engineRef->sessions();
-        carriedEnded += history.totalEnded();
-        carriedCompleted += history.totalCompleted();
-        carriedAborted += history.totalAborted();
-        for (const auto& [code, count] : history.abortsByCode()) {
-            if (code == errc::ErrorCode::Unclassified) carriedUncoded += count;
-        }
-    };
-
-    const auto deployServing = [&](std::shared_ptr<const bridge::ModelSet> set) {
-        engine::EngineOptions options;
-        if (processingMs >= 0) options.processingDelay = net::ms(processingMs);
-        if (record || !postmortemDir.empty()) options.recorderSessionBytes = 1024 * 1024;
-        if (spool) options.postmortemSpool = &*spool;
-        options.modelVersion = set->version();
-        starlink.reset();
-        starlink.emplace(network);
-        engineRef = &starlink->deploy(set->specFor(*c), "10.0.0.9", options).engine();
-        serving = std::move(set);
-        reported = 0;
-    };
-    deployServing(registry.active());
+    // One deployment for the daemon's lifetime. A swap publishes the new
+    // generation into the running engine: new sessions take it, live ones
+    // finish on the generation they opened with, and no socket is rebound.
+    engine::EngineOptions options;
+    if (processingMs >= 0) options.processingDelay = net::ms(processingMs);
+    if (record || !postmortemDir.empty()) options.recorderSessionBytes = 1024 * 1024;
+    if (spool) options.postmortemSpool = &*spool;
+    std::shared_ptr<const bridge::ModelSet> serving = registry.active();
+    bridge::Starlink starlink{network};
+    bridge::DeployedBridge& deployed =
+        starlink.deploy(serving->specFor(*c), "10.0.0.9", options, serving->version());
 
     // --with-peers co-hosts the case's legacy service, making one daemon a
     // self-contained island a scripted client can complete sessions against.
@@ -621,7 +601,7 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
                 const bool isMetrics = request->rfind("GET /metrics", 0) == 0;
                 // POST /reload (GET accepted for curl convenience) schedules
                 // the same model reload SIGHUP does; it is applied in the
-                // poll loop, between sessions, never mid-conversation.
+                // poll loop, and live sessions finish on their generation.
                 const bool isReload = request->rfind("POST /reload", 0) == 0 ||
                                       request->rfind("GET /reload", 0) == 0;
                 if (isReload) gReloadRequested = 1;
@@ -672,53 +652,28 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
     std::signal(SIGINT, handleServeSignal);
     std::signal(SIGHUP, handleReloadSignal);
 
-    // One summary line per ended session. The history is an evicting ring,
-    // but totalEnded() is exact, so the cursor never loses a record: every
-    // loop iteration drains at most a poll's worth of fresh tail entries.
-    // Each fresh terminal record is also fed to the registry's cohort judge.
-    const auto reportNewSessions = [&]() {
-        const auto& history = engineRef->sessions();
-        const std::uint64_t total = history.totalEnded();
-        if (total == reported) return;
-        const std::size_t fresh =
-            std::min(static_cast<std::size_t>(total - reported), history.size());
-        std::uint64_t ordinal = carriedEnded + total - fresh;
-        for (std::size_t i = history.size() - fresh; i < history.size(); ++i) {
-            const auto& s = history[i];
-            std::cout << "session #" << ++ordinal << ": "
-                      << (s.completed ? "completed" : "aborted") << " in=" << s.messagesIn
-                      << " out=" << s.messagesOut << " model=v" << s.modelVersion;
-            if (!s.completed) {
-                std::cout << " cause=" << engine::failureCauseName(s.cause)
-                          << " code=" << errc::to_string(s.code);
-            }
-            std::cout << "\n";
-            registry.noteSession(s.modelVersion, !s.completed, s.code);
+    // One summary line per session as it ends; each terminal record also
+    // feeds the registry's cohort judge.
+    deployed.engine().onSessionComplete = [&](const engine::SessionRecord& s) {
+        std::cout << "session #" << deployed.engine().sessions().totalEnded() << ": "
+                  << (s.completed ? "completed" : "aborted") << " in=" << s.messagesIn
+                  << " out=" << s.messagesOut << " model=v" << s.modelVersion;
+        if (!s.completed) {
+            std::cout << " cause=" << engine::failureCauseName(s.cause)
+                      << " code=" << errc::to_string(s.code);
         }
-        std::cout << std::flush;
-        reported = total;
-    };
-
-    // The generation NEW sessions should run on: the canary when one is in
-    // flight (time-based canary -- the stable cohort already ran on the
-    // active version), the active set otherwise.
-    const auto desiredSet = [&registry]() {
-        auto candidate = registry.canary();
-        return candidate ? candidate : registry.active();
+        std::cout << "\n";
+        registry.noteSession(s.modelVersion, !s.completed, s.code);
     };
 
     const auto started = network.now();
     while (!network.stopRequested()) {
         network.poll(net::ms(200));
-        reportNewSessions();
+        std::cout << std::flush;
         if (gReloadRequested) {
             gReloadRequested = 0;
             try {
-                if (modelsDir.empty()) {
-                    registry.loadBuiltins();
-                } else {
-                    registry.loadDirectory(modelsDir);
-                }
+                loadModels(registry, modelsDir);
             } catch (const StarlinkError& error) {
                 // A defective candidate must never take a serving daemon
                 // down: record the rejection and keep the old version.
@@ -728,18 +683,18 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
                           << std::flush;
             }
         }
-        // Apply a pending swap only while no session is in flight: every
-        // in-flight conversation finishes on the version it started.
-        const auto want = desiredSet();
-        if (want != nullptr && want->version() != serving->version() &&
-            engineRef->liveSessionCount() == 0) {
-            retireEngine();
-            const auto fromVersion = serving->version();
-            deployServing(want);
-            std::cout << "starlinkd[os]: serving v" << fromVersion << " -> v"
-                      << serving->version() << " (identity " << std::hex
-                      << serving->identity() << std::dec << ")\n"
+        // Publish whenever the set new sessions should open on changes: the
+        // canary while one is in flight (time-based canary), else the active
+        // set. Sessions in flight finish on the generation they started with.
+        auto want = registry.canary();
+        if (want == nullptr) want = registry.active();
+        if (want->version() != serving->version()) {
+            deployed.publish(want->specFor(*c), want->version());
+            std::cout << "starlinkd[os]: serving v" << serving->version() << " -> v"
+                      << want->version() << " (identity " << std::hex << want->identity()
+                      << std::dec << ")\n"
                       << std::flush;
+            serving = want;
         }
         if (maxSeconds > 0 && network.now() - started >= std::chrono::seconds(maxSeconds)) {
             break;
@@ -750,14 +705,16 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGHUP, SIG_DFL);
     gServeNetwork = nullptr;
-    reportNewSessions();
-    retireEngine();
 
+    const auto& history = deployed.engine().sessions();
+    const auto uncoded = history.abortsByCode().find(errc::ErrorCode::Unclassified);
+    const std::uint64_t uncodedCount =
+        uncoded == history.abortsByCode().end() ? 0 : uncoded->second;
     const auto wallMs =
         std::chrono::duration_cast<std::chrono::milliseconds>(network.now() - started).count();
-    std::cout << "starlinkd[os]: shutdown after " << wallMs << " ms: " << carriedEnded
-              << " sessions (" << carriedCompleted << " completed, " << carriedAborted
-              << " aborted, uncoded=" << carriedUncoded << ")";
+    std::cout << "starlinkd[os]: shutdown after " << wallMs << " ms: " << history.totalEnded()
+              << " sessions (" << history.totalCompleted() << " completed, "
+              << history.totalAborted() << " aborted, uncoded=" << uncodedCount << ")";
     std::cout << ", serving v" << serving->version() << ", swaps=" << registry.swapsTotal()
               << ", rollbacks=" << registry.rollbacksTotal()
               << ", reload-failures=" << registry.reloadFailuresTotal();
@@ -766,7 +723,7 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
                   << spool->directory();
     }
     std::cout << "\n";
-    return carriedUncoded == 0 ? 0 : 1;
+    return uncodedCount == 0 ? 0 : 1;
 }
 
 /// Drives a mixed workload (all six directions, round-robin) through the
@@ -805,11 +762,7 @@ int cmdServe(int shards, int sessions, bool chaos, double loss, std::uint64_t se
         bridge::ModelRegistryOptions registryOptions;
         registryOptions.canaryPercent = canaryPercent;
         registry.emplace(registryOptions);
-        if (modelsDir.empty()) {
-            registry->loadBuiltins();
-        } else {
-            registry->loadDirectory(modelsDir);
-        }
+        loadModels(*registry, modelsDir);
         options.registry = &*registry;
     }
     engine::ShardEngine shardEngine(options);
