@@ -31,7 +31,7 @@ void driveLookups(peers::SimIsland& island, Case c) {
         config.responseDelayBase = net::ms(10);
         config.responseDelayJitter = net::ms(2);
     });
-    island.spawn(c, fast);
+    island.spawn(bridge::models::direction(c), fast);
     island.runLookups(kRepetitions);
 }
 
@@ -47,7 +47,7 @@ bench::Summary translationTimes(const Sessions& sessions) {
 
 bench::Summary starlinkCase(Case c) {
     peers::SimIsland island;
-    const auto& deployed = island.deploy(c);
+    const auto& deployed = island.deploy(bridge::models::direction(c));
     driveLookups(island, c);
     return translationTimes(deployed.engine().sessions());
 }

@@ -50,7 +50,7 @@ CaseResult benchCase(Case c, std::size_t* specLines) {
 
     // Heterogeneous legacy service, then the legacy client driven for
     // kRepetitions sequential lookups.
-    island.spawn(c);
+    island.spawn(bridge::models::direction(c));
     island.runLookups(kRepetitions);
 
     std::vector<double> samples;
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     int i = 0;
     for (const Case c : bridge::models::kAllCases) {
         results[i] = benchCase(c, &specLines[i]);
-        bench::printRow(bridge::models::caseName(c), results[i].overall, paperRows[i]);
+        bench::printRow(bridge::models::direction(c).name, results[i].overall, paperRows[i]);
         ++i;
     }
 
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
     std::printf("%-18s %10s %13s\n", "Case", "translate", "receive-wait");
     i = 0;
     for (const Case c : bridge::models::kAllCases) {
-        std::printf("%-18s %10.0f %13.0f\n", bridge::models::caseName(c),
+        std::printf("%-18s %10.0f %13.0f\n", bridge::models::direction(c).name,
                     results[i].translateLeg.medianMs, results[i].waitLeg.medianMs);
         ++i;
     }
@@ -147,16 +147,16 @@ int main(int argc, char** argv) {
     std::printf("(paper: case 1 ~5%%, case 6 ~600%%):\n");
     i = 0;
     for (const Case c : bridge::models::kAllCases) {
-        std::printf("  %-18s %6.0f%%\n", bridge::models::caseName(c),
+        std::printf("  %-18s %6.0f%%\n", bridge::models::direction(c).name,
                     100.0 * results[i].overall.medianMs /
-                        native[static_cast<int>(peers::clientProtocol(c))].medianMs);
+                        native[static_cast<int>(peers::clientProtocol(bridge::models::direction(c)))].medianMs);
         ++i;
     }
 
     std::printf("\nModel sizes (paper V-C: merged automata are ~100 lines of XML):\n");
     i = 0;
     for (const Case c : bridge::models::kAllCases) {
-        std::printf("  %-18s %3zu lines of bridge XML\n", bridge::models::caseName(c),
+        std::printf("  %-18s %3zu lines of bridge XML\n", bridge::models::direction(c).name,
                     specLines[i++]);
     }
 
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
         std::vector<bench::JsonRow> rows;
         i = 0;
         for (const Case c : bridge::models::kAllCases) {
-            const std::string name = bridge::models::caseName(c);
+            const std::string name = bridge::models::direction(c).name;
             rows.push_back({name, results[i].overall});
             rows.push_back({name + "/leg/translate", results[i].translateLeg});
             rows.push_back({name + "/leg/receive-wait", results[i].waitLeg});

@@ -62,11 +62,12 @@ Cell sweepCase(Case c, double loss) {
     // x retransmission storms stay well under this).
     engine::EngineOptions options = peers::resilientEngineOptions();
     options.spanCapacity = 1 << 16;
-    const auto& deployed = island.deploy(c, options);
-    island.spawn(c, {}, peers::chaosClientConfigs());
+    const bridge::models::Direction& direction = bridge::models::direction(c);
+    const auto& deployed = island.deploy(direction, options);
+    island.spawn(direction, {}, peers::chaosClientConfigs());
 
     Cell cell;
-    cell.caseName = bridge::models::caseName(c);
+    cell.caseName = direction.name;
     cell.loss = loss;
     cell.lookups = kLookups;
     cell.successes = island.runLookups(kLookups);

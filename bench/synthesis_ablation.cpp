@@ -30,12 +30,12 @@ bench::Summary run(bool synthesized) {
                   ProtocolModel{bridge::models::dnsMdl(),
                                 bridge::models::mdnsAutomaton(Role::Client)},
                   merge::Ontology::discovery(), peers::SimIsland::kBridgeHost)
-            : island.deploy(Case::SlpToBonjour);
+            : island.deploy(bridge::models::direction(Case::SlpToBonjour));
 
     peers::ServiceConfigs fast;
     fast.bonjour.responseDelayBase = net::ms(10);
     fast.bonjour.responseDelayJitter = net::ms(2);
-    island.spawn(Case::SlpToBonjour, fast);
+    island.spawn(bridge::models::direction(Case::SlpToBonjour), fast);
     island.runLookups(kRepetitions);
     std::vector<double> samples;
     for (const auto& session : deployed.engine().sessions()) {

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     }
     for (const Case c : kAllCases) {
         for (const int shards : kShardCounts) {
-            std::string label = bridge::models::caseName(c);
+            std::string label = bridge::models::direction(c).name;
             for (char& ch : label) {
                 if (ch == ' ') ch = '-';
             }

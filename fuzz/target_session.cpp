@@ -61,13 +61,14 @@ int fuzzSessionInput(const std::uint8_t* data, std::size_t size) {
         net::EventScheduler& scheduler = island.scheduler;
 
         std::size_t offset = 0;
-        const Case caseId = static_cast<Case>(data[offset++] % 6);
-        const auto& deployed = island.deploy(caseId);
+        const bridge::models::Direction& direction =
+            bridge::models::direction(static_cast<Case>(data[offset++] % 6));
+        const auto& deployed = island.deploy(direction);
         // A legacy service behind the bridge lets valid requests run the
         // COMPLETE translation path; datagrams go where the bridge listens,
         // from a raw socket in place of the legacy client.
-        island.service.emplace(network, caseId);
-        const net::Address group = peers::discoveryGroup(peers::clientProtocol(caseId));
+        island.service.emplace(network, direction);
+        const net::Address group = peers::discoveryGroup(peers::clientProtocol(direction));
 
         const std::size_t count = 1 + data[offset++] % kMaxDatagrams;
         auto client = network.openUdp(peers::SimIsland::kClientHost, 0);

@@ -71,51 +71,51 @@ DeploymentSpec assembleWith(const Direction& d, const Read& read) {
     return spec;
 }
 
-/// The ten built-in directions: the six Cases in enum order, then the four
-/// extensions.
+}  // namespace
+
 const std::vector<Direction>& directions() {
     static const std::vector<Direction> table = {
-        {"slp-to-upnp", "SLP to UPnP",
+        {"slp-to-upnp", "SLP to UPnP", "slp", "upnp",
          {{"slp.mdl.xml", "slp.server.automaton.xml"},
           {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
           {"http.mdl.xml", "http.client.automaton.xml"}},
          "SLP-to-UPnP.bridge.xml"},
-        {"slp-to-bonjour", "SLP to Bonjour",
+        {"slp-to-bonjour", "SLP to Bonjour", "slp", "bonjour",
          {{"slp.mdl.xml", "slp.server.automaton.xml"},
           {"dns.mdl.xml", "mdns.client.automaton.xml"}},
          "SLP-to-Bonjour.bridge.xml"},
-        {"upnp-to-slp", "UPnP to SLP",
+        {"upnp-to-slp", "UPnP to SLP", "upnp", "slp",
          {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
           {"slp.mdl.xml", "slp.client.automaton.xml"},
           {"http.mdl.xml", "http.server.automaton.xml"}},
          "UPnP-to-SLP.bridge.xml"},
-        {"upnp-to-bonjour", "UPnP to Bonjour",
+        {"upnp-to-bonjour", "UPnP to Bonjour", "upnp", "bonjour",
          {{"ssdp.mdl.xml", "ssdp.server.automaton.xml"},
           {"dns.mdl.xml", "mdns.client.automaton.xml"},
           {"http.mdl.xml", "http.server.automaton.xml"}},
          "UPnP-to-Bonjour.bridge.xml"},
-        {"bonjour-to-upnp", "Bonjour to UPnP",
+        {"bonjour-to-upnp", "Bonjour to UPnP", "bonjour", "upnp",
          {{"dns.mdl.xml", "mdns.server.automaton.xml"},
           {"ssdp.mdl.xml", "ssdp.client.automaton.xml"},
           {"http.mdl.xml", "http.client.automaton.xml"}},
          "Bonjour-to-UPnP.bridge.xml"},
-        {"bonjour-to-slp", "Bonjour to SLP",
+        {"bonjour-to-slp", "Bonjour to SLP", "bonjour", "slp",
          {{"dns.mdl.xml", "mdns.server.automaton.xml"},
           {"slp.mdl.xml", "slp.client.automaton.xml"}},
          "Bonjour-to-SLP.bridge.xml"},
-        {"slp-to-ldap", "SLP to LDAP",
+        {"slp-to-ldap", "SLP to LDAP", "slp", "ldap",
          {{"slp.mdl.xml", "slp.server.automaton.xml"},
           {"ldap.mdl.xml", "ldap.client.automaton.xml"}},
          "SLP-to-LDAP.bridge.xml"},
-        {"ldap-to-slp", "LDAP to SLP",
+        {"ldap-to-slp", "LDAP to SLP", "ldap", "slp",
          {{"ldap.mdl.xml", "ldap.server.automaton.xml"},
           {"slp.mdl.xml", "slp.client.automaton.xml"}},
          "LDAP-to-SLP.bridge.xml"},
-        {"slp-to-wsd", "SLP to WSD",
+        {"slp-to-wsd", "SLP to WSD", "slp", "wsd",
          {{"slp.mdl.xml", "slp.server.automaton.xml"},
           {"wsd.mdl.xml", "wsd.client.automaton.xml"}},
          "SLP-to-WSD.bridge.xml"},
-        {"wsd-to-slp", "WSD to SLP",
+        {"wsd-to-slp", "WSD to SLP", "wsd", "slp",
          {{"wsd.mdl.xml", "wsd.server.automaton.xml"},
           {"slp.mdl.xml", "slp.client.automaton.xml"}},
          "WSD-to-SLP.bridge.xml"},
@@ -123,13 +123,23 @@ const std::vector<Direction>& directions() {
     return table;
 }
 
-DeploymentSpec builtinDirection(std::string_view slug, const Placement& at = {}) {
+const Direction* directionBySlug(std::string_view slug) {
     for (const Direction& d : directions()) {
-        if (slug == d.slug) {
-            return assembleWith(d, [&at](const char* file) { return builtin(file, at); });
-        }
+        if (slug == d.slug) return &d;
     }
-    throw SpecError("no built-in direction '" + std::string(slug) + "'");
+    return nullptr;
+}
+
+namespace {
+
+DeploymentSpec builtinSpec(const Direction& d, const Placement& at = {}) {
+    return assembleWith(d, [&at](const char* file) { return builtin(file, at); });
+}
+
+DeploymentSpec builtinDirection(std::string_view slug, const Placement& at = {}) {
+    const Direction* d = directionBySlug(slug);
+    if (d == nullptr) throw SpecError("no built-in direction '" + std::string(slug) + "'");
+    return builtinSpec(*d, at);
 }
 
 }  // namespace
@@ -157,17 +167,6 @@ std::string ldapAutomaton(Role role, const std::string& directoryHost) {
 }
 
 const Direction& direction(Case c) { return directions().at(static_cast<std::size_t>(c)); }
-
-const char* caseName(Case c) { return direction(c).name; }
-
-const char* caseSlug(Case c) { return direction(c).slug; }
-
-std::optional<Case> caseBySlug(const std::string& slug) {
-    for (Case c : kAllCases) {
-        if (slug == caseSlug(c)) return c;
-    }
-    return std::nullopt;
-}
 
 DeploymentSpec assemble(const Direction& d, const Documents& docs) {
     return assembleWith(d, [&docs, &d](const char* file) -> const std::string& {
@@ -206,9 +205,13 @@ std::uint64_t modelSetIdentity(const DeploymentSpec& spec) {
     return h;
 }
 
+DeploymentSpec forDirection(const Direction& d, const std::string& bridgeHost,
+                            int bridgeHttpPort) {
+    return builtinSpec(d, {.bridgeHost = bridgeHost, .bridgeHttpPort = bridgeHttpPort});
+}
+
 DeploymentSpec forCase(Case c, const std::string& bridgeHost, int bridgeHttpPort) {
-    return builtinDirection(caseSlug(c),
-                            {.bridgeHost = bridgeHost, .bridgeHttpPort = bridgeHttpPort});
+    return forDirection(direction(c), bridgeHost, bridgeHttpPort);
 }
 
 DeploymentSpec slpToLdap(const std::string& directoryHost) {

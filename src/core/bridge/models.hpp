@@ -7,8 +7,15 @@
 // the paper's headline claim: "there is no implementation or deployment of
 // legacy code that is specific to the behaviour of an individual protocol".
 // The committed files are written for the default deployment (bridge at
-// 10.0.0.9, HTTP on 8085, LDAP directory at 10.0.0.3); forCase, slpToLdap,
-// httpAutomaton and ldapAutomaton substitute other values for those.
+// 10.0.0.9, HTTP on 8085, LDAP directory at 10.0.0.3); forDirection,
+// slpToLdap, httpAutomaton and ldapAutomaton substitute other values for
+// those.
+//
+// directions() is the one list of bridged directions: each row names its
+// slug, display name, model files, bridge file and the protocols of its
+// legacy client and service. Adding a direction means adding its model files
+// and its row; peers::Service and peers::Client build its legacy peers from
+// the row's protocols.
 //
 // Automata come in two roles. The same protocol is modelled from the side
 // the bridge impersonates: Server (the bridge answers that protocol's
@@ -20,8 +27,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,6 +58,9 @@ std::string ssdpAutomaton(Role role);
 std::string httpAutomaton(Role role, int serverPort = 8085);
 
 // -- the six interoperability cases (section V) -------------------------------
+//
+// Case indexes the paper's six, the registry fleet (registry.hpp); every
+// other caller names a direction by its Direction row.
 enum class Case {
     SlpToUpnp,      // 1: SLP client discovers a UPnP device   (Figs 4-5)
     SlpToBonjour,   // 2: SLP client discovers a Bonjour service (Fig 10)
@@ -63,16 +73,6 @@ enum class Case {
 inline constexpr Case kAllCases[] = {Case::SlpToUpnp,     Case::SlpToBonjour,
                                      Case::UpnpToSlp,     Case::UpnpToBonjour,
                                      Case::BonjourToUpnp, Case::BonjourToSlp};
-
-const char* caseName(Case c);
-
-/// Stable kebab-case identifier ("slp-to-upnp"); matches the merged-automaton
-/// name in the bridge spec, so it doubles as the `bridge` metric label and the
-/// CLI case argument. caseName() is the DISPLAY name ("SLP to UPnP") -- never
-/// use it as an identifier.
-const char* caseSlug(Case c);
-/// Inverse of caseSlug(); nullopt for unknown slugs.
-std::optional<Case> caseBySlug(const std::string& slug);
 
 /// One protocol's pair of models.
 struct ProtocolModel {
@@ -91,31 +91,47 @@ struct DeploymentSpec {
 /// carry it so replay can refuse to re-inject a capture into different models.
 std::uint64_t modelSetIdentity(const DeploymentSpec& spec);
 
-/// One bridged direction in the models/ file layout.
+/// One bridged direction: what its bridge is made of and who it connects.
 struct Direction {
-    const char* slug;  ///< caseSlug(): "slp-to-upnp"
-    const char* name;  ///< caseName(): "SLP to UPnP"
+    /// "slp-to-upnp": the merged automaton's name, so also the CLI argument,
+    /// the `bridge` metric label and a postmortem bundle's caseSlug.
+    const char* slug;
+    const char* name;  ///< "SLP to UPnP", for display only
+    /// The protocol the legacy client speaks ("slp"; the bridge serves it)
+    /// and the one the legacy service speaks ("upnp"; the bridge queries it),
+    /// as peers::protocolBySlug names them.
+    const char* client;
+    const char* service;
     /// (MDL file, automaton file) per protocol, in the order the spec lists
     /// them (modelSetIdentity is order-sensitive).
     std::vector<std::pair<const char*, const char*>> protocols;
     const char* bridge;  ///< the bridge specification file
 };
 
-/// A case's direction. The built-in table also holds slp-to-ldap,
-/// ldap-to-slp, slp-to-wsd and wsd-to-slp, reached through their functions.
+/// The ten built-in directions: the paper's six in Case order, then the
+/// SLP<->LDAP and SLP<->WS-Discovery extensions.
+const std::vector<Direction>& directions();
+
+/// The row whose slug is `slug`; nullptr for anything else.
+const Direction* directionBySlug(std::string_view slug);
+
+/// A case's row.
 const Direction& direction(Case c);
 
 /// Assembles `d`'s spec from `docs`; throws SpecError if a file is missing.
 DeploymentSpec assemble(const Direction& d, const Documents& docs);
 
 /// embeddedDocuments() with the bridge's LOCATION and HTTP listen port
-/// substituted, i.e. the documents forCase(c, bridgeHost, bridgeHttpPort)
-/// assembles from.
+/// substituted, i.e. the documents forDirection(d, bridgeHost,
+/// bridgeHttpPort) assembles from.
 Documents builtinDocuments(const std::string& bridgeHost, int bridgeHttpPort);
 
-/// Models for a case. `bridgeHost` parameterises the LOCATION the bridge
-/// advertises when it impersonates a UPnP device (cases 3 and 4);
-/// `bridgeHttpPort` is where its HTTP side listens.
+/// A direction's built-in models. `bridgeHost` parameterises the LOCATION the
+/// bridge advertises when it impersonates a UPnP device (upnp-to-slp and
+/// upnp-to-bonjour); `bridgeHttpPort` is where its HTTP side listens.
+DeploymentSpec forDirection(const Direction& d, const std::string& bridgeHost,
+                            int bridgeHttpPort = 8085);
+/// forDirection(direction(c), ...).
 DeploymentSpec forCase(Case c, const std::string& bridgeHost, int bridgeHttpPort = 8085);
 
 /// Line count of the bridge specification (the paper reports "typically

@@ -183,7 +183,7 @@ std::shared_ptr<const ModelSet> ModelRegistry::loadSpecs(
     };
     for (const Case c : models::kAllCases) {
         const models::DeploymentSpec& spec = specs[static_cast<std::size_t>(c)];
-        const std::string slug = models::caseSlug(c);
+        const std::string slug = models::direction(c).slug;
         for (std::size_t i = 0; i < spec.protocols.size(); ++i) {
             // Label by content hash so a document shared across cases lints
             // once, while a case-local variant still gets its own pass.

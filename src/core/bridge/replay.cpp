@@ -72,14 +72,14 @@ std::string describeRecordMismatch(const telemetry::WireEvent& want,
 
 ReplayComparison replayBundle(const telemetry::PostmortemBundle& bundle,
                               std::size_t maxEvents) {
-    const std::optional<models::Case> caseId = models::caseBySlug(bundle.caseSlug);
-    if (!caseId) {
+    const models::Direction* direction = models::directionBySlug(bundle.caseSlug);
+    if (direction == nullptr) {
         throw SpecError(errc::ErrorCode::SpecViolation,
                         "replay: unknown case slug '" + bundle.caseSlug +
-                            "' (only bridges deployed from models::forCase are replayable)");
+                            "' (only the built-in directions are replayable without models)");
     }
     const std::string host = bundle.bridgeHost.empty() ? "10.0.0.9" : bundle.bridgeHost;
-    return replayBundle(bundle, models::forCase(*caseId, host), maxEvents);
+    return replayBundle(bundle, models::forDirection(*direction, host), maxEvents);
 }
 
 ReplayComparison replayBundle(const telemetry::PostmortemBundle& bundle,

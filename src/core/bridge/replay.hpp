@@ -54,8 +54,8 @@ struct ReplayComparison {
 /// Replays one bundle in a fresh island and diffs the outcome. Throws
 /// SpecError when the bundle cannot be replayed at all: a model set whose
 /// fingerprint does not match the capture's (bridge.identity-mismatch),
-/// a truncated capture, or an unknown case slug (only forCase deployments
-/// are replayable). Resolves the model set via models::forCase.
+/// a truncated capture, or a case slug no built-in direction has. Resolves
+/// the model set via models::directionBySlug and models::forDirection.
 ReplayComparison replayBundle(const telemetry::PostmortemBundle& bundle,
                               std::size_t maxEvents = 2'000'000);
 

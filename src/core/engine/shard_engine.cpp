@@ -95,7 +95,7 @@ bool ShardEngine::submit(SessionJob job) {
         // way completeSession would have: a per-code abort count and (when
         // spans are on) a terminal session span -- 1-shard and N-shard runs
         // then report overload identically to sessions aborted in-engine.
-        const char* slug = bridge::models::caseSlug(job.caseId);
+        const char* slug = bridge::models::direction(job.caseId).slug;
         shard.registry
             .counter(telemetry::labeled(
                 "starlink_engine_sessions_aborted_total",
@@ -303,7 +303,7 @@ void ShardEngine::runShard(Shard& shard) {
             // The SLP user agent draws no randomness, so its config has no seed.
             clients.upnp.seed = clientSeed;
             clients.bonjour.seed = clientSeed;
-            island.spawn(job.caseId, services, clients);
+            island.spawn(bridge::models::direction(job.caseId), services, clients);
             const bool discovered = island.runLookups(1) == 1;
             // Tear down before the next session reseeds the network: closing
             // a peer's open connection samples a latency from it.

@@ -182,7 +182,7 @@ private:
 struct PostmortemBundle {
     std::uint16_t version = 1;
     std::string bridge;     ///< merged-automaton name (the `bridge` metric label)
-    std::string caseSlug;   ///< models::caseSlug when deployed via forCase, else ""
+    std::string caseSlug;   ///< the merged-automaton name: a built-in direction's slug
     std::string bridgeHost; ///< host the bridge was deployed at
     std::int32_t shard = 0;
     std::uint64_t sessionOrdinal = 0;

@@ -40,6 +40,7 @@ public:
 
     void addEntry(Entry entry) { entries_.push_back(std::move(entry)); }
 
+    const std::vector<Entry>& entries() const { return entries_; }
     std::size_t searchesServed() const { return served_; }
     const Config& config() const { return config_; }
 
@@ -66,8 +67,14 @@ public:
     };
     using Callback = std::function<void(const Result&)>;
 
+    struct Config {
+        std::string host = "10.0.0.1";
+    };
+
     DirectoryClient(net::Network& network, std::string host)
         : network_(network), host_(std::move(host)) {}
+    DirectoryClient(net::Network& network, Config config)
+        : DirectoryClient(network, std::move(config.host)) {}
 
     void search(const std::string& directoryHost, std::uint16_t directoryPort,
                 const std::string& serviceClass, const std::string& filter, Callback callback);

@@ -5,8 +5,6 @@
 
 namespace starlink::peers {
 
-using bridge::models::Case;
-
 namespace {
 
 struct ProtocolRow {
@@ -23,31 +21,15 @@ constexpr ProtocolRow kProtocols[] = {
     {"upnp", "UPnP control point", "urn:schemas-upnp-org:service:printer:1", ssdp::kGroup,
      ssdp::kPort},
     {"bonjour", "Bonjour browser", "_printer._tcp.local", mdns::kGroup, mdns::kPort},
-};
-
-struct PeerRow {
-    Case direction;
-    Protocol client;
-    Protocol service;
-};
-
-// One row per bridge direction: who asks, who answers.
-constexpr PeerRow kPeers[] = {
-    {Case::SlpToUpnp, Protocol::Slp, Protocol::Upnp},
-    {Case::SlpToBonjour, Protocol::Slp, Protocol::Bonjour},
-    {Case::UpnpToSlp, Protocol::Upnp, Protocol::Slp},
-    {Case::UpnpToBonjour, Protocol::Upnp, Protocol::Bonjour},
-    {Case::BonjourToUpnp, Protocol::Bonjour, Protocol::Upnp},
-    {Case::BonjourToSlp, Protocol::Bonjour, Protocol::Slp},
+    {"ldap", "LDAP client", "service:printer", SimIsland::kBridgeHost, ldap::kPort},
+    {"wsd", "WS-Discovery client", "printer", wsd::kGroup, wsd::kPort},
 };
 
 const ProtocolRow& row(Protocol p) { return kProtocols[static_cast<std::size_t>(p)]; }
 
-const PeerRow& row(Case c) {
-    for (const PeerRow& peer : kPeers) {
-        if (peer.direction == c) return peer;
-    }
-    throw std::logic_error("peers: no legacy peers for this direction");
+Protocol protocolOf(const char* slug) {
+    if (const std::optional<Protocol> p = protocolBySlug(slug)) return *p;
+    throw std::logic_error(std::string("peers: no legacy peers speak '") + slug + "'");
 }
 
 // Builds the variant's alternative for `p` in place (each return is a
@@ -58,6 +40,8 @@ Agent make(net::Network& network, Protocol p, const Configs& configs) {
         case Protocol::Slp: return Agent(std::in_place_index<0>, network, configs.slp);
         case Protocol::Upnp: return Agent(std::in_place_index<1>, network, configs.upnp);
         case Protocol::Bonjour: return Agent(std::in_place_index<2>, network, configs.bonjour);
+        case Protocol::Ldap: return Agent(std::in_place_index<3>, network, configs.ldap);
+        case Protocol::Wsd: return Agent(std::in_place_index<4>, network, configs.wsd);
     }
     throw std::logic_error("peers: unknown protocol");
 }
@@ -70,7 +54,7 @@ constexpr std::size_t kLookupEventBudget = 2'000'000;
 
 }  // namespace
 
-std::optional<Protocol> protocolBySlug(const std::string& slug) {
+std::optional<Protocol> protocolBySlug(std::string_view slug) {
     for (std::size_t i = 0; i < std::size(kProtocols); ++i) {
         if (slug == kProtocols[i].slug) return static_cast<Protocol>(i);
     }
@@ -83,18 +67,24 @@ const char* printerQuery(Protocol p) { return row(p).query; }
 
 net::Address discoveryGroup(Protocol p) { return net::Address{row(p).group, row(p).port}; }
 
-Protocol clientProtocol(Case c) { return row(c).client; }
+Protocol clientProtocol(const bridge::models::Direction& d) { return protocolOf(d.client); }
 
-Protocol serviceProtocol(Case c) { return row(c).service; }
+Protocol serviceProtocol(const bridge::models::Direction& d) { return protocolOf(d.service); }
 
 Service::Service(net::Network& network, Protocol protocol, const ServiceConfigs& configs)
-    : agent_(make<decltype(agent_)>(network, protocol, configs)) {}
+    : agent_(make<decltype(agent_)>(network, protocol, configs)) {
+    if (auto* directory = std::get_if<ldap::DirectoryServer>(&agent_)) {
+        directory->addEntry(configs.ldap.printer);
+    }
+}
 
 const std::string& Service::url() const {
     switch (agent_.index()) {
         case 0: return std::get<0>(agent_).config().url;
         case 1: return std::get<1>(agent_).config().serviceUrl;
-        default: return std::get<2>(agent_).config().url;
+        case 2: return std::get<2>(agent_).config().url;
+        case 3: return std::get<3>(agent_).entries().front().url;
+        default: return std::get<4>(agent_).config().xaddrs;
     }
 }
 
@@ -110,6 +100,24 @@ void Client::lookup(Callback callback) {
         case Protocol::Slp: std::get<0>(agent_).lookup(query, std::move(forward)); break;
         case Protocol::Upnp: std::get<1>(agent_).search(query, std::move(forward)); break;
         case Protocol::Bonjour: std::get<2>(agent_).browse(query, std::move(forward)); break;
+        case Protocol::Ldap: {
+            // Any printer: the empty filter matches every entry.
+            const net::Address directory = discoveryGroup(Protocol::Ldap);
+            std::get<3>(agent_).search(
+                directory.host, directory.port, query, "",
+                [forward = std::move(forward)](const ldap::DirectoryClient::Result& r) {
+                    forward(Result{r.success ? std::vector<std::string>{r.url}
+                                             : std::vector<std::string>{},
+                                   r.elapsed});
+                });
+            break;
+        }
+        case Protocol::Wsd:
+            std::get<4>(agent_).probe(
+                query, [forward = std::move(forward)](const wsd::Client::Result& r) {
+                    forward(Result{r.xaddrs, r.elapsed});
+                });
+            break;
     }
 }
 
@@ -125,15 +133,19 @@ engine::EngineOptions resilientEngineOptions() {
 
 ClientConfigs chaosClientConfigs() {
     ClientConfigs configs;
-    configs.each([](auto& config) {
+    const auto resend = [](auto& config) {
         config.timeout = net::ms(120000);
         config.retransmitInterval = net::ms(8000);
-    });
+    };
+    resend(configs.slp);
+    resend(configs.upnp);
+    resend(configs.bonjour);
     return configs;
 }
 
-bridge::DeployedBridge& SimIsland::deploy(Case c, const engine::EngineOptions& options) {
-    return deploy(bridge::models::forCase(c, kBridgeHost), options);
+bridge::DeployedBridge& SimIsland::deploy(const bridge::models::Direction& d,
+                                          const engine::EngineOptions& options) {
+    return deploy(bridge::models::forDirection(d, kBridgeHost), options);
 }
 
 bridge::DeployedBridge& SimIsland::deploy(const bridge::models::DeploymentSpec& spec,
@@ -142,12 +154,13 @@ bridge::DeployedBridge& SimIsland::deploy(const bridge::models::DeploymentSpec& 
     return *deployed;
 }
 
-void SimIsland::spawn(Case c, const ServiceConfigs& services, const ClientConfigs& clients) {
+void SimIsland::spawn(const bridge::models::Direction& d, const ServiceConfigs& services,
+                      const ClientConfigs& clients) {
     // The old peers unbind first: the new ones reuse their well-known ports.
     client.reset();
     service.reset();
-    service.emplace(network, c, services);
-    client.emplace(network, c, clients);
+    service.emplace(network, d, services);
+    client.emplace(network, d, clients);
 }
 
 void SimIsland::chaos(std::uint64_t seed, double loss) {

@@ -1,20 +1,23 @@
-// The legacy peers of the paper's case study (section V): for every bridge
-// direction, the unmodified service the bridge queries and the unmodified
-// client that discovers it through the bridge -- and the simulated testbed
-// (section VI, Fig 12) that puts both on one network with the bridge.
+// The legacy peers of the paper's case study (section V) and of its LDAP and
+// WS-Discovery extensions: for every bridge direction, the unmodified service
+// the bridge queries and the unmodified client that discovers it through the
+// bridge -- and the simulated testbed (section VI, Fig 12) that puts both on
+// one network with the bridge.
 //
-// This is the only place that maps a direction to its peer protocols and
-// each client protocol to its printer query. A caller builds a Service and a
-// Client from a Case (or a Protocol) and passes the agents' own Config
-// structs; a default-constructed bundle is every agent's Config{}. Adding a
-// direction to Case means adding its row to the peer table in peers.cpp.
-// Every sim driver builds its testbed as a SimIsland.
+// This is the only place that maps each protocol to its agents and its
+// printer query. A caller builds a Service and a Client from a direction's
+// models::Direction row (or a Protocol) and passes the agents' own Config
+// structs; a default-constructed bundle is every agent's Config{}, except
+// where ClientConfigs says otherwise. A direction between protocols this
+// file already knows needs only its row in models::directions(). Every sim
+// driver builds its testbed as a SimIsland.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -23,57 +26,79 @@
 #include "core/engine/automata_engine.hpp"
 #include "net/network.hpp"
 #include "net/sim_network.hpp"
+#include "protocols/ldap/ldap_agents.hpp"
 #include "protocols/mdns/mdns_agents.hpp"
 #include "protocols/slp/slp_agents.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
+#include "protocols/wsd/wsd_agents.hpp"
 
 namespace starlink::peers {
 
-enum class Protocol { Slp, Upnp, Bonjour };
+enum class Protocol { Slp, Upnp, Bonjour, Ldap, Wsd };
 
-/// "slp", "upnp" or "bonjour"; nullopt for anything else.
-std::optional<Protocol> protocolBySlug(const std::string& slug);
+/// "slp", "upnp", "bonjour", "ldap" or "wsd"; nullopt for anything else.
+std::optional<Protocol> protocolBySlug(std::string_view slug);
 /// The client's display name: "SLP client", "UPnP control point",
-/// "Bonjour browser".
+/// "Bonjour browser", "LDAP client", "WS-Discovery client".
 const char* clientName(Protocol p);
 /// What every client asks for: "service:printer",
-/// "urn:schemas-upnp-org:service:printer:1" or "_printer._tcp.local".
+/// "urn:schemas-upnp-org:service:printer:1", "_printer._tcp.local",
+/// "service:printer" (the LDAP service class) or "printer" (the WSD type).
 const char* printerQuery(Protocol p);
-/// The protocol's well-known discovery group and port.
+/// Where the protocol's client sends its request: the well-known discovery
+/// group and port, or, for LDAP, the directory the bridge poses as
+/// (SimIsland::kBridgeHost:389).
 net::Address discoveryGroup(Protocol p);
 
 /// The protocol a direction's client speaks (the bridge serves it).
-Protocol clientProtocol(bridge::models::Case c);
+Protocol clientProtocol(const bridge::models::Direction& d);
 /// The protocol a direction's service speaks (the bridge queries it).
-Protocol serviceProtocol(bridge::models::Case c);
+Protocol serviceProtocol(const bridge::models::Direction& d);
+
+/// The LDAP service's config: the directory's own, plus the one printer
+/// entry it holds (the other services advertise theirs through their Config).
+struct DirectoryConfig : ldap::DirectoryServer::Config {
+    ldap::Entry printer{"cn=printer1,dc=services,dc=local", "service:printer",
+                        "service:printer:lpr://10.0.0.3:515/printer1", {}};
+};
 
 /// One agent Config per protocol; a Service or Client reads only the one of
 /// the protocol it speaks.
-template <class Slp, class Upnp, class Bonjour>
+template <class Slp, class Upnp, class Bonjour, class Ldap, class Wsd>
 struct Configs {
     Slp slp;
     Upnp upnp;
     Bonjour bonjour;
+    Ldap ldap;
+    Wsd wsd;
 
-    /// Applies `f` to all three configs (for the fields they share).
+    /// Applies `f` to all five configs (for the fields they share).
     template <class F>
     void each(F&& f) {
         f(slp);
         f(upnp);
         f(bonjour);
+        f(ldap);
+        f(wsd);
     }
 };
 using ServiceConfigs = Configs<slp::ServiceAgent::Config, ssdp::Device::Config,
-                               mdns::Responder::Config>;
-using ClientConfigs = Configs<slp::UserAgent::Config, ssdp::ControlPoint::Config,
-                              mdns::Resolver::Config>;
+                               mdns::Responder::Config, DirectoryConfig, wsd::Target::Config>;
+struct ClientConfigs : Configs<slp::UserAgent::Config, ssdp::ControlPoint::Config,
+                               mdns::Resolver::Config, ldap::DirectoryClient::Config,
+                               wsd::Client::Config> {
+    /// wsd-to-slp: the WSD client must outlast the SLP service's ~6.1 s reply
+    /// window, which the agent's own 5 s default does not.
+    ClientConfigs() { wsd.timeout = net::ms(15000); }
+};
 
 /// A legacy service advertising one printer, bound on construction.
 class Service {
 public:
     Service(net::Network& network, Protocol protocol, const ServiceConfigs& configs = {});
-    Service(net::Network& network, bridge::models::Case c, const ServiceConfigs& configs = {})
-        : Service(network, serviceProtocol(c), configs) {}
+    Service(net::Network& network, const bridge::models::Direction& d,
+            const ServiceConfigs& configs = {})
+        : Service(network, serviceProtocol(d), configs) {}
 
     Service(const Service&) = delete;
     Service& operator=(const Service&) = delete;
@@ -83,7 +108,9 @@ public:
 
 private:
     // Alternatives in Protocol order.
-    std::variant<slp::ServiceAgent, ssdp::Device, mdns::Responder> agent_;
+    std::variant<slp::ServiceAgent, ssdp::Device, mdns::Responder, ldap::DirectoryServer,
+                 wsd::Target>
+        agent_;
 };
 
 /// A legacy client; lookups may repeat, one in flight at a time.
@@ -96,8 +123,9 @@ public:
     using Callback = std::function<void(const Result&)>;
 
     Client(net::Network& network, Protocol protocol, const ClientConfigs& configs = {});
-    Client(net::Network& network, bridge::models::Case c, const ClientConfigs& configs = {})
-        : Client(network, clientProtocol(c), configs) {}
+    Client(net::Network& network, const bridge::models::Direction& d,
+           const ClientConfigs& configs = {})
+        : Client(network, clientProtocol(d), configs) {}
 
     Client(const Client&) = delete;
     Client& operator=(const Client&) = delete;
@@ -109,7 +137,9 @@ private:
     Protocol protocol() const { return static_cast<Protocol>(agent_.index()); }
 
     // Alternatives in Protocol order.
-    std::variant<slp::UserAgent, ssdp::ControlPoint, mdns::Resolver> agent_;
+    std::variant<slp::UserAgent, ssdp::ControlPoint, mdns::Resolver, ldap::DirectoryClient,
+                 wsd::Client>
+        agent_;
 };
 
 /// The resilient engine profile every chaos driver deploys: a 7 s receive
@@ -119,9 +149,10 @@ private:
 /// direction; the watchdog frees the connector for the client's next re-send.
 engine::EngineOptions resilientEngineOptions();
 
-/// The chaos client profile: every client re-sends its request every 8 s
-/// (clear of the ~6.5 s worst-case healthy conversation) and gives up after
-/// two virtual minutes, as real OpenSLP, mDNS and UPnP stacks re-send.
+/// The chaos client profile: the SLP, UPnP and Bonjour clients re-send their
+/// request every 8 s (clear of the ~6.5 s worst-case healthy conversation)
+/// and give up after two virtual minutes, as real OpenSLP, mDNS and UPnP
+/// stacks re-send. The LDAP and WSD agents ask once.
 ClientConfigs chaosClientConfigs();
 
 /// The paper's three-party testbed on its own simulated network over
@@ -145,13 +176,13 @@ struct SimIsland {
     explicit SimIsland(std::uint64_t networkSeed) : network(scheduler, networkSeed) {}
 
     /// Deploys the direction's built-in models (or `spec`) at kBridgeHost.
-    bridge::DeployedBridge& deploy(bridge::models::Case c,
+    bridge::DeployedBridge& deploy(const bridge::models::Direction& d,
                                    const engine::EngineOptions& options = {});
     bridge::DeployedBridge& deploy(const bridge::models::DeploymentSpec& spec,
                                    const engine::EngineOptions& options = {});
 
     /// Replaces the peers with the direction's service and then its client.
-    void spawn(bridge::models::Case c, const ServiceConfigs& services = {},
+    void spawn(const bridge::models::Direction& d, const ServiceConfigs& services = {},
                const ClientConfigs& clients = {});
 
     /// Steady per-hop `loss` plus a seeded FaultSchedule::chaos plan (loss

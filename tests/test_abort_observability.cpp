@@ -33,13 +33,13 @@ const telemetry::SpanAttr* attrOf(const telemetry::Span& span, const std::string
 std::uint64_t abortedTotal(const telemetry::MetricsRegistry& merged, errc::ErrorCode code) {
     std::uint64_t total = 0;
     for (const auto c : bridge::models::kAllCases) {
-        // Shed accounting labels with models::caseSlug; in-engine aborts label
-        // with the merged-automaton name -- identical for forCase bridges, so
-        // one query covers both paths.
+        // Shed accounting labels with the direction's slug; in-engine aborts
+        // label with the merged-automaton name -- identical for built-in
+        // bridges, so one query covers both paths.
         total += const_cast<telemetry::MetricsRegistry&>(merged)
                      .counter(telemetry::labeled(
                          "starlink_engine_sessions_aborted_total",
-                         {{"bridge", bridge::models::caseSlug(c)},
+                         {{"bridge", bridge::models::direction(c).slug},
                           {"code", std::to_string(errc::to_error_code(code))},
                           {"cause", errc::to_string(code)}}))
                      .value();
@@ -253,7 +253,7 @@ TEST(ResidencyGauges, ExportedAfterSessionBoundaries) {
     shardEngine.run();
     telemetry::MetricsRegistry merged;
     shardEngine.mergeMetricsInto(merged);
-    const std::string slug = bridge::models::caseSlug(bridge::models::Case::SlpToBonjour);
+    const std::string slug = bridge::models::direction(bridge::models::Case::SlpToBonjour).slug;
     auto gauge = [&](const std::string& name) {
         return merged.gauge(telemetry::labeled(name, {{"bridge", slug}})).value();
     };

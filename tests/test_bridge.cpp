@@ -25,13 +25,12 @@ protected:
 
 TEST_F(BridgeTest, DeploysEveryCase) {
     int port = 8085;
-    for (const Case c : models::kAllCases) {
+    for (const models::Direction& d : models::directions()) {
         // Distinct host per bridge; distinct HTTP port to avoid rebinds.
-        const std::string host = "10.0.1." + std::to_string(static_cast<int>(c) + 1);
-        EXPECT_NO_THROW(starlink.deploy(models::forCase(c, host, port++), host))
-            << models::caseName(c);
+        const std::string host = "10.0.1." + std::to_string(port - 8084);
+        EXPECT_NO_THROW(starlink.deploy(models::forDirection(d, host, port++), host)) << d.name;
     }
-    EXPECT_EQ(starlink.bridges().size(), 6u);
+    EXPECT_EQ(starlink.bridges().size(), models::directions().size());
 }
 
 TEST_F(BridgeTest, DeployedBridgeStartsAtInitialState) {
@@ -86,8 +85,9 @@ TEST(Models, MdlDocumentsAllLoad) {
 
 TEST(Models, CaseNamesAreDistinct) {
     std::set<std::string> names;
-    for (const Case c : models::kAllCases) {
-        EXPECT_TRUE(names.insert(models::caseName(c)).second);
+    for (const models::Direction& d : models::directions()) {
+        EXPECT_TRUE(names.insert(d.name).second) << d.name;
+        EXPECT_TRUE(names.insert(d.slug).second) << d.slug;
     }
 }
 
@@ -123,9 +123,9 @@ TEST(Models, BuiltinIdentitiesMatchRecordedValues) {
     std::vector<Pin> pins;
     for (const Case c : models::kAllCases) {
         const auto i = static_cast<std::size_t>(c);
-        pins.push_back({std::string(models::caseSlug(c)) + "@10.0.0.9:8085",
+        pins.push_back({std::string(models::direction(c).slug) + "@10.0.0.9:8085",
                         models::forCase(c, "10.0.0.9", 8085), atDefault[i]});
-        pins.push_back({std::string(models::caseSlug(c)) + "@192.168.1.50:8444",
+        pins.push_back({std::string(models::direction(c).slug) + "@192.168.1.50:8444",
                         models::forCase(c, "192.168.1.50", 8444), atOther[i]});
     }
     pins.push_back({"slp-to-ldap", models::slpToLdap("10.0.0.3"), 0xb6ac54344b417a11ull});

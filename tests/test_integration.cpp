@@ -1,6 +1,7 @@
 // End-to-end case-study tests (paper section V, experiment E3): every legacy
 // client discovers the heterogeneous legacy service through a runtime-
-// deployed Starlink bridge, across all six protocol pairs.
+// deployed Starlink bridge, across all six protocol pairs (and, for the
+// concurrency test, the four LDAP and WS-Discovery directions too).
 //
 // Topology per test: legacy client at 10.0.0.1, legacy service at 10.0.0.3,
 // Starlink bridge at 10.0.0.9. Neither legacy application knows the bridge
@@ -12,8 +13,10 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "core/bridge/models.hpp"
@@ -27,7 +30,6 @@
 #include "protocols/slp/slp_codec.hpp"
 #include "protocols/ssdp/ssdp_agents.hpp"
 #include "protocols/ssdp/ssdp_codec.hpp"
-#include "protocols/wsd/wsd_agents.hpp"
 #include "sim_fixture.hpp"
 
 namespace starlink {
@@ -66,12 +68,6 @@ protected:
         config.responseDelayJitter = net::ms(1);
         return config;
     }
-    mdns::Resolver::Config fastResolver() {
-        mdns::Resolver::Config config;
-        config.aggregationBase = net::ms(20);
-        config.aggregationJitter = net::ms(2);
-        return config;
-    }
     ssdp::ControlPoint::Config fastControlPoint() {
         ssdp::ControlPoint::Config config;
         config.mxWindowBase = net::ms(30);
@@ -79,6 +75,21 @@ protected:
         return config;
     }
 };
+
+/// One lookup of `c`'s legacy client through its bridge on a fresh
+/// peers::SimIsland: the client must discover the service's URL through one
+/// completed bridge session.
+void discoverOnce(Case c) {
+    const bridge::models::Direction& direction = bridge::models::direction(c);
+    peers::SimIsland island;
+    const bridge::DeployedBridge& bridge = island.deploy(direction);
+    island.spawn(direction);
+    std::vector<std::string> urls;
+    island.runLookups(1, [&urls](const peers::Client::Result& r) { urls = r.urls; });
+    EXPECT_EQ(urls, std::vector<std::string>{island.service->url()});
+    ASSERT_EQ(bridge.engine().sessions().size(), 1u);
+    EXPECT_TRUE(bridge.engine().sessions()[0].completed);
+}
 
 // --- case 1 -----------------------------------------------------------------
 
@@ -104,22 +115,7 @@ TEST_F(InteropTest, SlpClientDiscoversUpnpDevice) {
 
 // --- case 2 -----------------------------------------------------------------
 
-TEST_F(InteropTest, SlpClientDiscoversBonjourService) {
-    auto& bridge = deployCase(Case::SlpToBonjour);
-    mdns::Responder responder(network, fastResponder());
-    slp::UserAgent client(network, {});
-
-    std::vector<std::string> urls;
-    client.lookup("service:printer", [&urls](const slp::UserAgent::Result& result) {
-        urls = result.urls;
-    });
-    run();
-
-    ASSERT_EQ(urls.size(), 1u);
-    EXPECT_EQ(urls[0], responder.config().url);
-    ASSERT_EQ(bridge.engine().sessions().size(), 1u);
-    EXPECT_TRUE(bridge.engine().sessions()[0].completed);
-}
+TEST_F(InteropTest, SlpClientDiscoversBonjourService) { discoverOnce(Case::SlpToBonjour); }
 
 // --- case 3 -----------------------------------------------------------------
 
@@ -142,59 +138,15 @@ TEST_F(InteropTest, UpnpControlPointDiscoversSlpService) {
     EXPECT_EQ(bridge.engine().sessions()[0].messagesOut, 3u);  // SrvReq, SSDP resp, HTTP OK
 }
 
-// --- case 4 -----------------------------------------------------------------
+// --- cases 4 to 6 ------------------------------------------------------------
 
 TEST_F(InteropTest, UpnpControlPointDiscoversBonjourService) {
-    auto& bridge = deployCase(Case::UpnpToBonjour);
-    mdns::Responder responder(network, fastResponder());
-    ssdp::ControlPoint client(network, fastControlPoint());
-
-    std::vector<std::string> urls;
-    client.search("urn:schemas-upnp-org:service:printer:1",
-                  [&urls](const ssdp::ControlPoint::Result& result) { urls = result.urls; });
-    run();
-
-    ASSERT_EQ(urls.size(), 1u);
-    EXPECT_EQ(urls[0], responder.config().url);
-    ASSERT_EQ(bridge.engine().sessions().size(), 1u);
-    EXPECT_TRUE(bridge.engine().sessions()[0].completed);
+    discoverOnce(Case::UpnpToBonjour);
 }
 
-// --- case 5 -----------------------------------------------------------------
+TEST_F(InteropTest, BonjourBrowserDiscoversUpnpDevice) { discoverOnce(Case::BonjourToUpnp); }
 
-TEST_F(InteropTest, BonjourBrowserDiscoversUpnpDevice) {
-    auto& bridge = deployCase(Case::BonjourToUpnp);
-    ssdp::Device device(network, fastDevice());
-    mdns::Resolver client(network, fastResolver());
-
-    std::vector<std::string> urls;
-    client.browse("_printer._tcp.local",
-                  [&urls](const mdns::Resolver::Result& result) { urls = result.urls; });
-    run();
-
-    ASSERT_EQ(urls.size(), 1u);
-    EXPECT_EQ(urls[0], device.config().serviceUrl);
-    ASSERT_EQ(bridge.engine().sessions().size(), 1u);
-    EXPECT_TRUE(bridge.engine().sessions()[0].completed);
-}
-
-// --- case 6 -----------------------------------------------------------------
-
-TEST_F(InteropTest, BonjourBrowserDiscoversSlpService) {
-    auto& bridge = deployCase(Case::BonjourToSlp);
-    slp::ServiceAgent service(network, fastSlpService());
-    mdns::Resolver client(network, fastResolver());
-
-    std::vector<std::string> urls;
-    client.browse("_printer._tcp.local",
-                  [&urls](const mdns::Resolver::Result& result) { urls = result.urls; });
-    run();
-
-    ASSERT_EQ(urls.size(), 1u);
-    EXPECT_EQ(urls[0], service.config().url);
-    ASSERT_EQ(bridge.engine().sessions().size(), 1u);
-    EXPECT_TRUE(bridge.engine().sessions()[0].completed);
-}
+TEST_F(InteropTest, BonjourBrowserDiscoversSlpService) { discoverOnce(Case::BonjourToSlp); }
 
 // --- repeated sessions --------------------------------------------------------
 
@@ -389,185 +341,72 @@ TEST_F(InteropTest, OverlappingClientsServedConcurrently) {
 
 // --- concurrency across every direction ----------------------------------------
 
-/// One bridge direction with its legacy service and a client factory that
-/// issues one lookup from a given host.
-struct Direction {
-    const char* name;
-    std::function<bridge::models::DeploymentSpec()> spec;
-    std::function<std::shared_ptr<void>(net::Network&)> service;
-    /// Starts client `i` on `host`; `done` receives the URLs it discovered.
-    std::function<std::shared_ptr<void>(net::Network&, int i, const std::string& host,
-                                        std::function<void(std::vector<std::string>)> done)>
-        client;
-    /// The URL client `i` must discover.
-    std::function<std::string(int i)> expected;
-};
+constexpr const char* kQueueUrl = "http://10.0.0.3:631/printer-p";
 
-constexpr const char* kServiceUrl = "http://10.0.0.3:631/printer";
-
-std::shared_ptr<void> slpService(net::Network& network) {
-    slp::ServiceAgent::Config config;
-    config.host = "10.0.0.3";
-    config.url = kServiceUrl;
-    config.attributes = {{"color", "true"}};
-    config.responseDelayBase = net::ms(40);
-    config.responseDelayJitter = net::ms(5);
-    return std::make_shared<slp::ServiceAgent>(network, config);
-}
-std::shared_ptr<void> mdnsService(net::Network& network) {
-    mdns::Responder::Config config;
-    config.url = kServiceUrl;
-    config.responseDelayBase = net::ms(40);
-    config.responseDelayJitter = net::ms(5);
-    return std::make_shared<mdns::Responder>(network, config);
-}
-std::shared_ptr<void> upnpService(net::Network& network) {
-    ssdp::Device::Config config;
-    config.serviceUrl = kServiceUrl;
-    config.responseDelayBase = net::ms(40);
-    config.responseDelayJitter = net::ms(5);
-    return std::make_shared<ssdp::Device>(network, config);
-}
-
-std::shared_ptr<void> slpClient(net::Network& network, int, const std::string& host,
-                                std::function<void(std::vector<std::string>)> done) {
-    slp::UserAgent::Config config;
-    config.host = host;
-    config.timeout = net::ms(20000);
-    auto agent = std::make_shared<slp::UserAgent>(network, config);
-    agent->lookup("service:printer",
-                  [done](const slp::UserAgent::Result& result) { done(result.urls); });
-    return agent;
-}
-std::shared_ptr<void> upnpClient(net::Network& network, int, const std::string& host,
-                                 std::function<void(std::vector<std::string>)> done) {
-    ssdp::ControlPoint::Config config;
-    config.host = host;
-    config.mxWindowBase = net::ms(30);
-    config.mxWindowJitter = net::ms(3);
-    config.timeout = net::ms(20000);
-    auto agent = std::make_shared<ssdp::ControlPoint>(network, config);
-    agent->search("urn:schemas-upnp-org:service:printer:1",
-                  [done](const ssdp::ControlPoint::Result& result) { done(result.urls); });
-    return agent;
-}
-std::shared_ptr<void> mdnsClient(net::Network& network, int, const std::string& host,
-                                 std::function<void(std::vector<std::string>)> done) {
-    mdns::Resolver::Config config;
-    config.host = host;
-    config.aggregationBase = net::ms(20);
-    config.aggregationJitter = net::ms(2);
-    config.timeout = net::ms(20000);
-    auto agent = std::make_shared<mdns::Resolver>(network, config);
-    agent->browse("_printer._tcp.local",
-                  [done](const mdns::Resolver::Result& result) { done(result.urls); });
-    return agent;
-}
-
-std::vector<Direction> allDirections() {
-    using bridge::models::forCase;
-    const auto paper = [](Case c) { return [c] { return forCase(c, kBridgeHost); }; };
-    const auto same = [](int) { return std::string(kServiceUrl); };
-    return {
-        {"slp-to-upnp", paper(Case::SlpToUpnp), upnpService, slpClient, same},
-        {"slp-to-bonjour", paper(Case::SlpToBonjour), mdnsService, slpClient, same},
-        {"upnp-to-slp", paper(Case::UpnpToSlp), slpService, upnpClient, same},
-        {"upnp-to-bonjour", paper(Case::UpnpToBonjour), mdnsService, upnpClient, same},
-        {"bonjour-to-upnp", paper(Case::BonjourToUpnp), upnpService, mdnsClient, same},
-        {"bonjour-to-slp", paper(Case::BonjourToSlp), slpService, mdnsClient, same},
-        {"slp-to-ldap", [] { return bridge::models::slpToLdap("10.0.0.3"); },
-         [](net::Network& network) -> std::shared_ptr<void> {
-             ldap::DirectoryServer::Config config;
-             config.responseDelayBase = net::ms(40);
-             config.responseDelayJitter = net::ms(5);
-             auto directory = std::make_shared<ldap::DirectoryServer>(network, config);
-             for (int i = 0; i < 3; ++i) {
-                 const std::string queue = "p" + std::to_string(i);
-                 directory->addEntry({"cn=" + queue + ",dc=services,dc=local",
-                                      "service:printer", std::string(kServiceUrl) + "-" + queue,
-                                      {{"queue", queue}}});
-             }
-             return directory;
-         },
-         // slp::UserAgent has no predicate parameter: each client asks for
-         // its own queue through the codec, so each gets its own URL.
-         [](net::Network& network, int i, const std::string& host,
-            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
-             std::shared_ptr<net::UdpSocket> socket = network.openUdp(host);
-             socket->onDatagram([done](const Bytes& payload, const net::Address&) {
-                 if (const auto reply = slp::decodeReply(payload)) done({reply->url});
-             });
-             slp::SrvRequest request;
-             request.xid = static_cast<std::uint16_t>(100 + i);
-             request.serviceType = "service:printer";
-             request.predicate = "(queue=p" + std::to_string(i) + ")";
-             socket->sendTo(net::Address{slp::kGroup, slp::kPort}, slp::encode(request));
-             return socket;
-         },
-         [](int i) { return std::string(kServiceUrl) + "-p" + std::to_string(i); }},
-        {"ldap-to-slp", [] { return bridge::models::ldapToSlp(); }, slpService,
-         [](net::Network& network, int, const std::string& host,
-            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
-             auto agent = std::make_shared<ldap::DirectoryClient>(network, host);
-             agent->search(kBridgeHost, ldap::kPort, "service:printer", "(color=true)",
-                           [done](const ldap::DirectoryClient::Result& result) {
-                               done(result.success ? std::vector<std::string>{result.url}
-                                                   : std::vector<std::string>{});
-                           });
-             return agent;
-         },
-         same},
-        {"slp-to-wsd", [] { return bridge::models::slpToWsd(); },
-         [](net::Network& network) -> std::shared_ptr<void> {
-             wsd::Target::Config config;
-             config.xaddrs = kServiceUrl;
-             config.responseDelayBase = net::ms(40);
-             config.responseDelayJitter = net::ms(5);
-             return std::make_shared<wsd::Target>(network, config);
-         },
-         slpClient, same},
-        {"wsd-to-slp", [] { return bridge::models::wsdToSlp(); }, slpService,
-         [](net::Network& network, int, const std::string& host,
-            std::function<void(std::vector<std::string>)> done) -> std::shared_ptr<void> {
-             wsd::Client::Config config;
-             config.host = host;
-             config.timeout = net::ms(20000);
-             auto agent = std::make_shared<wsd::Client>(network, config);
-             agent->probe("printer",
-                          [done](const wsd::Client::Result& result) { done(result.xaddrs); });
-             return agent;
-         },
-         same},
-    };
+/// slp-to-ldap's client `i` on `host`: it asks for queue p<i> through a raw
+/// SLP predicate (slp::UserAgent has none), so each client has its own
+/// answer and a reply crossed into another session would show.
+std::shared_ptr<net::UdpSocket> askForQueue(net::Network& network, int i,
+                                            const std::string& host,
+                                            std::function<void(std::vector<std::string>)> done) {
+    std::shared_ptr<net::UdpSocket> socket = network.openUdp(host);
+    socket->onDatagram([done](const Bytes& payload, const net::Address&) {
+        if (const auto reply = slp::decodeReply(payload)) done({reply->url});
+    });
+    slp::SrvRequest request;
+    request.xid = static_cast<std::uint16_t>(100 + i);
+    request.serviceType = "service:printer";
+    request.predicate = "(queue=p" + std::to_string(i) + ")";
+    socket->sendTo(peers::discoveryGroup(peers::Protocol::Slp), slp::encode(request));
+    return socket;
 }
 
 TEST_F(InteropTest, ThreeSimultaneousClientsEveryDirection) {
     // Three clients on distinct hosts ask at once; every one is answered
     // with its own result through its own session.
     constexpr int kClients = 3;
-    for (const Direction& direction : allDirections()) {
-        SCOPED_TRACE(direction.name);
-        net::VirtualClock dirClock;
-        net::EventScheduler dirScheduler(dirClock);
-        net::SimNetwork dirNetwork(dirScheduler);
-        bridge::Starlink dirStarlink(dirNetwork);
-        auto& bridge = dirStarlink.deploy(direction.spec(), kBridgeHost);
-        const std::shared_ptr<void> service = direction.service(dirNetwork);
+    for (const bridge::models::Direction& direction : bridge::models::directions()) {
+        SCOPED_TRACE(direction.slug);
+        peers::SimIsland island;
+        auto& bridge = island.deploy(direction);
+        const bool perQueue = std::string_view(direction.slug) == "slp-to-ldap";
+        std::optional<ldap::DirectoryServer> queues;
+        if (perQueue) {
+            queues.emplace(island.network, ldap::DirectoryServer::Config{});
+            for (int i = 0; i < kClients; ++i) {
+                const std::string queue = "p" + std::to_string(i);
+                queues->addEntry({"cn=" + queue + ",dc=services,dc=local", "service:printer",
+                                  kQueueUrl + std::to_string(i), {{"queue", queue}}});
+            }
+        } else {
+            island.service.emplace(island.network, direction);
+        }
 
         std::vector<std::vector<std::vector<std::string>>> answers(kClients);
-        std::vector<std::shared_ptr<void>> clients;
+        std::vector<std::unique_ptr<peers::Client>> clients;
+        std::vector<std::shared_ptr<net::UdpSocket>> queueClients;
         for (int i = 0; i < kClients; ++i) {
             const std::string host = "10.0.1." + std::to_string(11 + i);
-            clients.push_back(direction.client(
-                dirNetwork, i, host,
-                [&answers, i](std::vector<std::string> urls) { answers[i].push_back(urls); }));
+            auto done = [&answers, i](std::vector<std::string> urls) {
+                answers[i].push_back(std::move(urls));
+            };
+            if (perQueue) {
+                queueClients.push_back(askForQueue(island.network, i, host, done));
+                continue;
+            }
+            peers::ClientConfigs configs;
+            configs.each([&host](auto& config) { config.host = host; });
+            clients.push_back(std::make_unique<peers::Client>(island.network, direction, configs));
+            clients.back()->lookup([done](const peers::Client::Result& r) { done(r.urls); });
         }
-        dirScheduler.runUntilIdle(200000);
+        island.scheduler.runUntilIdle(200000);
 
         for (int i = 0; i < kClients; ++i) {
             ASSERT_EQ(answers[i].size(), 1u) << "client " << i;
             ASSERT_EQ(answers[i][0].size(), 1u) << "client " << i;
-            EXPECT_EQ(answers[i][0][0], direction.expected(i)) << "client " << i;
+            EXPECT_EQ(answers[i][0][0],
+                      perQueue ? kQueueUrl + std::to_string(i) : island.service->url())
+                << "client " << i;
         }
         const engine::SessionHistory& history = bridge.engine().sessions();
         ASSERT_EQ(history.size(), static_cast<std::size_t>(kClients));
@@ -719,19 +558,20 @@ using peers::SimIsland;
 
 TEST(SimIslandTest, EveryCaseBindsServiceAndClientAtIslandHosts) {
     for (const Case c : bridge::models::kAllCases) {
+        const bridge::models::Direction& direction = bridge::models::direction(c);
         // A partition of either peer host leaves nothing to discover, so the
         // peers bind there and nowhere else.
         for (const char* host : {SimIsland::kClientHost, SimIsland::kServiceHost}) {
             SimIsland island;
-            island.deploy(c);
-            island.spawn(c);
+            island.deploy(direction);
+            island.spawn(direction);
             EXPECT_THROW(island.network.openUdp(
                              SimIsland::kServiceHost,
-                             peers::discoveryGroup(peers::serviceProtocol(c)).port),
+                             peers::discoveryGroup(peers::serviceProtocol(direction)).port),
                          NetError)
-                << bridge::models::caseName(c);
+                << direction.name;
             island.network.partitionHost(host);
-            EXPECT_EQ(island.runLookups(1), 0) << bridge::models::caseName(c) << " " << host;
+            EXPECT_EQ(island.runLookups(1), 0) << direction.name << " " << host;
         }
     }
 }
@@ -757,9 +597,10 @@ TEST(SimIslandTest, RunLookupsCountsDiscoveries) {
     int results = 0;
     const auto count = [&results](const peers::Client::Result&) { ++results; };
 
+    const bridge::models::Direction& slpToBonjour = bridge::models::direction(Case::SlpToBonjour);
     SimIsland island;
-    island.deploy(Case::SlpToBonjour);
-    island.spawn(Case::SlpToBonjour);
+    island.deploy(slpToBonjour);
+    island.spawn(slpToBonjour);
     EXPECT_EQ(island.runLookups(3, count), 3);
     EXPECT_EQ(results, 3);
 
@@ -767,12 +608,14 @@ TEST(SimIslandTest, RunLookupsCountsDiscoveries) {
     // reports back empty.
     results = 0;
     SimIsland bare;
-    bare.spawn(Case::SlpToBonjour);
+    bare.spawn(slpToBonjour);
     EXPECT_EQ(bare.runLookups(2, count), 0);
     EXPECT_EQ(results, 2);
 }
 
 // --- model swap: each session keeps the generation it opened on ------------
+
+const bridge::models::Direction& upnpToSlp() { return bridge::models::direction(Case::UpnpToSlp); }
 
 /// UPnP control points in closed loop on an upnp-to-slp island: control point
 /// i starts i seconds in, at host 10.0.0.(11+i), and re-asks as soon as its
@@ -783,7 +626,7 @@ struct ClosedLoopControlPoints {
             peers::ClientConfigs configs;
             configs.upnp.host = "10.0.0." + std::to_string(11 + i);
             clients.push_back(
-                std::make_unique<peers::Client>(island.network, Case::UpnpToSlp, configs));
+                std::make_unique<peers::Client>(island.network, upnpToSlp(), configs));
             island.scheduler.schedule(net::ms(1000 * i), [this, i, lookups] { ask(i, lookups); });
         }
     }
@@ -821,7 +664,7 @@ std::vector<Ended> publishUnderLoad(SimIsland& island, bridge::DeployedBridge& b
     bridge.engine().onSessionComplete = [&ended, &island](const engine::SessionRecord& record) {
         ended.push_back({record, island.network.now()});
     };
-    island.service.emplace(island.network, Case::UpnpToSlp);
+    island.service.emplace(island.network, upnpToSlp());
     ClosedLoopControlPoints loop(island, 3, 3);
     island.scheduler.schedule(net::ms(8000), [&] {
         *liveAtPublish = bridge.engine().liveSessionCount();

@@ -234,7 +234,7 @@ TEST(MergedAutomatonSpec, AllSixCasesValidate) {
     for (const Case c : bridge::models::kAllCases) {
         ColorRegistry colors;
         const auto merged = loadCase(c, colors);
-        EXPECT_NO_THROW(merged->validate()) << bridge::models::caseName(c);
+        EXPECT_NO_THROW(merged->validate()) << bridge::models::direction(c).name;
     }
 }
 
@@ -362,8 +362,8 @@ TEST(SpecLoader, BridgeSpecSizeMatchesPaperBallpark) {
     for (const Case c : bridge::models::kAllCases) {
         const auto spec = bridge::models::forCase(c, "10.0.0.9");
         const std::size_t lines = bridge::models::bridgeSpecLines(spec);
-        EXPECT_GE(lines, 15u) << bridge::models::caseName(c);
-        EXPECT_LE(lines, 150u) << bridge::models::caseName(c);
+        EXPECT_GE(lines, 15u) << bridge::models::direction(c).name;
+        EXPECT_LE(lines, 150u) << bridge::models::direction(c).name;
     }
 }
 

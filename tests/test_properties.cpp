@@ -8,7 +8,7 @@
 //   P3  Color hash injectivity under seeded random descriptor populations.
 //   P4  XML round-trip: write(parse(x)) reparses structurally equal, over
 //       randomly generated documents.
-//   P5  End-to-end value transport: for every of the six interop cases, a
+//   P5  End-to-end value transport: for every built-in direction, a
 //       randomized service URL arrives at the heterogeneous client intact.
 //   P6  Session interleaving: shuffling the dispatch order of a session
 //       workload (and re-partitioning it across shards) never changes any
@@ -36,8 +36,8 @@
 
 namespace starlink::bridge::models {
 
-// Stable, readable test names: a Case parameter prints as its slug.
-void PrintTo(Case c, std::ostream* os) { *os << caseSlug(c); }
+// Stable, readable test names: a Direction parameter prints as its slug.
+void PrintTo(const Direction& d, std::ostream* os) { *os << d.slug; }
 
 }  // namespace starlink::bridge::models
 
@@ -304,42 +304,44 @@ TEST_P(XmlProperty, WriteParseRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlProperty, ::testing::Values(7u, 14u, 28u));
 
-// --- P5: end-to-end value transport across all six cases -------------------------------
+// --- P5: end-to-end value transport across every direction ------------------------------
 
 class CaseTransportProperty
-    : public ::testing::TestWithParam<std::tuple<bridge::models::Case, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<bridge::models::Direction, std::uint64_t>> {};
 
 TEST_P(CaseTransportProperty, RandomServiceUrlArrivesIntact) {
-    const auto [interopCase, seed] = GetParam();
+    const auto& [direction, seed] = GetParam();
     Rng rng(seed);
     const std::string url = "http://10.0.0.3:" + std::to_string(rng.range(1024, 65535)) + "/" +
                             randomToken(rng, 16, "abcdefghijklmnop0123456789");
 
     peers::SimIsland island;
-    island.deploy(interopCase);
+    island.deploy(direction);
 
     peers::ServiceConfigs services;
     services.slp.url = url;
     services.upnp.serviceUrl = url;
     services.bonjour.url = url;
+    services.ldap.printer.url = url;
+    services.wsd.xaddrs = url;
     services.each([](auto& config) { config.responseDelayBase = net::ms(5); });
     peers::ClientConfigs clients;
     clients.upnp.mxWindowBase = net::ms(30);
     clients.bonjour.aggregationBase = net::ms(20);
-    island.spawn(interopCase, services, clients);
+    island.spawn(direction, services, clients);
     std::vector<std::string> urls;
     island.runLookups(1, [&urls](const peers::Client::Result& r) { urls = r.urls; });
 
-    ASSERT_EQ(urls.size(), 1u) << bridge::models::caseName(interopCase);
-    EXPECT_EQ(urls[0], url) << bridge::models::caseName(interopCase);
+    ASSERT_EQ(urls.size(), 1u) << direction.name;
+    EXPECT_EQ(urls[0], url) << direction.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCasesTimesSeeds, CaseTransportProperty,
-    ::testing::Combine(::testing::ValuesIn(bridge::models::kAllCases),
+    ::testing::Combine(::testing::ValuesIn(bridge::models::directions()),
                        ::testing::Values(100u, 200u, 300u)),
     [](const ::testing::TestParamInfo<CaseTransportProperty::ParamType>& info) {
-        std::string name = bridge::models::caseName(std::get<0>(info.param));
+        std::string name = std::get<0>(info.param).name;
         for (char& c : name) {
             if (c == ' ') c = '_';
         }

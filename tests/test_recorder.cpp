@@ -423,12 +423,15 @@ TEST(ModelIdentity, StableAndSpecSensitive) {
 }
 
 TEST(ModelIdentity, CaseSlugRoundTrips) {
-    for (const auto c : bridge::models::kAllCases) {
-        const auto back = bridge::models::caseBySlug(bridge::models::caseSlug(c));
-        ASSERT_TRUE(back.has_value());
-        EXPECT_EQ(*back, c);
+    for (const bridge::models::Direction& d : bridge::models::directions()) {
+        EXPECT_EQ(bridge::models::directionBySlug(d.slug), &d);
     }
-    EXPECT_FALSE(bridge::models::caseBySlug("no-such-case").has_value());
+    EXPECT_EQ(bridge::models::directionBySlug("no-such-case"), nullptr);
+    // The registry fleet's Case indexes the table's first six rows.
+    for (const auto c : bridge::models::kAllCases) {
+        EXPECT_EQ(&bridge::models::direction(c),
+                  &bridge::models::directions()[static_cast<std::size_t>(c)]);
+    }
 }
 
 // -- chaos capture + replay ---------------------------------------------------
@@ -562,9 +565,10 @@ TEST(ReplayFidelity, UpnpToBonjourRepliesBitIdentically) {
     expectDirectionReplays(bridge::models::Case::UpnpToBonjour, "upnp-to-bonjour");
 }
 
-// The live daemon deploys through Starlink::deploy with a spool and no case
-// label of its own; its bundles must still name a case replay can resolve.
-TEST(ReplayFidelity, DaemonDeployedBundleReplays) {
+/// The bundles a lookup spools against `direction`'s bridge deployed as the
+/// live daemon deploys it (Starlink::deploy with a spool and no case label of
+/// its own) with no service behind it, so the session waits out its watchdog.
+std::vector<PostmortemBundle> spoolLoneAbort(const bridge::models::Direction& direction) {
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) / "starlink-replay-daemon").string();
     std::filesystem::remove_all(dir);
@@ -572,23 +576,42 @@ TEST(ReplayFidelity, DaemonDeployedBundleReplays) {
     engine::EngineOptions options;
     options.recorderSessionBytes = 1024 * 1024;
     options.postmortemSpool = &spool;
-    const auto spec = bridge::models::forCase(bridge::models::Case::SlpToUpnp,
-                                              peers::SimIsland::kBridgeHost);
     peers::SimIsland island;
-    island.starlink.deploy(spec, peers::SimIsland::kBridgeHost, options);
-    // No UPnP device answers, so the session waits out its watchdog.
-    island.client.emplace(island.network, bridge::models::Case::SlpToUpnp);
+    island.deploy(direction, options);
+    island.client.emplace(island.network, direction);
     EXPECT_EQ(island.runLookups(1), 0);
-
-    const std::vector<PostmortemBundle> bundles = readBundles(spool);
+    std::vector<PostmortemBundle> bundles = readBundles(spool);
     std::filesystem::remove_all(dir);
+    return bundles;
+}
+
+// The live daemon's bundles must name a case replay can resolve.
+TEST(ReplayFidelity, DaemonDeployedBundleReplays) {
+    const std::vector<PostmortemBundle> bundles =
+        spoolLoneAbort(bridge::models::direction(bridge::models::Case::SlpToUpnp));
     ASSERT_EQ(bundles.size(), 1u);
     const PostmortemBundle& bundle = bundles.front();
     EXPECT_EQ(bundle.caseSlug, "slp-to-upnp");
     EXPECT_EQ(bundle.bridgeHost, peers::SimIsland::kBridgeHost);
-    EXPECT_EQ(bundle.modelIdentity, bridge::models::modelSetIdentity(spec));
+    EXPECT_EQ(bundle.modelIdentity,
+              bridge::models::modelSetIdentity(bridge::models::forCase(
+                  bridge::models::Case::SlpToUpnp, peers::SimIsland::kBridgeHost)));
     const bridge::ReplayComparison result = bridge::replayBundle(bundle);
     EXPECT_TRUE(result.ok()) << result.detail;
+}
+
+// The extension rows replay from their slug alone, as the paper's six do: the
+// one-argument overload resolves caseSlug through the direction table.
+TEST(ReplayFidelity, ExtensionDirectionBundlesReplay) {
+    for (const char* slug : {"slp-to-ldap", "slp-to-wsd"}) {
+        SCOPED_TRACE(slug);
+        const std::vector<PostmortemBundle> bundles =
+            spoolLoneAbort(*bridge::models::directionBySlug(slug));
+        ASSERT_EQ(bundles.size(), 1u);
+        EXPECT_EQ(bundles.front().caseSlug, slug);
+        const bridge::ReplayComparison result = bridge::replayBundle(bundles.front());
+        EXPECT_TRUE(result.ok()) << result.detail;
+    }
 }
 
 TEST(ReplayGuards, TruncatedBundleIsRefused) {

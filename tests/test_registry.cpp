@@ -91,7 +91,7 @@ TEST(ModelRegistry, FirstLoadBecomesActiveAndPinsIt) {
     for (const Case c : kAllCases) {
         EXPECT_EQ(v1->identityFor(c),
                   bridge::models::modelSetIdentity(bridge::models::forCase(c, "10.0.0.9")))
-            << bridge::models::caseSlug(c);
+            << bridge::models::direction(c).slug;
     }
 }
 
@@ -234,7 +234,7 @@ TEST(ModelRegistry, CanaryPromotesAfterCleanStreak) {
 TEST(ReplayIdentity, MismatchIsRefusedBeforeAnyModelIsParsed) {
     telemetry::PostmortemBundle bundle;
     bundle.bridge = "slp-to-upnp";
-    bundle.caseSlug = bridge::models::caseSlug(Case::SlpToUpnp);
+    bundle.caseSlug = bridge::models::direction(Case::SlpToUpnp).slug;
     bundle.bridgeHost = "10.0.0.9";
     bundle.abortCode = static_cast<std::int32_t>(errc::ErrorCode::EngineSessionTimeout);
     bundle.modelIdentity = 0x1234'5678'9abc'def0ULL;
@@ -303,7 +303,7 @@ protected:
             write(dir / ("http." + suffix + ".automaton.xml"), models::httpAutomaton(role));
         }
         for (const Case c : kAllCases) {
-            std::string name = models::caseName(c);
+            std::string name = models::direction(c).name;
             std::replace(name.begin(), name.end(), ' ', '-');
             write(dir / (name + ".bridge.xml"), models::forCase(c, "10.0.0.9").bridgeXml);
         }
@@ -323,7 +323,7 @@ TEST_F(RegistryDirectory, LoadReproducesBuiltinFingerprints) {
     for (const Case c : kAllCases) {
         EXPECT_EQ(set->identityFor(c),
                   bridge::models::modelSetIdentity(bridge::models::forCase(c, "10.0.0.9")))
-            << bridge::models::caseSlug(c);
+            << bridge::models::direction(c).slug;
     }
 }
 

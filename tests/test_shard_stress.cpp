@@ -197,7 +197,7 @@ TEST(ShardStress, SoakPooledIslandsServeIdenticalSessionsForever) {
             // Same explicit seed for every session of a case: a healthy pool
             // must serve them all identically, however deep in the run.
             job.seed = 0x50AC + static_cast<std::uint64_t>(c);
-            job.key = std::string(bridge::models::caseName(c)) + "-" + std::to_string(i);
+            job.key = std::string(bridge::models::direction(c).name) + "-" + std::to_string(i);
             engine.submit(job);
         }
     }

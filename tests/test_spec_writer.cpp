@@ -71,7 +71,7 @@ TEST(SpecWriter, BridgeRoundTripsAllSixCases) {
         original->validate();
         const std::string rewritten = writeBridge(*original);
         const auto reloaded = loadBridge(rewritten, std::move(componentsAgain));
-        EXPECT_NO_THROW(reloaded->validate()) << bridge::models::caseName(c);
+        EXPECT_NO_THROW(reloaded->validate()) << bridge::models::direction(c).name;
         EXPECT_EQ(reloaded->assignments().size(), original->assignments().size());
         EXPECT_EQ(reloaded->deltas().size(), original->deltas().size());
         EXPECT_EQ(reloaded->equivalences().size(), original->equivalences().size());

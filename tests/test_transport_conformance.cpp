@@ -69,14 +69,15 @@ peers::ClientConfigs fastClients() {
 /// outcome. `withService` false leaves the legacy service side empty (the
 /// abort-equivalence rows). Everything here goes through net::Network --
 /// this function cannot tell which backend it is driving.
-Outcome runDirection(net::Network& net, Case direction, bool withService = true,
+Outcome runDirection(net::Network& net, Case c, bool withService = true,
                      engine::EngineOptions options = {}) {
     Outcome outcome;
     outcome.backend = net.backendName();
 
+    const bridge::models::Direction& direction = bridge::models::direction(c);
     bridge::Starlink starlink{net};
-    auto& deployed =
-        starlink.deploy(bridge::models::forCase(direction, kBridgeHost), kBridgeHost, options);
+    auto& deployed = starlink.deploy(bridge::models::forDirection(direction, kBridgeHost),
+                                     kBridgeHost, options);
 
     // The legacy service for the far side of the bridge.
     std::optional<peers::Service> service;

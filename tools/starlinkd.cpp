@@ -4,9 +4,9 @@
 //                                       docs/ERRORS.md); every failure exits
 //                                       with a structured JSON envelope on
 //                                       stderr and a per-layer exit code
-//   starlinkd list                      enumerate built-in models and cases
+//   starlinkd list                      enumerate built-in models and directions
 //   starlinkd export <dir>              write every built-in model to XML files
-//   starlinkd demo <case>               run one of the six paper cases end to end
+//   starlinkd demo <case>               run one of the ten directions end to end
 //   starlinkd demo-files <served.mdl> <served.automaton>
 //                        <queried.mdl> <queried.automaton> <bridge.xml>
 //                                       deploy a bridge FROM MODEL FILES and run
@@ -93,10 +93,11 @@
 //                                       replay against models that did not
 //                                       produce the capture
 //
-// demo, demo-files, chaos, trace and metrics each drive one peers::SimIsland:
-// legacy client at 10.0.0.1, legacy service at 10.0.0.3 (every direction,
-// SLP included), bridge at 10.0.0.9, on the simulated network over virtual
-// time.
+// <case> is a direction's slug from models::directions(). demo, demo-files,
+// chaos, trace and metrics each drive one peers::SimIsland: legacy client at
+// 10.0.0.1, legacy service at 10.0.0.3 (every direction, SLP included),
+// bridge at 10.0.0.9, on the simulated network over virtual time. serve and
+// replay --models-dir run the registry fleet, which holds the paper's six.
 #include <algorithm>
 #include <csignal>
 #include <filesystem>
@@ -129,6 +130,7 @@ namespace {
 
 using namespace starlink;
 using bridge::models::Case;
+using bridge::models::Direction;
 
 int usage() {
     std::cerr << "usage: starlinkd errors\n"
@@ -154,9 +156,23 @@ int usage() {
                  "       starlinkd postmortem <bundle.slfr>\n"
                  "       starlinkd replay <bundle.slfr> [--models-dir DIR]\n"
                  "cases:";
-    for (const Case c : bridge::models::kAllCases) std::cerr << " " << bridge::models::caseSlug(c);
+    for (const Direction& d : bridge::models::directions()) std::cerr << " " << d.slug;
     std::cerr << "\n";
     return 2;
+}
+
+/// The registry fleet's index of `slug`. The fleet holds the paper's six; for
+/// any other slug, says why `command` refuses it and returns nullopt.
+std::optional<Case> fleetCase(const std::string& command, const std::string& slug) {
+    for (const Case c : bridge::models::kAllCases) {
+        if (slug == bridge::models::direction(c).slug) return c;
+    }
+    std::cerr << "starlinkd: " << command << " runs the registry fleet, which holds only";
+    for (const Case c : bridge::models::kAllCases) {
+        std::cerr << " " << bridge::models::direction(c).slug;
+    }
+    std::cerr << "; '" << slug << "' is not one of them\n";
+    return std::nullopt;
 }
 
 std::string slurp(const std::string& path) {
@@ -213,15 +229,13 @@ void probeSpoolDir(const std::string& dir) {
 int cmdList() {
     std::cout << "MDL documents: slp dns (binary) | ssdp http (text) | wsd (xml) | ldap (binary)\n";
     std::cout << "colored automata: each protocol in client and server role\n";
-    std::cout << "bridge cases:\n";
-    for (const Case c : bridge::models::kAllCases) {
-        const auto spec = bridge::models::forCase(c, "<bridge-host>");
-        std::cout << "  " << bridge::models::caseName(c) << " ("
-                  << spec.protocols.size() << " protocols, "
-                  << bridge::models::bridgeSpecLines(spec) << " bridge-spec lines)\n";
+    std::cout << "bridge directions:\n";
+    for (const Direction& d : bridge::models::directions()) {
+        const auto spec = bridge::models::forDirection(d, "<bridge-host>");
+        std::cout << "  " << d.slug << " (" << d.name << ", " << spec.protocols.size()
+                  << " protocols, " << bridge::models::bridgeSpecLines(spec)
+                  << " bridge-spec lines)\n";
     }
-    std::cout << "extensions: slp-to-ldap, ldap-to-slp (rich translations); "
-                 "slp-to-wsd, wsd-to-slp (xml dialect)\n";
     return 0;
 }
 
@@ -269,15 +283,15 @@ int cmdLint(const std::vector<std::string>& paths, bool json) {
     return lint::hasErrors(diagnostics) ? 1 : 0;
 }
 
-/// Runs one lookup of case `c`'s client through a bridge deployed from `spec`.
-int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
+/// Runs one lookup of `d`'s client through a bridge deployed from `spec`.
+int runDemo(const bridge::models::DeploymentSpec& spec, const Direction& d) {
     peers::SimIsland island;
     const engine::AutomataEngine& engine = island.deploy(spec).engine();
-    island.spawn(c);
+    island.spawn(d);
     std::cout << "deployed bridge '" << engine.merged().name() << "' at "
               << peers::SimIsland::kBridgeHost << "\n";
 
-    const char* who = peers::clientName(peers::clientProtocol(c));
+    const char* who = peers::clientName(peers::clientProtocol(d));
     const int discovered = island.runLookups(1, [who](const peers::Client::Result& r) {
         std::cout << who << ": "
                   << (r.urls.empty() ? std::string("no reply") : "discovered " + r.urls[0])
@@ -296,10 +310,10 @@ int runDemo(const bridge::models::DeploymentSpec& spec, Case c) {
     return discovered == 1 ? 0 : 1;
 }
 
-int cmdDemo(const std::string& caseName) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
-    return runDemo(bridge::models::forCase(*c, peers::SimIsland::kBridgeHost), *c);
+int cmdDemo(const std::string& slug) {
+    const Direction* d = bridge::models::directionBySlug(slug);
+    if (d == nullptr) return usage();
+    return runDemo(bridge::models::forDirection(*d, peers::SimIsland::kBridgeHost), *d);
 }
 
 int cmdDemoFiles(char** argv) {
@@ -309,7 +323,7 @@ int cmdDemoFiles(char** argv) {
     spec.bridgeXml = slurp(argv[4]);
     std::cout << "loaded 5 model files\n";
     // The file-driven demo runs the SLP-client / Bonjour-service topology.
-    return runDemo(spec, Case::SlpToBonjour);
+    return runDemo(spec, bridge::models::direction(Case::SlpToBonjour));
 }
 
 /// Drives one case over a hostile network: steady per-hop loss plus a seeded
@@ -318,16 +332,16 @@ int cmdDemoFiles(char** argv) {
 /// failure cause and the network's drop accounting. Succeeds when at least
 /// one lookup discovers the service AND the connector never wedged (it is
 /// back at its initial state at the end).
-int cmdChaos(const std::string& caseName, double loss, std::uint64_t seed) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
+int cmdChaos(const std::string& slug, double loss, std::uint64_t seed) {
+    const Direction* d = bridge::models::directionBySlug(slug);
+    if (d == nullptr) return usage();
     constexpr int kLookups = 10;
 
     peers::SimIsland island(seed);
     island.chaos(seed, loss);
     const engine::AutomataEngine& engine =
-        island.deploy(*c, peers::resilientEngineOptions()).engine();
-    island.spawn(*c, {}, peers::chaosClientConfigs());
+        island.deploy(*d, peers::resilientEngineOptions()).engine();
+    island.spawn(*d, {}, peers::chaosClientConfigs());
     const net::SimNetwork& network = island.network;
     std::cout << "deployed bridge '" << engine.merged().name()
               << "' under chaos (loss " << loss << ", seed " << seed << ", "
@@ -433,20 +447,19 @@ int cmdPlan(const std::string& which) {
 /// Runs a few bridged lookups with span collection on and exports the span
 /// trees as Chrome trace JSON (stdout, or --out <file>). The summary goes to
 /// stderr so a redirected stdout stays pure JSON.
-int cmdTrace(const std::string& caseName, const std::optional<std::string>& outPath) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
+int cmdTrace(const std::string& slug, const std::optional<std::string>& outPath) {
+    const Direction* d = bridge::models::directionBySlug(slug);
+    if (d == nullptr) return usage();
     telemetry::setEnabled(true);
     engine::EngineOptions options;
     options.spanCapacity = 16384;
     peers::SimIsland island;
-    island.deploy(*c, options);
-    island.spawn(*c);
+    island.deploy(*d, options);
+    island.spawn(*d);
     const int successes = island.runLookups(3);
 
     const auto& spans = island.deployed->engine().spans();
-    const std::string processName =
-        "starlink-bridge " + std::string(bridge::models::caseName(*c));
+    const std::string processName = "starlink-bridge " + std::string(d->name);
     if (outPath) {
         std::ofstream out(*outPath);
         if (!out) throw SpecError("cannot write '" + *outPath + "'");
@@ -463,13 +476,13 @@ int cmdTrace(const std::string& caseName, const std::optional<std::string>& outP
 
 /// Runs a few bridged lookups with metric recording on and prints the
 /// process-wide registry as Prometheus text exposition.
-int cmdMetrics(const std::string& caseName) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
+int cmdMetrics(const std::string& slug) {
+    const Direction* d = bridge::models::directionBySlug(slug);
+    if (d == nullptr) return usage();
     telemetry::setEnabled(true);
     peers::SimIsland island;
-    island.deploy(*c);
-    island.spawn(*c);
+    island.deploy(*d);
+    island.spawn(*d);
     const int successes = island.runLookups(5);
 
     const auto virtualUs = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -519,12 +532,13 @@ void handleReloadSignal(int) {
 /// --max-seconds as a belt-and-braces bound for scripted runs). Each session
 /// prints one summary line as it ends; shutdown prints lifetime aggregates
 /// and exits 0 iff no abort escaped the error taxonomy (code Unclassified).
-int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int portBase,
+int cmdServeOs(const std::string& slug, const std::string& bindAddress, int portBase,
                int metricsPort, bool withPeers, int processingMs, int maxSeconds, bool record,
                const std::string& postmortemDir, const std::string& modelsDir,
                double canaryPercent) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
+    const std::optional<Case> c = fleetCase("serve --transport=os", slug);
+    if (!c) return 2;
+    const Direction& d = bridge::models::direction(*c);
     telemetry::setEnabled(true);
 
     if (!postmortemDir.empty()) probeSpoolDir(postmortemDir);
@@ -581,7 +595,7 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
             config.responseDelayBase = net::ms(5);
             config.responseDelayJitter = net::ms(1);
         });
-        service.emplace(network, *c, configs);
+        service.emplace(network, d, configs);
     }
 
     // /metrics: a raw-byte listener speaking just enough HTTP to satisfy a
@@ -626,7 +640,7 @@ int cmdServeOs(const std::string& caseName, const std::string& bindAddress, int 
         });
     }
 
-    std::cout << "starlinkd[os]: case " << bridge::models::caseName(*c)
+    std::cout << "starlinkd[os]: case " << d.name
               << ", bridge 10.0.0.9 on " << bindAddress;
     if (portBase > 0) {
         std::cout << ", port base " << portBase;
@@ -888,11 +902,11 @@ int cmdPostmortem(const std::string& path) {
     // Throwaway deployment for the codecs and the color registry.
     std::optional<peers::SimIsland> island;
     engine::AutomataEngine* engine = nullptr;
-    if (const auto c = bridge::models::caseBySlug(bundle.caseSlug)) {
+    if (const Direction* d = bridge::models::directionBySlug(bundle.caseSlug)) {
         const std::string host =
             bundle.bridgeHost.empty() ? peers::SimIsland::kBridgeHost : bundle.bridgeHost;
         island.emplace();
-        engine = &island->starlink.deploy(bridge::models::forCase(*c, host), host).engine();
+        engine = &island->starlink.deploy(bridge::models::forDirection(*d, host), host).engine();
     }
     auto colorTag = [&](std::uint64_t k) {
         std::ostringstream out;
@@ -999,11 +1013,8 @@ int cmdReplay(const std::string& path, const std::string& modelsDir) {
               << errc::to_string(static_cast<errc::ErrorCode>(bundle.abortCode)) << ")\n";
     bridge::ReplayComparison result;
     if (!modelsDir.empty()) {
-        const auto c = bridge::models::caseBySlug(bundle.caseSlug);
-        if (!c) {
-            throw SpecError("bundle case '" + bundle.caseSlug +
-                            "' is not a replayable built-in case");
-        }
+        const std::optional<Case> c = fleetCase("replay --models-dir", bundle.caseSlug);
+        if (!c) return 2;
         bridge::ModelRegistry registry;
         registry.loadDirectory(modelsDir);
         const auto set = registry.byCaseIdentity(*c, bundle.modelIdentity);
@@ -1033,10 +1044,10 @@ int cmdReplay(const std::string& path, const std::string& modelsDir) {
     return 1;
 }
 
-int cmdDot(const std::string& caseName) {
-    const auto c = bridge::models::caseBySlug(caseName);
-    if (!c) return usage();
-    const auto spec = bridge::models::forCase(*c, "10.0.0.9");
+int cmdDot(const std::string& slug) {
+    const Direction* d = bridge::models::directionBySlug(slug);
+    if (d == nullptr) return usage();
+    const auto spec = bridge::models::forDirection(*d, "10.0.0.9");
     automata::ColorRegistry colors;
     std::vector<std::shared_ptr<automata::ColoredAutomaton>> components;
     for (const auto& protocol : spec.protocols) {
@@ -1139,7 +1150,7 @@ int main(int argc, char** argv) {
                 std::string modelsDir;
                 double canaryPercent = 0.0;  // 0 = swap immediately on reload
                 std::string transport = "sim";
-                std::string caseName;
+                std::string slug;
                 std::string bindAddress = "127.0.0.1";
                 int portBase = 0;      // 0 = kernel-assigned real ports
                 int metricsPort = 0;   // 0 = no /metrics endpoint
@@ -1155,7 +1166,7 @@ int main(int argc, char** argv) {
                         else if (flag == "--with-peers") withPeers = true;
                         else if (flag.rfind("--transport=", 0) == 0) transport = flag.substr(12);
                         else if (flag == "--transport" && i + 1 < argc) transport = argv[++i];
-                        else if (flag == "--case" && i + 1 < argc) caseName = argv[++i];
+                        else if (flag == "--case" && i + 1 < argc) slug = argv[++i];
                         else if (flag == "--bind" && i + 1 < argc) bindAddress = argv[++i];
                         else if (flag == "--port-base" && i + 1 < argc) portBase = std::stoi(argv[++i]);
                         else if (flag == "--metrics-port" && i + 1 < argc) metricsPort = std::stoi(argv[++i]);
@@ -1181,13 +1192,13 @@ int main(int argc, char** argv) {
                     return usage();
                 }
                 if (transport == "os") {
-                    if (caseName.empty() || portBase < 0 || portBase > 45000 ||
+                    if (slug.empty() || portBase < 0 || portBase > 45000 ||
                         metricsPort < 0 || metricsPort > 65535 || maxSeconds < 0) {
                         std::cerr << "starlinkd: serve --transport=os needs --case <case>; "
                                      "port-base in [0,45000], metrics-port in [0,65535]\n";
                         return usage();
                     }
-                    return cmdServeOs(caseName, bindAddress, portBase, metricsPort, withPeers,
+                    return cmdServeOs(slug, bindAddress, portBase, metricsPort, withPeers,
                                       processingMs, maxSeconds, record, postmortemDir,
                                       modelsDir, canaryPercent);
                 }
