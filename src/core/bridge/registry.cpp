@@ -4,7 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -52,6 +54,34 @@ std::string slurpWhole(const fs::path& path) {
 }
 
 }  // namespace
+
+std::vector<lint::Diagnostic> lintGate(std::span<const models::Direction* const> directions,
+                                       std::span<const models::DeploymentSpec> specs) {
+    // Keyed by content, a document shared by several directions (slp.mdl.xml
+    // by four) is parsed, linted and reported once, and a shared automaton
+    // enters the linter's role search once instead of once per direction.
+    lint::Linter linter;
+    std::set<std::string_view> added;  // views into `specs`, alive until run()
+    std::set<std::string> labels;
+    const auto add = [&](std::string label, const char* slug, const std::string& xmlText) {
+        if (!added.insert(xmlText).second) return;
+        if (!labels.insert(label).second) label += std::string("@") + slug;
+        linter.addModel(label, xmlText);
+    };
+    for (std::size_t d = 0; d < specs.size(); ++d) {
+        const models::Direction& direction = *directions[d];
+        const models::DeploymentSpec& spec = specs[d];
+        for (std::size_t i = 0; i < spec.protocols.size(); ++i) {
+            const models::ProtocolModel& p = spec.protocols[i];
+            const bool named = i < direction.protocols.size();
+            add(named ? direction.protocols[i].first : "mdl", direction.slug, p.mdlXml);
+            add(named ? direction.protocols[i].second : "automaton", direction.slug,
+                p.automatonXml);
+        }
+        add(direction.bridge, direction.slug, spec.bridgeXml);
+    }
+    return linter.run();
+}
 
 const char* registryEventName(RegistryEvent::Kind kind) {
     switch (kind) {
@@ -170,30 +200,12 @@ std::shared_ptr<const ModelSet> ModelRegistry::loadDocuments(const models::Docum
 
 std::shared_ptr<const ModelSet> ModelRegistry::loadSpecs(
     std::array<models::DeploymentSpec, 6> specs, std::string source) {
-    // Hard deploy gate: the full 22-rule cross-layer linter over the whole
-    // closure. Every document is added once per distinct content (a shared
-    // MDL appears in several specs); duplicates would only duplicate
-    // findings.
-    lint::Linter linter;
-    std::map<std::string, bool> added;
-    const auto add = [&](const std::string& label, const std::string& xmlText) {
-        if (added.contains(label)) return;
-        added[label] = true;
-        linter.addModel(label, xmlText);
-    };
+    // Hard deploy gate: any error-severity finding rejects the candidate.
+    std::array<const models::Direction*, 6> directions;
     for (const Case c : models::kAllCases) {
-        const models::DeploymentSpec& spec = specs[static_cast<std::size_t>(c)];
-        const std::string slug = models::direction(c).slug;
-        for (std::size_t i = 0; i < spec.protocols.size(); ++i) {
-            // Label by content hash so a document shared across cases lints
-            // once, while a case-local variant still gets its own pass.
-            const models::ProtocolModel& p = spec.protocols[i];
-            add(slug + "/mdl#" + std::to_string(fnv1a(p.mdlXml)), p.mdlXml);
-            add(slug + "/automaton#" + std::to_string(fnv1a(p.automatonXml)), p.automatonXml);
-        }
-        add(slug + "/bridge", spec.bridgeXml);
+        directions[static_cast<std::size_t>(c)] = &models::direction(c);
     }
-    const std::vector<lint::Diagnostic> findings = linter.run();
+    const std::vector<lint::Diagnostic> findings = lintGate(directions, specs);
     if (lint::hasErrors(findings)) {
         std::size_t errors = 0;
         for (const lint::Diagnostic& d : findings) {

@@ -10,7 +10,8 @@
 //   load      -- loadDirectory() slurps every spec file fully into memory
 //                FIRST (a reload racing a file write must never parse a
 //                half-written document), then runs the full cross-layer
-//                linter over the closure as a hard deploy gate: any
+//                linter over the closure, each distinct document once
+//                (lintGate), as a hard deploy gate: any
 //                error-severity diagnostic rejects the candidate with
 //                bridge.deploy-rejected and the registry keeps serving
 //                whatever it served before. A rejected set never gets a
@@ -48,11 +49,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/bridge/models.hpp"
 #include "core/error/error_code.hpp"
+#include "core/lint/diagnostic.hpp"
 #include "core/telemetry/metrics.hpp"
 
 namespace starlink::bridge {
@@ -104,6 +107,14 @@ struct RegistryEvent {
 };
 
 const char* registryEventName(RegistryEvent::Kind kind);
+
+/// The deploy gate's findings over `specs`, where specs[i] is assembled from
+/// directions[i]. Each distinct document is linted once: keyed by content,
+/// labelled with the models/ file name its Direction row gives, and a
+/// different content under a name already taken (a case-local variant) gets
+/// its own pass labelled "<file>@<slug>".
+std::vector<lint::Diagnostic> lintGate(std::span<const models::Direction* const> directions,
+                                       std::span<const models::DeploymentSpec> specs);
 
 struct ModelRegistryOptions {
     /// Topology baked into loadBuiltins() specs (mirrors ShardEngineOptions).

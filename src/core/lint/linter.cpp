@@ -604,18 +604,14 @@ void Linter::lintBridge(const BridgeModel& model) {
     int bestScore = -1;
     std::string bestError;
     for (std::size_t combo = 0; combo < comboCount; ++combo) {
-        std::vector<std::shared_ptr<ColoredAutomaton>> components;
+        // Components do not change what loadBridge parses, so each candidate
+        // is the step-0 shape plus one role assignment, not a re-parse.
+        auto merged = std::make_shared<merge::MergedAutomaton>(*shape);
         std::size_t rest = combo;
         for (const std::string& name : names) {
             const auto& list = byName[name];
-            components.push_back(list[rest % list.size()]->automaton);
+            merged->addComponent(list[rest % list.size()]->automaton);
             rest /= list.size();
-        }
-        std::shared_ptr<merge::MergedAutomaton> merged;
-        try {
-            merged = merge::loadBridge(root, std::move(components));
-        } catch (const SpecError&) {
-            continue;  // unreachable: the component-free parse above succeeded
         }
         int score = 0;
         for (const merge::DeltaTransition& delta : merged->deltas()) {

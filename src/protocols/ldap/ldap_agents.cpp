@@ -1,5 +1,7 @@
 #include "protocols/ldap/ldap_agents.hpp"
 
+#include <utility>
+
 namespace starlink::ldap {
 
 DirectoryServer::DirectoryServer(net::Network& network, Config config)
@@ -55,20 +57,25 @@ void DirectoryClient::search(const std::string& directoryHost, std::uint16_t dir
     request.messageId = nextId_++;
     request.serviceClass = serviceClass;
     request.filter = filter;
+    // Exactly one Result per search: the reply, or a failure when the
+    // connection fails or closes first (a bridge that aborts its session
+    // closes the connection unanswered).
     const net::TimePoint start = network_.now();
+    auto pending = std::make_shared<Callback>(std::move(callback));
+    const auto report = [this, start, pending](Result result) {
+        if (!*pending) return;
+        const Callback done = std::exchange(*pending, nullptr);
+        result.elapsed = std::chrono::duration_cast<net::Duration>(network_.now() - start);
+        done(result);
+    };
     network_.connectTcp(
         host_, net::Address{directoryHost, directoryPort},
-        [this, request, start, callback = std::move(callback)](
-            std::shared_ptr<net::TcpConnection> connection) {
+        [request, report](std::shared_ptr<net::TcpConnection> connection) {
             if (!connection) {
-                Result result;
-                result.elapsed =
-                    std::chrono::duration_cast<net::Duration>(network_.now() - start);
-                callback(result);
+                report({});
                 return;
             }
-            connection->onData([this, request, start, callback,
-                                connection](const Bytes& data) {
+            connection->onData([request, report, connection](const Bytes& data) {
                 Result result;
                 const auto decoded = decodeResult(data);
                 if (decoded && decoded->messageId == request.messageId &&
@@ -76,11 +83,10 @@ void DirectoryClient::search(const std::string& directoryHost, std::uint16_t dir
                     result.success = true;
                     result.url = decoded->url;
                 }
-                result.elapsed =
-                    std::chrono::duration_cast<net::Duration>(network_.now() - start);
                 connection->close();
-                callback(result);
+                report(result);
             });
+            connection->onClose([report] { report({}); });
             connection->send(encode(request));
         });
 }

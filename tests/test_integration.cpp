@@ -613,6 +613,23 @@ TEST(SimIslandTest, RunLookupsCountsDiscoveries) {
     EXPECT_EQ(results, 2);
 }
 
+TEST(SimIslandTest, LdapClientHearsOnceWhenTheBridgeFindsNoService) {
+    // ldap-to-slp with no SLP service: the bridge accepts the LDAP search,
+    // finds nothing to ask and aborts, closing the connection unanswered.
+    // The LDAP client must report that as one failed lookup, not wait.
+    const bridge::models::Direction& ldapToSlp = *bridge::models::directionBySlug("ldap-to-slp");
+    SimIsland island;
+    island.deploy(ldapToSlp);
+    island.client.emplace(island.network, ldapToSlp);
+    std::vector<peers::Client::Result> results;
+    EXPECT_EQ(island.runLookups(1, [&results](const peers::Client::Result& r) {
+                  results.push_back(r);
+              }),
+              0);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].urls.empty());
+}
+
 // --- model swap: each session keeps the generation it opened on ------------
 
 const bridge::models::Direction& upnpToSlp() { return bridge::models::direction(Case::UpnpToSlp); }

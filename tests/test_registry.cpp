@@ -4,7 +4,9 @@
 //   - the lint gate: a candidate with ANY error-severity finding -- including
 //     an unparseable document, which is what a reload racing a file write
 //     produces -- is rejected with bridge.deploy-rejected and the registry
-//     keeps serving what it served before;
+//     keeps serving what it served before; each distinct document is linted
+//     once, keyed by content and reported under its models/ file name, and a
+//     warm load costs fewer allocations than one lint of every model file;
 //   - versioning and identity: accepted sets get monotonic versions, carry
 //     the same FNV-1a fingerprints postmortem bundles record, and every
 //     generation ever published stays resolvable by version or fingerprint;
@@ -26,10 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/error.hpp"
 #include "core/bridge/registry.hpp"
 #include "core/bridge/replay.hpp"
 #include "core/engine/shard_engine.hpp"
+#include "core/lint/linter.hpp"
 #include "core/telemetry/metrics.hpp"
 #include "core/telemetry/recorder.hpp"
 
@@ -68,6 +72,41 @@ errc::ErrorCode thrownCode(const std::function<void()>& body) {
         return error.code();
     }
     return errc::ErrorCode::Ok;
+}
+
+/// The message of the SpecError `body` throws; empty when it throws none.
+std::string thrownMessage(const std::function<void()>& body) {
+    try {
+        body();
+    } catch (const SpecError& error) {
+        EXPECT_EQ(error.code(), errc::ErrorCode::BridgeDeployRejected);
+        return error.what();
+    }
+    return "";
+}
+
+/// slp.mdl.xml with one field's marshaller misspelt: exactly one lint error
+/// (mdl.marshaller.unknown) in a document four of the six directions share.
+std::string misspeltSlpMdl() {
+    std::string mdl = bridge::models::slpMdl();
+    const std::string field = "<LangTag>String</LangTag>";
+    const std::size_t at = mdl.find(field);
+    EXPECT_NE(at, std::string::npos);
+    return mdl.replace(at, field.size(), "<LangTag>Strng</LangTag>");
+}
+
+/// The lines of `text` that contain `needle`.
+std::vector<std::string> linesWith(const std::string& text, const std::string& needle) {
+    std::vector<std::string> lines;
+    std::size_t begin = 0;
+    while (begin < text.size()) {
+        std::size_t end = text.find('\n', begin);
+        if (end == std::string::npos) end = text.size();
+        std::string line = text.substr(begin, end - begin);
+        if (line.find(needle) != std::string::npos) lines.push_back(std::move(line));
+        begin = end + 1;
+    }
+    return lines;
 }
 
 TEST(ModelRegistry, FirstLoadBecomesActiveAndPinsIt) {
@@ -113,6 +152,66 @@ TEST(ModelRegistry, LintGateRejectsDefectiveCandidateAndKeepsServing) {
     EXPECT_EQ(registry.canary(), nullptr);
     const auto v2 = registry.loadSpecs(builtinSpecs(8090), "fixed");
     EXPECT_EQ(v2->version(), 2u) << "a rejected candidate must not burn a version";
+}
+
+TEST(ModelRegistry, LintGateKeysDocumentsByContentNotFileName) {
+    telemetry::MetricsRegistry metrics;
+    ModelRegistry registry{testOptions(metrics)};
+    const auto v1 = registry.loadBuiltins();
+
+    // One case carries its own, broken slp.mdl.xml while three others share
+    // the good one. A gate keyed by file name would lint the first
+    // slp.mdl.xml it met and skip this variant; keyed by content, the
+    // variant gets its own pass, labelled with its direction.
+    auto specs = builtinSpecs();
+    specs[static_cast<std::size_t>(Case::SlpToBonjour)].protocols[0].mdlXml = misspeltSlpMdl();
+    const std::string message =
+        thrownMessage([&] { registry.loadSpecs(std::move(specs), "case-local-variant"); });
+    EXPECT_NE(message.find("(1 error finding)"), std::string::npos) << message;
+    const auto findings = linesWith(message, "[mdl.marshaller.unknown]");
+    ASSERT_EQ(findings.size(), 1u) << message;
+    EXPECT_EQ(findings[0].rfind("slp.mdl.xml@slp-to-bonjour:", 0), 0u) << findings[0];
+    EXPECT_EQ(registry.active(), v1);
+}
+
+TEST(ModelRegistry, LintGateOverAllTenDirectionsIsClean) {
+    // Every direction's documents, each distinct content once. With one
+    // copy per direction instead, slp-to-upnp alone would need 8 x 4 x 4 =
+    // 128 role combinations, past the linter's cap of 64.
+    std::vector<const bridge::models::Direction*> directions;
+    std::vector<bridge::models::DeploymentSpec> specs;
+    for (const bridge::models::Direction& d : bridge::models::directions()) {
+        directions.push_back(&d);
+        specs.push_back(bridge::models::forDirection(d, "10.0.0.9"));
+    }
+    ASSERT_EQ(directions.size(), 10u);
+    const std::vector<lint::Diagnostic> findings = bridge::lintGate(directions, specs);
+    EXPECT_TRUE(findings.empty()) << lint::renderText(findings);
+}
+
+TEST(ModelRegistry, WarmLoadAllocatesLessThanOneLintOfEveryModel) {
+    // The gate lints each distinct document once and resolves bridge roles
+    // without re-parsing, so re-deploying the six-direction fleet costs less
+    // than linting every models/ file once. Allocation counts repeat exactly
+    // from run to run, unlike wall time.
+    telemetry::MetricsRegistry metrics;
+    ModelRegistry registry{testOptions(metrics)};
+    registry.loadBuiltins();  // warm: first-use statics and the embedded table
+
+    const std::uint64_t beforeLoad = testing::allocCalls();
+    registry.loadBuiltins();
+    const std::uint64_t loadAllocs = testing::allocCalls() - beforeLoad;
+
+    const std::uint64_t beforeLint = testing::allocCalls();
+    {
+        lint::Linter linter;
+        for (const auto& [file, bytes] : bridge::models::embeddedDocuments()) {
+            linter.addModel(file, bytes);
+        }
+        EXPECT_TRUE(linter.run().empty());
+    }
+    const std::uint64_t lintAllocs = testing::allocCalls() - beforeLint;
+    EXPECT_LT(loadAllocs, lintAllocs);
 }
 
 TEST(ModelRegistry, ImmediateSwapPublishesAndRetainsHistory) {
@@ -342,6 +441,22 @@ TEST_F(RegistryDirectory, MissingFileIsRejectedNamingThePath) {
             << error.what();
     }
     EXPECT_EQ(registry.active(), v1) << "the old generation must keep serving";
+}
+
+TEST_F(RegistryDirectory, SharedDocumentDefectIsReportedOnceUnderItsFileName) {
+    telemetry::MetricsRegistry metrics;
+    ModelRegistry registry{testOptions(metrics)};
+    const auto v1 = registry.loadBuiltins();
+
+    // slp.mdl.xml is shared by four directions: the operator's one edit is
+    // one finding, named after the file they edited.
+    write(dir_ / "slp.mdl.xml", misspeltSlpMdl());
+    const std::string message = thrownMessage([&] { registry.loadDirectory(dir_.string()); });
+    EXPECT_NE(message.find("(1 error finding)"), std::string::npos) << message;
+    const auto findings = linesWith(message, "[mdl.marshaller.unknown]");
+    ASSERT_EQ(findings.size(), 1u) << message;
+    EXPECT_EQ(findings[0].rfind("slp.mdl.xml:", 0), 0u) << findings[0];
+    EXPECT_EQ(registry.active(), v1);
 }
 
 TEST_F(RegistryDirectory, TornWriteIsRejectedNotFatal) {
